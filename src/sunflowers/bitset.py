@@ -1,16 +1,16 @@
-"""Bit-vector sets: small integer sets packed into Python ints.
+"""Bit-vector sets: Python-int masks and their packed uint64 word form.
 
 Bit i set means ground element i is present.  Python ints are arbitrary
-width, so any ground-set size is representable; the numpy kernels elsewhere
-additionally require masks to fit in a uint64 lane.
+width, so any ground-set size is representable.  The numpy kernels work on
+boolean rows packed into little-endian uint64 words (:func:`pack_words`), so
+they too take any ground size and any number of sets.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-# numpy kernels pack one set per uint64 lane; wider masks stay Python ints
-U64_GROUND_LIMIT = 63
+import numpy as np
 
 
 def mask_from_elements(elements: Iterable[int]) -> int:
@@ -30,3 +30,22 @@ def iter_submasks(mask: int) -> Iterator[int]:
     while sub:
         yield sub
         sub = (sub - 1) & mask
+
+
+def membership_matrix(masks: Sequence[int], width: int) -> np.ndarray:
+    """Boolean ``(len(masks), width)`` matrix: entry (i, e) is bit e of masks[i]."""
+    nbytes = -(-width // 8)
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=width, bitorder="little").view(bool)
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows ``(r, c)`` as ``(r, ceil(c/64))`` uint64 words.
+
+    Column j lands in word j // 64 at bit j % 64; the padding bits of the
+    last word are zero.
+    """
+    rows, cols = bits.shape
+    packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
+    packed[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)

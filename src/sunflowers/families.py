@@ -17,7 +17,7 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import U64_GROUND_LIMIT, elements_of, mask_from_elements
+from .bitset import elements_of, mask_from_elements, membership_matrix, pack_words
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,11 @@ class SetFamily:
 
     Duplicate masks passed to the constructor are merged (identity is by
     value); the JSON loader, by contrast, rejects duplicate rows outright.
+    The numpy kernels read the members through :meth:`holders`, a packed
+    per-element member bitset built on first use and cached.
     """
 
-    __slots__ = ("ground_size", "k", "sets", "_u64")
+    __slots__ = ("ground_size", "k", "sets", "_holders")
 
     def __init__(self, ground_size: int, k: int, sets: Iterable[int]):
         if ground_size < 1:
@@ -74,20 +76,22 @@ class SetFamily:
         self.ground_size = ground_size
         self.k = k
         self.sets = tuple(masks)
-        if ground_size <= U64_GROUND_LIMIT:
-            self._u64 = np.fromiter(masks, dtype=np.uint64, count=len(masks))
-        else:
-            self._u64 = None
+        self._holders = None
 
     @property
     def ground(self) -> GroundSet:
         return GroundSet(self.ground_size)
 
-    def masks_u64(self) -> np.ndarray:
-        """Members as a uint64 array (requires ground size <= 63)."""
-        if self._u64 is None:
-            raise ValueError(f"ground set of size {self.ground_size} exceeds the uint64 kernel limit")
-        return self._u64
+    def holders(self) -> np.ndarray:
+        """Read-only ``(n, ceil(|F|/64))`` uint64 matrix; row e is the bitset of
+        the members that contain ground element e (bit j of the row is
+        ``sets[j]``, padding bits zero).  Built on first call, then cached.
+        """
+        if self._holders is None:
+            holders = pack_words(membership_matrix(self.sets, self.ground_size).T)
+            holders.setflags(write=False)
+            self._holders = holders
+        return self._holders
 
     def element_rows(self) -> list[list[int]]:
         return [list(elements_of(m)) for m in self.sets]

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import betaincinv
 
+from .bitset import mask_from_elements, membership_matrix, pack_words
 from .constructions import BlockPartition
 from .families import GroundSet, SetFamily
 from .rng import (
@@ -39,6 +40,8 @@ EXACT_IE_FAMILY_CAP = 20
 DECOMPOSITION_GROUND_CAP = 20
 
 _CHUNK_TRIALS = 1 << 13
+# bytes of the containment kernel's (trials, words) working matrix per tile
+_KERNEL_TILE_BYTES = 1 << 20
 _THREE_SIGMA_COVERAGE = 0.9973002039367398
 
 
@@ -88,7 +91,7 @@ class PartitionStats:
 def sample_bernoulli_subset(ground: GroundSet, params: BernoulliSubsetParams, trial_index: int) -> int:
     """The Bernoulli-delta subset for one trial; deterministic in (seed, trial)."""
     u = trial_uniforms(params.seed, STREAM_BERNOULLI, trial_index, ground.size)
-    return _bits_to_mask(u < params.delta)
+    return mask_from_elements(np.flatnonzero(u < params.delta).tolist())
 
 
 def sample_uniform_m_subset(ground: GroundSet, m: int, seed: int, trial_index: int) -> int:
@@ -101,21 +104,7 @@ def sample_uniform_m_subset(ground: GroundSet, m: int, seed: int, trial_index: i
         raise ValueError(f"m must be in [0, {ground.size}], got {m}")
     u = trial_uniforms(seed, STREAM_UNIFORM_SUBSET, trial_index, ground.size)
     order = np.argsort(u, kind="stable")
-    return _bits_to_mask_from_indices(order[:m])
-
-
-def _bits_to_mask(bits: np.ndarray) -> int:
-    mask = 0
-    for i in np.flatnonzero(bits):
-        mask |= 1 << int(i)
-    return mask
-
-
-def _bits_to_mask_from_indices(indices: np.ndarray) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << int(i)
-    return mask
+    return mask_from_elements(order[:m].tolist())
 
 
 # --- exact hit probability ----------------------------------------------------
@@ -181,26 +170,16 @@ def _union_size_coefficients(family: SetFamily) -> np.ndarray:
     coeffs = np.zeros(n + 1, dtype=np.int64)
     if m == 0:
         return coeffs
-    if family._u64 is not None:
-        members = family.masks_u64()
-        unions = np.zeros(1 << m, dtype=np.uint64)
-        for i in range(m):
-            view = unions.reshape(-1, 2, 1 << i)
-            view[:, 1, :] = view[:, 0, :] | members[i]
-        sizes = np.bitwise_count(unions[1:]).astype(np.int64)
-        parity = np.bitwise_count(np.arange(1, 1 << m, dtype=np.uint32)).astype(np.int64) & 1
-        odd = np.bincount(sizes[parity == 1], minlength=n + 1)
-        even = np.bincount(sizes[parity == 0], minlength=n + 1)
-        coeffs += odd.astype(np.int64) - even.astype(np.int64)
-        return coeffs
-    # wide-ground fallback: Python ints, low-bit recursion over subfamilies
-    members_py = family.sets
-    unions_py = [0] * (1 << m)
-    for g in range(1, 1 << m):
-        low = g & -g
-        unions_py[g] = unions_py[g ^ low] | members_py[low.bit_length() - 1]
-        sign = 1 if g.bit_count() & 1 else -1
-        coeffs[unions_py[g].bit_count()] += sign
+    members = pack_words(membership_matrix(family.sets, n))
+    unions = np.zeros((1 << m, members.shape[1]), dtype=np.uint64)
+    for i in range(m):
+        view = unions.reshape(-1, 2, 1 << i, members.shape[1])
+        view[:, 1] = view[:, 0] | members[i]
+    sizes = np.bitwise_count(unions[1:]).sum(axis=1, dtype=np.int64)
+    parity = np.bitwise_count(np.arange(1, 1 << m, dtype=np.uint32)).astype(np.int64) & 1
+    odd = np.bincount(sizes[parity == 1], minlength=n + 1)
+    even = np.bincount(sizes[parity == 0], minlength=n + 1)
+    coeffs += odd.astype(np.int64) - even.astype(np.int64)
     return coeffs
 
 
@@ -241,29 +220,29 @@ def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto")
 # --- Monte Carlo hit probability ----------------------------------------------
 
 
-def _pow2_u64(n: int) -> np.ndarray:
-    return (np.uint64(1) << np.arange(n, dtype=np.uint64)).astype(np.uint64)
+def _contains_member(family: SetFamily, bits: np.ndarray) -> np.ndarray:
+    """Row-wise: does the sample with boolean row ``bits[i]`` contain a member?
 
-
-def _contains_any_member(sample_masks: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Row-wise: does the sample mask contain at least one member mask?"""
-    if members.size == 0:
-        return np.zeros(len(sample_masks), dtype=bool)
-    return ((sample_masks[:, None] & members[None, :]) == members[None, :]).any(axis=1)
+    Bit-sliced over members: a trial's alive set starts as all of F and drops
+    ``holders[e]`` for every ground element e outside the sample; the trial
+    hits iff a member survives.  Trials go in tiles of ``_KERNEL_TILE_BYTES``.
+    """
+    missing = ~family.holders()  # padding bits turn on here but never in ``alive``
+    full = pack_words(np.ones((1, len(family)), dtype=bool))
+    tile = max(1, _KERNEL_TILE_BYTES // (8 * max(1, full.shape[1])))
+    hits = np.empty(len(bits), dtype=bool)
+    for start in range(0, len(bits), tile):
+        absent = ~bits[start : start + tile].T[:, :, None]
+        alive = np.repeat(full, absent.shape[1], axis=0)
+        for e, row in enumerate(missing):
+            np.bitwise_and(alive, row, out=alive, where=absent[e])
+        hits[start : start + tile] = alive.any(axis=1)
+    return hits
 
 
 def _mc_hits_chunk(family: SetFamily, delta: float, seed: int, start: int, count: int) -> int:
-    n = family.ground_size
-    bits = uniform_block(seed, STREAM_BERNOULLI, start, count, n) < delta
-    if family._u64 is not None:
-        masks = bits.astype(np.uint64) @ _pow2_u64(n)
-        return int(_contains_any_member(masks, family.masks_u64()).sum())
-    hits = 0
-    for row in bits:
-        sample = _bits_to_mask(row)
-        if any(s & ~sample == 0 for s in family.sets):
-            hits += 1
-    return hits
+    bits = uniform_block(seed, STREAM_BERNOULLI, start, count, family.ground_size) < delta
+    return int(_contains_member(family, bits).sum())
 
 
 def mc_hit_probability(
@@ -284,6 +263,7 @@ def mc_hit_probability(
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
     chunks = [(start, min(_CHUNK_TRIALS, trials - start)) for start in range(0, trials, _CHUNK_TRIALS)]
+    family.holders()  # build the cached matrix before threads share the family
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             hits = sum(pool.map(lambda c: _mc_hits_chunk(family, delta, seed, *c), chunks))
@@ -334,21 +314,12 @@ def partition_experiment(
     n = family.ground_size
     t = classes
     histogram = np.zeros(t + 1, dtype=np.int64)
-    pow2 = _pow2_u64(n) if family._u64 is not None else None
     for start in range(0, trials, _CHUNK_TRIALS):
         count = min(_CHUNK_TRIALS, trials - start)
         assign = (uniform_block(seed, STREAM_PARTITION, start, count, n) * t).astype(np.int32)
         hit_classes = np.zeros(count, dtype=np.int64)
         for c in range(t):
-            bits = assign == c
-            if pow2 is not None:
-                masks = bits.astype(np.uint64) @ pow2
-                hit_classes += _contains_any_member(masks, family.masks_u64())
-            else:
-                for i, row in enumerate(bits):
-                    class_mask = _bits_to_mask(row)
-                    if any(s & ~class_mask == 0 for s in family.sets):
-                        hit_classes[i] += 1
+            hit_classes += _contains_member(family, assign == c)
         histogram += np.bincount(hit_classes, minlength=t + 1)
     mean = float(np.dot(np.arange(t + 1), histogram)) / trials
     frac_at_least = {

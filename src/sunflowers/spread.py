@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitset import iter_submasks
+from .bitset import elements_of, iter_submasks
 from .families import SetFamily
 
 
@@ -40,11 +40,10 @@ def superset_count(family: SetFamily, t: int) -> int:
     """Exact number of members containing the non-empty set t."""
     if t == 0:
         raise ValueError("superset_count requires a non-empty set")
-    if family._u64 is not None:
-        tt = np.uint64(t)
-        arr = family.masks_u64()
-        return int(((arr & tt) == tt).sum())
-    return sum(1 for s in family.sets if s & t == t)
+    if t.bit_length() > family.ground_size:
+        return 0
+    common = np.bitwise_and.reduce(family.holders()[list(elements_of(t))], axis=0)
+    return int(np.bitwise_count(common).sum())
 
 
 def containment_counts(family: SetFamily) -> dict[int, int]:

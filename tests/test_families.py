@@ -1,5 +1,7 @@
 import json
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -176,6 +178,23 @@ def test_family_validates_members():
 def test_membership():
     fam = SetFamily(4, 2, [m(0, 1), m(2, 3)])
     assert m(0, 1) in fam and m(0, 2) not in fam
+
+
+@pytest.mark.parametrize("n,size", [(3, 0), (65, 70), (130, 64)])
+def test_holders_matrix_bits(n, size):
+    rng = random.Random(n)
+    sets = set()
+    while len(sets) < size:
+        sets.add(m(*rng.sample(range(n), 2)))
+    fam = SetFamily(n, 2, sets)
+    holders = fam.holders()
+    words = -(-len(fam) // 64)
+    assert holders.shape == (n, words) and holders.dtype == np.uint64
+    for e in range(n):
+        row = sum(int(w) << (64 * i) for i, w in enumerate(holders[e]))
+        # oracle: bit j of row e says whether member j holds element e; padding bits stay 0
+        assert row == sum(1 << j for j, s in enumerate(fam.sets) if s >> e & 1)
+    assert fam.holders() is holders and not holders.flags.writeable
 
 
 # --- JSON format --------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from sunflowers import probability
 from sunflowers.bitset import mask_from_elements
 from sunflowers.constructions import block_product_family
 from sunflowers.families import GroundSet, SetFamily
@@ -25,6 +27,7 @@ from sunflowers.probability import (
     sample_bernoulli_subset,
     sample_uniform_m_subset,
 )
+from sunflowers.rng import STREAM_BERNOULLI, STREAM_PARTITION, uniform_block
 
 
 def m(*elements):
@@ -134,8 +137,8 @@ def test_exact_monotone_in_delta():
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
 
-def test_exact_wide_ground_uses_python_fallback():
-    # ground too wide for uint64 kernels and enumeration: IE still works
+def test_exact_wide_ground_uses_inclusion_exclusion():
+    # ground too wide for enumeration: IE still works
     fam = SetFamily(70, 2, [m(0, 1), m(68, 69)])
     est = exact_hit_probability(fam, 0.5)
     assert est.method == "inclusion-exclusion"
@@ -179,6 +182,86 @@ def test_mc_tiny_probability():
     assert est.p_hat == 0.0
     lo, hi = clopper_pearson(0, 2_000)
     assert lo == 0.0 and 0 < hi < 0.01
+
+
+# ground sizes around the 64-bit word boundary; 70 members leave padding
+# bits in the last word of each holder row, 0 members leave no word at all
+WORD_BOUNDARY_CASES = [(n, size) for n in (63, 64, 65, 130) for size in (0, 70)]
+
+
+def wide_family(n, size, k=3):
+    rng = random.Random(n)
+    sets = set()
+    while len(sets) < size:
+        sets.add(m(*rng.sample(range(n), k)))
+    return SetFamily(n, k, sets)
+
+
+def _oracle_contains(family, row):
+    # oracle: plain Python-int containment of one boolean sample row
+    sample = mask_from_elements(int(e) for e in np.flatnonzero(row))
+    return any(s & ~sample == 0 for s in family.sets)
+
+
+@pytest.fixture(params=[None, 48], ids=["default-tiles", "tiny-tiles"])
+def kernel_tiles(request, monkeypatch):
+    # tiny tiles split every chunk into many trial tiles with a ragged last one
+    if request.param is not None:
+        monkeypatch.setattr(probability, "_KERNEL_TILE_BYTES", request.param)
+
+
+@pytest.mark.parametrize("n,size", WORD_BOUNDARY_CASES)
+def test_mc_hits_match_python_oracle_across_word_boundary(n, size, kernel_tiles):
+    fam = wide_family(n, size)
+    trials, delta, seed = 300, 0.3, 17
+    bits = uniform_block(seed, STREAM_BERNOULLI, 0, trials, n) < delta
+    hits = sum(_oracle_contains(fam, row) for row in bits)
+    assert size == 0 or 0 < hits < trials
+    assert mc_hit_probability(fam, delta, trials, seed=seed).p_hat == hits / trials
+
+
+@pytest.mark.parametrize("n,size", WORD_BOUNDARY_CASES)
+def test_partition_histogram_matches_python_oracle_across_word_boundary(n, size, kernel_tiles):
+    fam = wide_family(n, size, k=2)
+    trials, classes, seed = 200, 3, 23
+    assign = (uniform_block(seed, STREAM_PARTITION, 0, trials, n) * classes).astype(np.int32)
+    expected = [0] * (classes + 1)
+    for row in assign:
+        expected[sum(_oracle_contains(fam, row == c) for c in range(classes))] += 1
+    assert size == 0 or expected[0] < trials
+    assert partition_experiment(fam, classes, trials, seed=seed).hit_class_histogram == tuple(expected)
+
+
+def test_mc_thread_count_is_invisible_at_n64():
+    fam = wide_family(64, 70)
+    a = mc_hit_probability(fam, 0.3, trials=20_001, seed=5, threads=1)
+    b = mc_hit_probability(fam, 0.3, trials=20_001, seed=5, threads=4)
+    assert a == b
+
+
+def test_mc_memory_is_bounded_on_block_5_6():
+    # 7,776 members x 16,384 trials: no |F| x chunk temporary may be held
+    fam, _ = block_product_family(5, 6)
+    tracemalloc.start()
+    try:
+        mc_hit_probability(fam, 0.25, trials=16_384, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_union_size_coefficients_match_brute_force_at_n70():
+    fam = SetFamily(70, 3, [m(0, 1, 2), m(2, 63, 64), m(64, 65, 69), m(5, 33, 69),
+                            m(1, 40, 63), m(10, 11, 12), m(12, 66, 68), m(0, 64, 67)])
+    expected = [0] * 71
+    for r in range(1, len(fam) + 1):
+        for members in combinations(fam.sets, r):
+            union = 0
+            for s in members:
+                union |= s
+            expected[union.bit_count()] += 1 if r % 2 else -1
+    assert probability._union_size_coefficients(fam).tolist() == expected
 
 
 def test_clopper_pearson_brackets_the_estimate():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from sunflowers.bitset import mask_from_elements
+from sunflowers.bitset import elements_of, mask_from_elements
 from sunflowers.constructions import block_product_family
 from sunflowers.families import SetFamily
 from sunflowers.spread import (
@@ -38,6 +38,23 @@ def test_superset_count_rejects_empty_t():
     fam = SetFamily(4, 2, [m(1, 2)])
     with pytest.raises(ValueError):
         superset_count(fam, 0)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+@pytest.mark.parametrize("size", [0, 70])
+def test_superset_count_matches_python_oracle_across_word_boundary(n, size):
+    rng = random.Random(n + size)
+    sets = set()
+    while len(sets) < size:
+        sets.add(m(*rng.sample(range(n), 3)))
+    fam = SetFamily(n, 3, sets)
+    ts = [m(n - 1), m(0, n - 1), m(62, 63, 64) if n > 64 else m(n - 3, n - 2, n - 1)]
+    ts += [s & ~(1 << rng.choice(elements_of(s))) for s in sorted(sets)[:20]]  # 2-subsets of members
+    ts += [m(*rng.sample(range(n), rng.randint(1, 2))) for _ in range(40)]
+    for t in ts:
+        assert superset_count(fam, t) == sum(1 for s in fam.sets if s & t == t), hex(t)
+    assert size == 0 or max(superset_count(fam, t) for t in ts) > 0
+    assert superset_count(fam, 1 << n) == 0  # outside the ground set
 
 
 def _naive_counts(family):
