@@ -34,7 +34,6 @@ from .families import (
     family_from_named,
     family_to_dict,
     find_disjoint_sets,
-    intersect,
     is_sunflower,
     link,
     load_family,

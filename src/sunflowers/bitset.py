@@ -8,7 +8,7 @@ they too take any ground size and any number of sets.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,14 +22,6 @@ def mask_from_elements(elements: Iterable[int]) -> int:
 
 def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """All non-empty submasks of ``mask``, ``mask`` itself first."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
 
 
 def membership_matrix(masks: Sequence[int], width: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -57,10 +58,12 @@ class SetFamily:
     Duplicate masks passed to the constructor are merged (identity is by
     value); the JSON loader, by contrast, rejects duplicate rows outright.
     The numpy kernels read the members through :meth:`holders`, a packed
-    per-element member bitset built on first use and cached.
+    per-element member bitset built on first use and cached; the spread layer
+    caches its per-level superset counts in ``_levels``
+    (:func:`sunflowers.spread.level_counts`).
     """
 
-    __slots__ = ("ground_size", "k", "sets", "_holders")
+    __slots__ = ("ground_size", "k", "sets", "_holders", "_levels")
 
     def __init__(self, ground_size: int, k: int, sets: Iterable[int]):
         if ground_size < 1:
@@ -77,6 +80,7 @@ class SetFamily:
         self.k = k
         self.sets = tuple(masks)
         self._holders = None
+        self._levels = None
 
     @property
     def ground(self) -> GroundSet:
@@ -127,11 +131,6 @@ class SetFamily:
 def _bisect_contains(sorted_masks: Sequence[int], mask: int) -> bool:
     i = bisect.bisect_left(sorted_masks, mask)
     return i < len(sorted_masks) and sorted_masks[i] == mask
-
-
-def intersect(a: int, b: int) -> int:
-    """Intersection of two sets over the same ground set (bitwise AND)."""
-    return a & b
 
 
 def is_sunflower(sets: Sequence[int]) -> Optional[Sunflower]:
@@ -211,16 +210,20 @@ def family_to_dict(family: SetFamily) -> dict:
 
 
 def family_from_dict(data: dict) -> SetFamily:
-    """Strict loader: rejects duplicate rows and wrong-cardinality rows."""
+    """Strict loader: rejects non-integer values, duplicate rows and
+    wrong-cardinality rows."""
     try:
-        ground_size = int(data["ground_set_size"])
-        k = int(data["k"])
+        ground_size = data["ground_set_size"]
+        k = data["k"]
         rows = data["sets"]
+        types = {type(ground_size), type(k)} | set(map(type, chain.from_iterable(rows)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family data: {exc}") from exc
+    if types - {int}:  # bool is a subclass of int, so test the exact type
+        raise ValueError(f"family data must be integers, got {sorted(t.__name__ for t in types - {int})}")
     masks = []
     for row in rows:
-        mask = mask_from_elements(int(e) for e in row)
+        mask = mask_from_elements(row)
         if mask.bit_count() != k or len(row) != k:
             raise ValueError(f"row {row} does not have cardinality k={k}")
         if mask.bit_length() > ground_size or any(e < 0 for e in row):

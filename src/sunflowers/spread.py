@@ -2,19 +2,27 @@
 
 A family is r-spread when every non-empty set T is contained in at most
 r^(k-|T|) members.  Only T that are subsets of at least one member can have a
-non-zero count, so enumeration runs over member submasks (|F| * 2^k
-candidates) instead of all 2^n subsets of the ground set.
+non-zero count, so the counts are taken one level |T| = j at a time over the
+j-subsets of members: each is named by its colex rank, sum_i C(e_i, i+1) over
+its ascending elements e_0 < e_1 < ..., and a level is the sorted distinct
+ranks with their multiplicities.  Among sets of one size, colex order is
+mask-value order, so ascending rank is ascending mask.  Levels are counted on
+demand and cached on the family, so a caller that stops at the first
+violating level pays only for the levels below it, and a later call reuses
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .bitset import elements_of, iter_submasks
+from .bitset import elements_of, membership_matrix
 from .families import SetFamily
 
 
@@ -46,59 +54,131 @@ def superset_count(family: SetFamily, t: int) -> int:
     return int(np.bitwise_count(common).sum())
 
 
-def containment_counts(family: SetFamily) -> dict[int, int]:
-    """Superset count for every non-empty T contained in at least one member."""
-    counts: dict[int, int] = {}
-    for m in family.sets:
-        for sub in iter_submasks(m):
-            counts[sub] = counts.get(sub, 0) + 1
-    return counts
+def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Superset counts of the j-subsets of members, 1 <= j <= k.
+
+    Returns ``(ranks, counts)``: the distinct colex ranks in ascending order
+    (``int64``, or Python ints in an object array when some C(n, i), i <= k,
+    reaches 2^63) and, for each, the number of members containing that set.
+    :func:`rank_to_mask` turns a rank back into a mask.  Cached on the family.
+    """
+    if not 1 <= j <= family.k:
+        raise ValueError(f"level j={j} outside 1..{family.k}")
+    n = family.ground_size
+    if family._levels is None:
+        # row s holds the elements of sets[s] in ascending order, in the
+        # narrowest dtype: the cache lives as long as the family
+        elements = np.nonzero(membership_matrix(family.sets, n))[1].astype(np.min_scalar_type(n - 1))
+        family._levels = (elements.reshape(len(family), family.k), {})
+    elements, levels = family._levels
+    if j not in levels:
+        levels[j] = _count_level(n, elements, j)
+    return levels[j]
+
+
+def _count_level(n: int, elements: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    k = elements.shape[1]
+    # terms[i, s, q] = C(q-th element of sets[s], i+1)
+    terms = np.take(_binomial_columns(n, k)[:j], elements, axis=1)
+    positions = _position_combinations(k, j)
+    ranks = terms[0][:, positions[:, 0]]
+    for i in range(1, j):
+        ranks += terms[i][:, positions[:, i]]
+    ranks, counts = np.unique(ranks, return_counts=True)
+    ranks.setflags(write=False)
+    counts.setflags(write=False)
+    return ranks, counts
+
+
+@lru_cache(maxsize=64)
+def _binomial_columns(n: int, k: int) -> np.ndarray:
+    """Read-only ``(k, n)`` table whose entry (i, e) is C(e, i+1).
+
+    ``int64`` when every colex rank of a j-subset, j <= k, is below 2^63;
+    object (Python ints) otherwise, which needs n > 66.
+    """
+    table = [[math.comb(e, i + 1) for e in range(n)] for i in range(k)]
+    wide = any(math.comb(n, j) >= 2**63 for j in range(1, k + 1))
+    out = np.array(table, dtype=object if wide else np.int64).reshape(k, n)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _position_combinations(k: int, j: int) -> np.ndarray:
+    """Read-only ``(C(k, j), j)`` table of the j-subsets of positions 0..k-1."""
+    out = np.array(list(combinations(range(k), j)), dtype=np.intp).reshape(-1, j)
+    out.setflags(write=False)
+    return out
+
+
+def rank_to_mask(rank: int, j: int) -> int:
+    """The j-set whose colex rank is ``rank``, as a mask."""
+    rank = int(rank)
+    mask = 0
+    e = j - 1
+    while math.comb(e + 1, j) <= rank:
+        e += 1
+    for i in range(j, 0, -1):
+        while math.comb(e, i) > rank:
+            e -= 1
+        rank -= math.comb(e, i)
+        mask |= 1 << e
+        e -= 1
+    return mask
 
 
 def spread_witness(family: SetFamily, r: float, worst: bool = False) -> SpreadReport:
     """Certify the family r-spread or exhibit a violating set.
 
-    The default violation is the first in (|T|, mask-value) order; with
-    ``worst=True`` it is the one maximizing count / r^(k-|T|) instead.  The
-    comparison is exact integer count against float threshold, no tolerance.
+    The default violation is the first in (|T|, mask-value) order, and only
+    the levels up to it are counted; with ``worst=True`` it is the one
+    maximizing count / r^(k-|T|) instead (the first such in that order).
+    The comparison is exact integer count against float threshold, no
+    tolerance.  Sets of full size k never violate: distinct members give
+    count 1 <= r^0.
     """
     if len(family) == 0:
         raise ValueError("spread_witness requires a non-empty family")
     if not r > 0:
         raise ValueError(f"r must be positive, got {r}")
     k = family.k
-    counts = containment_counts(family)
     best: Optional[SpreadViolation] = None
     best_ratio = 1.0
-    for t in sorted(counts, key=lambda m: (m.bit_count(), m)):
-        count = counts[t]
-        threshold = r ** (k - t.bit_count())
-        if count > threshold:
-            if not worst:
-                return SpreadReport(r=r, violation=SpreadViolation(t=t, count=count))
-            ratio = count / threshold
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best = SpreadViolation(t=t, count=count)
+    for j in range(1, k):
+        ranks, counts = level_counts(family, j)
+        threshold = r ** (k - j)
+        if worst:
+            i = int(np.argmax(counts))
+            count = int(counts[i])
+            if count > threshold and count / threshold > best_ratio:
+                best_ratio = count / threshold
+                best = SpreadViolation(t=rank_to_mask(ranks[i], j), count=count)
+            continue
+        over = np.flatnonzero(counts > threshold)
+        if over.size:
+            i = int(over[0])
+            violation = SpreadViolation(t=rank_to_mask(ranks[i], j), count=int(counts[i]))
+            return SpreadReport(r=r, violation=violation)
     return SpreadReport(r=r, violation=best)
 
 
 def spreadness(family: SetFamily) -> float:
     """The smallest r for which the family is r-spread.
 
-    Computed as max over non-empty T with |T| < k of count(T)^(1/(k-|T|)).
+    Computed as max over non-empty T with |T| < k of count(T)^(1/(k-|T|)),
+    that is over the levels j < k of the root of the level's largest count.
     Sets T of full size k only require count <= 1, which distinct members
-    guarantee, so they never contribute; a 1-uniform family (or one with no
-    proper non-empty member subsets) is already 1-spread.
+    guarantee, so they never contribute; a 1-uniform family is already
+    1-spread.
     """
     if len(family) == 0:
         raise ValueError("spreadness requires a non-empty family")
     k = family.k
     best = 1.0
-    for t, count in containment_counts(family).items():
-        exponent = k - t.bit_count()
-        if exponent >= 1:
-            best = max(best, _count_root(count, exponent))
+    for j in range(1, k):
+        _, counts = level_counts(family, j)
+        best = max(best, _count_root(int(counts.max()), k - j))
     return best
 
 

@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from sunflowers.bitset import elements_of, iter_submasks, mask_from_elements
+from sunflowers.bitset import elements_of, mask_from_elements
 
 
 def test_mask_roundtrip_basic():
@@ -13,11 +13,3 @@ def test_mask_roundtrip_basic():
 @given(st.sets(st.integers(min_value=0, max_value=80)))
 def test_mask_roundtrip(elements):
     assert set(elements_of(mask_from_elements(elements))) == elements
-
-
-@given(st.integers(min_value=1, max_value=0xFFFF))
-def test_submask_enumeration_is_complete(mask):
-    subs = list(iter_submasks(mask))
-    assert len(subs) == (1 << mask.bit_count()) - 1
-    assert len(set(subs)) == len(subs)
-    assert all(sub and sub & mask == sub for sub in subs)

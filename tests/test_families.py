@@ -13,7 +13,6 @@ from sunflowers.families import (
     family_from_named,
     family_to_dict,
     find_disjoint_sets,
-    intersect,
     is_sunflower,
     link,
     load_family,
@@ -23,15 +22,6 @@ from sunflowers.families import (
 
 def m(*elements):
     return mask_from_elements(elements)
-
-
-# --- intersect ----------------------------------------------------------------
-
-
-def test_intersect():
-    assert intersect(m(1, 2), m(2, 3)) == m(2)
-    assert intersect(m(1, 2), m(3, 4)) == 0
-    assert intersect(m(1, 2), m(1, 2)) == m(1, 2)
 
 
 # --- is_sunflower ---------------------------------------------------------------
@@ -224,6 +214,23 @@ def test_loader_rejects_wrong_cardinality():
 def test_loader_rejects_out_of_range_elements():
     with pytest.raises(ValueError):
         family_from_dict({"ground_set_size": 4, "k": 2, "sets": [[0, 4]]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"ground_set_size": 4.9, "k": 2, "sets": [[0.7, 1.2], [2.5, 3]]}',
+        '{"ground_set_size": 4, "k": 2, "sets": [[0, 1], [2, true]]}',
+        '{"ground_set_size": 4, "k": 2, "sets": [[0, 1], [2, "3"]]}',
+        '{"ground_set_size": 4, "k": 2.0, "sets": [[0, 1]]}',
+        '{"ground_set_size": true, "k": 1, "sets": [[0]]}',
+        '{"ground_set_size": 4, "k": 2, "sets": [[0, 1], 5]}',
+    ],
+)
+def test_loader_rejects_non_integer_values(text):
+    # int() would truncate 4.9 to 4 and 0.7 to 0, and read true as 1
+    with pytest.raises(ValueError):
+        family_from_dict(json.loads(text))
 
 
 def test_family_to_dict_rows_sorted():

@@ -1,14 +1,19 @@
+import json
+import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
+from sunflowers import cli, spread
 from sunflowers.bitset import elements_of, mask_from_elements
 from sunflowers.constructions import block_product_family
-from sunflowers.families import SetFamily
+from sunflowers.families import SetFamily, family_to_dict
 from sunflowers.spread import (
     SpreadViolation,
-    containment_counts,
+    level_counts,
+    rank_to_mask,
     spread_witness,
     spreadness,
     superset_count,
@@ -68,7 +73,15 @@ def _naive_counts(family):
     return counts
 
 
-def test_containment_counts_match_naive_enumeration():
+def _level_dict(family):
+    return {
+        rank_to_mask(rank, j): int(count)
+        for j in range(1, family.k + 1)
+        for rank, count in zip(*level_counts(family, j))
+    }
+
+
+def test_level_counts_match_naive_enumeration():
     rng = random.Random(7)
     for _ in range(25):
         n = rng.randint(2, 9)
@@ -77,7 +90,126 @@ def test_containment_counts_match_naive_enumeration():
         sets = rng.sample([m(*c) for c in combinations(range(n), k)],
                           min(size, len(list(combinations(range(n), k)))))
         fam = SetFamily(n, k, sets)
-        assert containment_counts(fam) == _naive_counts(fam)
+        assert _level_dict(fam) == _naive_counts(fam)
+
+
+def test_level_ranks_ascend_in_mask_order():
+    fam, _ = block_product_family(3, 3)
+    for j in (1, 2, 3):
+        ranks, _ = level_counts(fam, j)
+        masks = [rank_to_mask(rank, j) for rank in ranks]
+        assert masks == sorted(masks) and all(t.bit_count() == j for t in masks)
+    with pytest.raises(ValueError):
+        level_counts(fam, 4)
+
+
+# --- the level counter against the submask-dictionary count it replaced ----------
+
+
+def _dict_counts(family):
+    """Superset count of every member submask, in (|T|, mask-value) order."""
+    counts = {}
+    for s in family.sets:
+        sub = s
+        while sub:  # every non-empty submask of s
+            counts[sub] = counts.get(sub, 0) + 1
+            sub = (sub - 1) & s
+    return dict(sorted(counts.items(), key=lambda item: (item[0].bit_count(), item[0])))
+
+
+def _dict_witness(counts, k, r, worst):
+    best, best_ratio = None, 1.0
+    for t, count in counts.items():
+        threshold = r ** (k - t.bit_count())
+        if count > threshold:
+            if not worst:
+                return SpreadViolation(t=t, count=count)
+            if count / threshold > best_ratio:
+                best_ratio = count / threshold
+                best = SpreadViolation(t=t, count=count)
+    return best
+
+
+def _dict_spreadness(counts, k):
+    best = 1.0
+    for t, count in counts.items():
+        if k - t.bit_count() >= 1:
+            best = max(best, spread._count_root(count, k - t.bit_count()))
+    return best
+
+
+def _random_family(rng, n, k, size, pool_size=10):
+    # members drawn from a small pool of elements, so that counts exceed 1
+    pool = rng.sample(range(n - 1), min(n, max(k, pool_size)) - 1) + [n - 1]
+    return SetFamily(n, k, {m(*rng.sample(pool, k)) for _ in range(size)})
+
+
+def _assert_matches_dict_count(fam):
+    counts = _dict_counts(fam)
+    value = spreadness(fam)
+    assert value == _dict_spreadness(counts, fam.k)
+    for r in (0.5, 1.0, 1.5, 2.0, 3.0, value, value * (1 - 1e-9)):
+        for worst in (False, True):
+            expected = _dict_witness(counts, fam.k, r, worst)
+            assert spread_witness(fam, r, worst=worst).violation == expected, (r, worst)
+
+
+@pytest.mark.parametrize("n", [5, 12, 63, 64, 65, 130])
+def test_level_counter_matches_dict_count(n):
+    rng = random.Random(n)
+    for k in [1, 2] + [rng.randint(1, min(5, n)) for _ in range(10)]:
+        _assert_matches_dict_count(_random_family(rng, n, k, rng.randint(1, 30)))
+    _assert_matches_dict_count(SetFamily(n, 2, [m(n - 1, e) for e in range(n - 1)]))
+
+
+def test_level_counter_matches_dict_count_with_object_ranks():
+    # C(130, j) >= 2^63 for 15 <= j <= 115, so the ranks are Python ints
+    assert math.comb(130, 15) >= 2**63
+    fam = _random_family(random.Random(3), 130, 16, 3, pool_size=20)
+    assert len(fam) == 3 and level_counts(fam, 15)[0].dtype == object
+    _assert_matches_dict_count(fam)
+
+
+def _record_levels(monkeypatch):
+    counted = []
+    original = spread._count_level
+
+    def recording(n, elements, j):
+        counted.append(j)
+        return original(n, elements, j)
+
+    monkeypatch.setattr(spread, "_count_level", recording)
+    return counted
+
+
+@pytest.mark.parametrize("extra", [["--r", "3"], ["--r", "2"], ["--r", "2", "--worst"]])
+def test_check_spread_counts_each_level_once(monkeypatch, tmp_path, capsys, extra):
+    fam, _ = block_product_family(4, 3)
+    path = tmp_path / "block43.json"
+    path.write_text(json.dumps(family_to_dict(fam)))
+    counted = _record_levels(monkeypatch)
+    code = cli.main(["check-spread", str(path), *extra])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == (0 if extra[1] == "3" else 1) and payload["spreadness"] == 3.0
+    assert sorted(counted) == [1, 2, 3]
+
+
+def test_singleton_violation_counts_only_level_one(monkeypatch):
+    fam = SetFamily(8, 4, [m(0, 1, 2, 3), m(0, 4, 5, 6), m(0, 5, 6, 7), m(0, 1, 6, 7)])
+    counted = _record_levels(monkeypatch)
+    assert spread_witness(fam, 1.5).violation == SpreadViolation(t=m(0), count=4)
+    assert counted == [1]
+
+
+def test_counting_block_7_4_stays_small():
+    fam, _ = block_product_family(7, 4)
+    tracemalloc.start()
+    try:
+        assert spreadness(fam) == 4.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # --- spread_witness ------------------------------------------------------------
