@@ -49,5 +49,5 @@ print("=" * 64)
 
 fam = SetFamily(8, 2, [m(0, 1), m(0, 2), m(2, 3), m(4, 5), m(6, 7)])
 for p in (2, 3, 4):
-    result = find_disjoint_sets(fam, p)
+    result = find_disjoint_sets(fam.sets, p)
     print(f"  p={p}: {[show(s) for s in result] if result else 'none exist'}")

@@ -37,11 +37,11 @@ print("   matching number 2 kills the empty core)")
 
 print()
 print("=" * 72)
-print("a time budget turns the answer into a bracket, never a guess")
+print("a node budget turns the answer into a bracket, never a guess")
 print("=" * 72)
-value = sun_value(3, 3, time_budget=0.05)
+value = sun_value(3, 3, max_nodes=200)
 if value.exact is not None:
     print(f"  sun(3,3) finished anyway: {value.exact}")
 else:
-    print(f"  sun(3,3) in 50ms: bracket [{value.lower}, {value.upper}], "
+    print(f"  sun(3,3) in 200 nodes: bracket [{value.lower}, {value.upper}], "
           f"best family so far has {value.search.max_size} members")

@@ -24,7 +24,6 @@ from .extraction import (
     extract_sunflower,
     generalized_disjoint_search,
     r_threshold,
-    spread_case_search,
 )
 from .families import (
     GroundSet,

@@ -273,15 +273,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exact_sun(args) -> int:
-    result = sun_value(args.p, args.k, time_budget=args.budget)
+    result = sun_value(args.p, args.k, max_nodes=args.max_nodes)
     out = _out_path(args.out)
     if args.format == "csv":
         value_or_bracket = (
             str(result.exact) if result.exact is not None else f"[{result.lower},{result.upper}]"
         )
         _emit_csv(
-            ["p", "k", "value_or_bracket", "exhaustive", "nodes", "seconds"],
-            [[result.p, result.k, value_or_bracket, result.search.exhaustive, result.search.nodes, result.search.seconds]],
+            ["p", "k", "value_or_bracket", "exhaustive", "nodes"],
+            [[result.p, result.k, value_or_bracket, result.search.exhaustive, result.search.nodes]],
             out,
         )
     else:
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exact-sun", help="exhaustive small sunflower numbers")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+    p.add_argument("--max-nodes", type=int, default=None, help="search node budget (default: none)")
     p.add_argument("--witness-out", help="also write the witness family JSON here")
     add_common(p, seed=False, fmt=True)
     p.set_defaults(func=cmd_exact_sun)

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bitset import elements_of
-from .families import SetFamily, Sunflower, is_sunflower, link
+from .families import SetFamily, Sunflower, find_disjoint_sets, is_sunflower, link
 from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
 from .spread import spread_witness
 
@@ -48,6 +48,8 @@ class ExtractionParams:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.C < 1:
             raise ValueError(f"C must be >= 1, got {self.C}")
+        if self.fallback_bruteforce_cap < 0:
+            raise ValueError(f"fallback_bruteforce_cap must be >= 0, got {self.fallback_bruteforce_cap}")
         if self.r_override is not None and self.r_override < 1:
             raise ValueError(f"r_override must be >= 1, got {self.r_override}")
 
@@ -132,19 +134,23 @@ def r_threshold(p: int, k: int, C: float = 4.0) -> float:
     return float(p) if k == 1 else C * p * math.log(k)
 
 
-def _class_masks(assignment: np.ndarray, classes: int) -> list[int]:
-    masks = [0] * classes
-    for element, cls in enumerate(assignment):
-        masks[cls] |= 1 << element
-    return masks
-
-
-def _first_member_in(family: SetFamily, class_mask: int) -> Optional[int]:
-    # members ascend, so the first hit is the lexicographically smallest
-    for m in family.sets:
-        if m & ~class_mask == 0:
-            return m
-    return None
+def _harvest(family: SetFamily, uniforms_row: np.ndarray, classes: int, stop: int) -> list[int]:
+    """Partition the ground set by ``uniforms_row`` into ``classes`` classes and
+    take, class by class, the first member inside each; stops at ``stop``
+    members.  Members ascend, so each pick is the class's smallest member."""
+    class_masks = [0] * classes
+    for element, cls in enumerate((uniforms_row * classes).astype(np.int64).tolist()):
+        class_masks[cls] |= 1 << element
+    petals = []
+    for class_mask in class_masks:
+        outside = ~class_mask
+        for m in family.sets:
+            if m & outside == 0:
+                petals.append(m)
+                if len(petals) == stop:
+                    return petals
+                break
+    return petals
 
 
 def _spread_case_search(
@@ -157,31 +163,14 @@ def _spread_case_search(
     succeeding trial index wins, and each class contributes its smallest
     contained member.
     """
-    classes = 2 * p
-    n = family.ground_size
     if len(family) == 0 or trials < 1:
         return None, 0
-    uniforms = uniform_block(seed, stream, 0, trials, n)
+    uniforms = uniform_block(seed, stream, 0, trials, family.ground_size)
     for trial in range(trials):
-        assignment = (uniforms[trial] * classes).astype(np.int64)
-        petals = []
-        for class_mask in _class_masks(assignment, classes):
-            member = _first_member_in(family, class_mask)
-            if member is not None:
-                petals.append(member)
-                if len(petals) == p:
-                    return petals, trial + 1
+        petals = _harvest(family, uniforms[trial], 2 * p, p)
+        if len(petals) == p:
+            return petals, trial + 1
     return None, trials
-
-
-def spread_case_search(
-    family: SetFamily, p: int, trials: int, seed: int = DEFAULT_SEED
-) -> Optional[list[int]]:
-    """Public wrapper of the randomized disjoint-petal search."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    petals, _ = _spread_case_search(family, p, trials, seed, STREAM_SPREAD_SEARCH)
-    return petals
 
 
 @dataclass(frozen=True)
@@ -208,14 +197,8 @@ def generalized_disjoint_search(
     required = classes * (1.0 - eps)
     if len(family) == 0:
         return PartitionDisjointResult((), classes, 0, required, False)
-    assignment = (uniform_block(seed, STREAM_GENERALIZED, 0, 1, family.ground_size)[0] * classes).astype(
-        np.int64
-    )
-    petals = []
-    for class_mask in _class_masks(assignment, classes):
-        member = _first_member_in(family, class_mask)
-        if member is not None:
-            petals.append(member)
+    uniforms = uniform_block(seed, STREAM_GENERALIZED, 0, 1, family.ground_size)
+    petals = _harvest(family, uniforms[0], classes, classes)
     return PartitionDisjointResult(
         sets=tuple(petals),
         classes=classes,
@@ -233,47 +216,33 @@ def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) 
     For a fixed core X, members containing X form a sunflower with core X
     iff their X-stripped remainders are pairwise disjoint, so each group
     reduces to a disjoint-sets search.  ``cap`` bounds the number of search
-    nodes; when exhausted the search gives up (returns None).
+    nodes (None: no bound); when exhausted the search gives up (returns None).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0 or None, got {cap}")
     sets = family.sets
     if len(sets) < p:
         return None
     if p == 1:
         return Sunflower(core=sets[0], petals=(sets[0],))
     cores = {sets[i] & sets[j] for i in range(len(sets)) for j in range(i + 1, len(sets))}
-    budget = [cap if cap is not None else -1]  # -1: unlimited
+    budget = cap
 
     def spend() -> bool:
-        if budget[0] == 0:
+        nonlocal budget
+        if budget == 0:
             return False
-        if budget[0] > 0:
-            budget[0] -= 1
+        budget -= 1
         return True
 
     for core in sorted(cores, key=lambda m: (m.bit_count(), m)):
         stripped = [m & ~core for m in sets if m & core == core]
-        chosen: list[int] = []
-
-        def recurse(start: int, used: int) -> bool:
-            if len(chosen) == p:
-                return True
-            for j in range(start, len(stripped)):
-                if not spend():
-                    return False
-                s = stripped[j]
-                if used & s:
-                    continue
-                chosen.append(s)
-                if recurse(j + 1, used | s):
-                    return True
-                chosen.pop()
-            return False
-
-        if recurse(0, 0):
+        chosen = find_disjoint_sets(stripped, p, None if cap is None else spend)
+        if chosen is not None:
             return Sunflower(core=core, petals=tuple(s | core for s in chosen))
-        if budget[0] == 0:
+        if budget == 0:
             return None
     return None
 

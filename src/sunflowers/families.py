@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -168,31 +168,35 @@ def link(family: SetFamily, t: int) -> SetFamily:
     return SetFamily(family.ground_size, family.k - size_t, kept)
 
 
-def find_disjoint_sets(family: SetFamily, p: int) -> Optional[list[int]]:
-    """First p pairwise-disjoint members, found by exhaustive backtracking.
+def find_disjoint_sets(
+    sets: Sequence[int], p: int, spend: Optional[Callable[[], bool]] = None
+) -> Optional[list[int]]:
+    """First p pairwise-disjoint masks of ``sets``, by exhaustive backtracking.
 
-    Members are scanned in ascending mask order, so the result is
-    deterministic; returns None when no p pairwise-disjoint members exist.
+    Candidates are tried in index order, so the result is the first disjoint
+    p-subset in ``itertools.combinations(sets, p)`` order; None when there is
+    none.  ``spend``, if given, is called once per candidate step; a False
+    return gives up the current branch, so a budget that stays spent ends
+    the whole search (with None).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    sets = family.sets
-    chosen: list[int] = []
 
-    def recurse(start: int, used: int) -> bool:
-        if len(chosen) == p:
-            return True
+    def search(start: int, used: int, need: int) -> Optional[list[int]]:
         for j in range(start, len(sets)):
+            if spend is not None and not spend():
+                return None
             s = sets[j]
             if used & s:
                 continue
-            chosen.append(s)
-            if recurse(j + 1, used | s):
-                return True
-            chosen.pop()
-        return False
+            if need == 1:
+                return [s]
+            rest = search(j + 1, used | s, need - 1)
+            if rest is not None:
+                return [s] + rest
+        return None
 
-    return chosen if recurse(0, 0) else None
+    return search(0, 0, p)
 
 
 # --- JSON family format -----------------------------------------------------

@@ -269,8 +269,13 @@ def mc_hit_probability(
             hits = sum(pool.map(lambda c: _mc_hits_chunk(family, delta, seed, *c), chunks))
     else:
         hits = sum(_mc_hits_chunk(family, delta, seed, start, count) for start, count in chunks)
+    return _mc_estimate(hits, trials, interval)
+
+
+def _mc_estimate(hits: int, trials: int, interval: str = "normal") -> HitEstimate:
+    """The Monte Carlo estimate from ``hits`` of ``trials``: the 3-sigma normal
+    half-width, plus the Clopper-Pearson interval when asked for."""
     p_hat = hits / trials
-    half_width = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
     ci_low = ci_high = None
     if interval == "clopper-pearson":
         ci_low, ci_high = clopper_pearson(hits, trials)
@@ -279,7 +284,7 @@ def mc_hit_probability(
     return HitEstimate(
         p_hat=p_hat,
         trials=trials,
-        half_width_3sigma=half_width,
+        half_width_3sigma=3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials),
         method="monte-carlo",
         ci_low=ci_low,
         ci_high=ci_high,
@@ -509,13 +514,7 @@ def mc_block_hit_probability(
         count = min(_CHUNK_TRIALS, trials - start)
         bits = uniform_block(seed, STREAM_BERNOULLI, start, count, n) < delta
         hits += int(bits.reshape(count, k, r).any(axis=2).all(axis=1).sum())
-    p_hat = hits / trials
-    return HitEstimate(
-        p_hat=p_hat,
-        trials=trials,
-        half_width_3sigma=3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials),
-        method="monte-carlo",
-    )
+    return _mc_estimate(hits, trials)
 
 
 @dataclass(frozen=True)

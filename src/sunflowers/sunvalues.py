@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .bitset import mask_from_elements
-from .families import SetFamily, is_sunflower
+from .families import SetFamily, find_disjoint_sets, is_sunflower
 
 
 @dataclass(frozen=True)
@@ -67,23 +67,6 @@ def verify_sunflower_free(family: SetFamily, p: int) -> bool:
     return not contains_sunflower(family.sets, p)
 
 
-def _has_disjoint(sets: list[int], q: int) -> bool:
-    if q == 0:
-        return True
-
-    def recurse(start: int, used: int, need: int) -> bool:
-        if need == 0:
-            return True
-        for j in range(start, len(sets)):
-            if used & sets[j]:
-                continue
-            if recurse(j + 1, used | sets[j], need - 1):
-                return True
-        return False
-
-    return recurse(0, 0, q)
-
-
 def _extends_sunflower_free(members: list[int], candidate: int, p: int) -> bool:
     """Would members + candidate still be p-petal-sunflower-free?
 
@@ -98,8 +81,7 @@ def _extends_sunflower_free(members: list[int], candidate: int, p: int) -> bool:
     for core, group in by_core.items():
         if len(group) < p - 1:
             continue
-        stripped = [m & ~core for m in group]
-        if _has_disjoint(stripped, p - 1):
+        if find_disjoint_sets([m & ~core for m in group], p - 1) is not None:
             return False
     return True
 
@@ -107,7 +89,7 @@ def _extends_sunflower_free(members: list[int], candidate: int, p: int) -> bool:
 def max_sunflower_free(
     p: int,
     k: int,
-    time_budget: Optional[float] = None,
+    max_nodes: Optional[int] = None,
     ground_cap: Optional[int] = None,
 ) -> SunflowerFreeSearch:
     """Backtracking search for the largest p-petal-sunflower-free k-family.
@@ -115,8 +97,9 @@ def max_sunflower_free(
     Terminates without any cap: a sunflower-free family never holds p
     pairwise-disjoint members, which bounds its size, and each member adds
     at most k ground elements.  ``ground_cap`` restricts the search to
-    families spanning at most that many elements; ``time_budget`` (seconds)
-    turns the result into a best-so-far with exhaustive=False on expiry.
+    families spanning at most that many elements.  ``max_nodes`` bounds the
+    search nodes; a search that needs more stops there and returns its
+    best-so-far with exhaustive=False, the same on every machine.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
@@ -124,8 +107,9 @@ def max_sunflower_free(
         raise ValueError(f"k must be >= 1, got {k}")
     if ground_cap is not None and ground_cap < k:
         raise ValueError(f"ground_cap {ground_cap} cannot hold a single {k}-set")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
     start_time = time.perf_counter()
-    deadline = None if time_budget is None else start_time + time_budget
     best_members: tuple[int, ...] = ()
     best_ground = k
     nodes = 0
@@ -147,10 +131,10 @@ def max_sunflower_free(
 
     def extend(members: list[int], last_mask: int, used: int) -> None:
         nonlocal nodes, exhaustive, best_members, best_ground
-        nodes += 1
-        if deadline is not None and nodes % 256 == 0 and time.perf_counter() > deadline:
+        if max_nodes is not None and nodes >= max_nodes:
             exhaustive = False
             return
+        nodes += 1
         if len(members) > len(best_members):
             best_members = tuple(members)
             best_ground = max(used, k)
@@ -178,11 +162,11 @@ def max_sunflower_free(
 def sun_value(
     p: int,
     k: int,
-    time_budget: Optional[float] = None,
+    max_nodes: Optional[int] = None,
     ground_cap: Optional[int] = None,
 ) -> SunValue:
     """Exact sun_value(p, k) when exhaustive, else [found+1, classical upper]."""
-    search = max_sunflower_free(p, k, time_budget=time_budget, ground_cap=ground_cap)
+    search = max_sunflower_free(p, k, max_nodes=max_nodes, ground_cap=ground_cap)
     upper = erdos_rado_upper_bound(p, k)
     lower = search.max_size + 1
     exact = lower if search.exhaustive and ground_cap is None else None

@@ -15,7 +15,7 @@ from sunflowers.constructions import (
     exact_block_hit_probability,
     in_tightness_regime,
 )
-from sunflowers.extraction import ExtractionParams, extract_sunflower, spread_case_search
+from sunflowers.extraction import ExtractionParams, _spread_case_search, extract_sunflower
 from sunflowers.families import SetFamily, is_sunflower
 from sunflowers.probability import (
     check_chernoff_tail,
@@ -25,7 +25,7 @@ from sunflowers.probability import (
     hit_threshold_sweep,
     mc_hit_probability,
 )
-from sunflowers.rng import DEFAULT_SEED
+from sunflowers.rng import DEFAULT_SEED, STREAM_SPREAD_SEARCH
 from sunflowers.spread import spread_witness, spreadness
 from sunflowers.sunvalues import contains_sunflower, sun_value, verify_sunflower_free
 
@@ -65,7 +65,7 @@ def test_criterion_1_exact_trivia():
 
 def test_criterion_2_sun_3_2():
     t0 = time.perf_counter()
-    value = sun_value(3, 2, time_budget=600)
+    value = sun_value(3, 2)
     elapsed = time.perf_counter() - t0
     witness = value.search.witness
     triangles = SetFamily(6, 2, [m(0, 1), m(1, 2), m(0, 2), m(3, 4), m(4, 5), m(3, 5)])
@@ -212,7 +212,9 @@ def test_criterion_8_extraction_soundness_fuzz():
 def test_criterion_9_spread_case_engine():
     family, _ = block_product_family(4, 16)
     successes = sum(
-        1 for seed in range(100) if spread_case_search(family, 2, trials=10, seed=seed) is not None
+        1
+        for seed in range(100)
+        if _spread_case_search(family, 2, 10, seed, STREAM_SPREAD_SEARCH)[0] is not None
     )
     per_class = exact_block_hit_probability(4, 16, 0.25)
     ok = successes >= 99 and abs(per_class - 0.9605) < 1e-3

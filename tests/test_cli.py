@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -141,9 +143,29 @@ def test_exact_sun_csv(capsys):
     rc = main(["exact-sun", "--p", "3", "--k", "2", "--format", "csv"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "schema_version,p,k,value_or_bracket,exhaustive,nodes,seconds"
+    assert lines[0] == "schema_version,p,k,value_or_bracket,exhaustive,nodes"
     fields = lines[1].split(",")
     assert fields[1:4] == ["3", "2", "7"] and fields[4] == "True"
+
+
+def test_exact_sun_csv_is_byte_reproducible(capsys):
+    argv = ["exact-sun", "--p", "3", "--k", "3", "--max-nodes", "2000", "--format", "csv"]
+    outputs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] == outputs[1]
+    header, row = csv.reader(io.StringIO(outputs[0].decode()))
+    assert header == ["schema_version", "p", "k", "value_or_bracket", "exhaustive", "nodes"]
+    assert row[1:3] == ["3", "3"] and row[4:] == ["False", "2000"]
+    assert row[3].startswith("[") and row[3].endswith("]")
+
+
+def test_negative_budgets_exit_2(block22, capsys):
+    assert main(["find-sunflower", str(block22), "--p", "2", "--fallback-cap", "-1"]) == 2
+    assert "fallback_bruteforce_cap" in capsys.readouterr().err
+    assert main(["exact-sun", "--p", "3", "--k", "2", "--max-nodes", "-1"]) == 2
+    assert "max_nodes" in capsys.readouterr().err
 
 
 def test_exact_sun_witness_out(tmp_path, capsys):

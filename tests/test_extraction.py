@@ -14,9 +14,10 @@ from sunflowers.extraction import (
     extract_sunflower,
     generalized_disjoint_search,
     r_threshold,
-    spread_case_search,
+    _spread_case_search,
 )
 from sunflowers.families import SetFamily, is_sunflower
+from sunflowers.rng import STREAM_SPREAD_SEARCH
 from sunflowers.spread import superset_count
 from sunflowers.sunvalues import contains_sunflower
 
@@ -165,12 +166,12 @@ def test_extraction_soundness_fuzz_small():
             assert trace.succeeded
 
 
-# --- spread_case_search ----------------------------------------------------------------
+# --- _spread_case_search ----------------------------------------------------------------
 
 
 def test_spread_case_search_on_wide_block_family():
     fam, _ = block_product_family(4, 16)
-    petals = spread_case_search(fam, 2, trials=10, seed=0)
+    petals = _spread_case_search(fam, 2, 10, 0, STREAM_SPREAD_SEARCH)[0]
     assert petals is not None
     assert petals[0] & petals[1] == 0
     assert all(p in fam.sets for p in petals)
@@ -178,12 +179,12 @@ def test_spread_case_search_on_wide_block_family():
 
 def test_spread_case_search_fails_when_no_disjoint_pair():
     fam = star(6)
-    assert spread_case_search(fam, 2, trials=50, seed=0) is None
+    assert _spread_case_search(fam, 2, 50, 0, STREAM_SPREAD_SEARCH)[0] is None
 
 
 def test_spread_case_search_two_disjoint_pairs():
     fam = SetFamily(4, 2, [m(0, 1), m(2, 3)])
-    petals = spread_case_search(fam, 2, trials=64, seed=0)
+    petals = _spread_case_search(fam, 2, 64, 0, STREAM_SPREAD_SEARCH)[0]
     assert petals is not None and petals[0] & petals[1] == 0
 
 
@@ -193,7 +194,7 @@ def test_spread_case_output_is_always_disjoint():
         n = rng.randint(4, 12)
         all_pairs = [m(*c) for c in combinations(range(n), 2)]
         fam = SetFamily(n, 2, rng.sample(all_pairs, min(8, len(all_pairs))))
-        petals = spread_case_search(fam, 2, trials=16, seed=rng.randrange(2**20))
+        petals = _spread_case_search(fam, 2, 16, rng.randrange(2**20), STREAM_SPREAD_SEARCH)[0]
         if petals is not None:
             assert petals[0] & petals[1] == 0
 
@@ -253,3 +254,71 @@ def test_brute_force_matches_exhaustive_oracle():
 def test_brute_force_respects_cap():
     fam, _ = block_product_family(2, 4)
     assert brute_force_sunflower(fam, 2, cap=0) is None
+
+
+def test_negative_fallback_cap_is_rejected():
+    fam, _ = block_product_family(2, 4)
+    with pytest.raises(ValueError):
+        brute_force_sunflower(fam, 2, cap=-1)
+    with pytest.raises(ValueError):
+        ExtractionParams(p=2, fallback_bruteforce_cap=-5)
+
+
+def _budgeted_search_oracle(sets, p, cap):
+    """The fallback's search with its own inline backtracker: the same cores
+    in the same order, one budget step per candidate tried."""
+    if len(sets) < p:
+        return None
+    cores = {sets[i] & sets[j] for i in range(len(sets)) for j in range(i + 1, len(sets))}
+    budget = [cap if cap is not None else -1]
+
+    def spend():
+        if budget[0] == 0:
+            return False
+        if budget[0] > 0:
+            budget[0] -= 1
+        return True
+
+    for core in sorted(cores, key=lambda x: (x.bit_count(), x)):
+        stripped = [x & ~core for x in sets if x & core == core]
+        chosen = []
+
+        def recurse(start, used):
+            if len(chosen) == p:
+                return True
+            for j in range(start, len(stripped)):
+                if not spend():
+                    return False
+                s = stripped[j]
+                if used & s:
+                    continue
+                chosen.append(s)
+                if recurse(j + 1, used | s):
+                    return True
+                chosen.pop()
+            return False
+
+        if recurse(0, 0):
+            return core, tuple(s | core for s in chosen)
+        if budget[0] == 0:
+            return None
+    return None
+
+
+def test_brute_force_cap_matches_budgeted_oracle():
+    rng = random.Random(2024)
+    decided = 0
+    for _ in range(100):
+        n = rng.randint(3, 9)
+        k = rng.randint(1, min(3, n))
+        all_ksets = [m(*c) for c in combinations(range(n), k)]
+        fam = SetFamily(n, k, rng.sample(all_ksets, min(rng.randint(2, 14), len(all_ksets))))
+        p = rng.randint(2, 4)
+        outcomes = set()
+        for cap in [*range(61), None]:
+            found = brute_force_sunflower(fam, p, cap=cap)
+            expected = _budgeted_search_oracle(fam.sets, p, cap)
+            assert (None if found is None else (found.core, found.petals)) == expected, (fam.sets, p, cap)
+            outcomes.add(found is None)
+        decided += len(outcomes) == 2
+    assert decided > 40  # on most families a larger cap finds a sunflower that a smaller one misses

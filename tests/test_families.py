@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -128,12 +129,12 @@ def test_link_cardinality_and_roundtrip(sets, data):
 
 def test_find_disjoint_pair():
     fam = SetFamily(5, 2, [m(1, 2), m(3, 4), m(1, 3)])
-    assert find_disjoint_sets(fam, 2) == [m(1, 2), m(3, 4)]
+    assert find_disjoint_sets(fam.sets, 2) == [m(1, 2), m(3, 4)]
 
 
 def test_no_disjoint_pair_when_all_share_an_element():
     fam = SetFamily(5, 2, [m(1, 2), m(1, 3), m(1, 4)])
-    assert find_disjoint_sets(fam, 2) is None
+    assert find_disjoint_sets(fam.sets, 2) is None
 
 
 def test_find_disjoint_in_transversal_family():
@@ -145,7 +146,35 @@ def test_find_disjoint_in_transversal_family():
         (a, b) for i, a in enumerate(fam.sets) for b in fam.sets[i + 1 :] if a & b == 0
     ]
     assert disjoint_pairs == [(m(0, 2), m(1, 3)), (m(1, 2), m(0, 3))]
-    assert find_disjoint_sets(fam, 2) == [m(0, 2), m(1, 3)]
+    assert find_disjoint_sets(fam.sets, 2) == [m(0, 2), m(1, 3)]
+
+
+def test_find_disjoint_sets_matches_combinations_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        sets = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 9))]
+        for q in range(1, 5):
+            expected = next(
+                (list(c) for c in combinations(sets, q) if all(a & b == 0 for a, b in combinations(c, 2))),
+                None,
+            )
+            assert find_disjoint_sets(sets, q) == expected, (sets, q)
+    assert find_disjoint_sets([m(0), m(1)], 3) is None
+
+
+def test_find_disjoint_sets_spend_gives_up():
+    sets = [m(0, 1), m(0, 2), m(3, 4)]
+    calls = []
+
+    def spend_two():
+        calls.append(None)
+        return len(calls) <= 2
+
+    assert find_disjoint_sets(sets, 2, spend_two) is None
+    assert find_disjoint_sets(sets, 2, lambda: True) == [m(0, 1), m(3, 4)]
+    with pytest.raises(ValueError):
+        find_disjoint_sets(sets, 0)
 
 
 # --- SetFamily invariants ----------------------------------------------------------

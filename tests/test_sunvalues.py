@@ -118,13 +118,25 @@ def test_envelope_on_exhaustive_results():
 
 
 def test_timeout_returns_bracket():
-    value = sun_value(4, 3, time_budget=1e-9)
+    value = sun_value(4, 3, max_nodes=50)
     assert value.exact is None
     assert not value.search.exhaustive
     assert value.lower >= 2  # found at least the single-set family
     assert value.upper == erdos_rado_upper_bound(4, 3)
     # best-so-far witness still verifies
     assert verify_sunflower_free(value.search.witness, 4)
+
+
+def test_node_budget_is_deterministic():
+    full = max_sunflower_free(3, 2)
+    assert full.exhaustive and full.nodes > 10
+    assert max_sunflower_free(3, 2, max_nodes=full.nodes).exhaustive
+    short = max_sunflower_free(3, 2, max_nodes=full.nodes - 1)
+    assert not short.exhaustive and short.nodes == full.nodes - 1
+    again = max_sunflower_free(3, 2, max_nodes=full.nodes - 1)
+    assert (again.max_size, again.witness, again.nodes) == (short.max_size, short.witness, short.nodes)
+    with pytest.raises(ValueError):
+        max_sunflower_free(3, 2, max_nodes=-1)
 
 
 def test_ground_cap_disables_exactness_claim():
