@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bitset import elements_of
-from .families import SetFamily, Sunflower, find_disjoint_sets, is_sunflower, link
+from .families import SetFamily, Sunflower, check_budget, find_disjoint_sets, is_sunflower, link
 from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
 from .spread import spread_witness
 
@@ -48,8 +48,7 @@ class ExtractionParams:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if self.C < 1:
             raise ValueError(f"C must be >= 1, got {self.C}")
-        if self.fallback_bruteforce_cap < 0:
-            raise ValueError(f"fallback_bruteforce_cap must be >= 0, got {self.fallback_bruteforce_cap}")
+        check_budget("fallback_bruteforce_cap", self.fallback_bruteforce_cap)
         if self.r_override is not None and self.r_override < 1:
             raise ValueError(f"r_override must be >= 1, got {self.r_override}")
 
@@ -220,8 +219,8 @@ def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) 
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if cap is not None and cap < 0:
-        raise ValueError(f"cap must be >= 0 or None, got {cap}")
+    if cap is not None:
+        check_budget("cap", cap)
     sets = family.sets
     if len(sets) < p:
         return None

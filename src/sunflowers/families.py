@@ -199,6 +199,16 @@ def find_disjoint_sets(
     return search(0, 0, p)
 
 
+def check_budget(name: str, budget: object) -> None:
+    """Reject a search budget that is not a non-negative int.
+
+    The type must be exactly ``int``, as in ``family_from_dict``: a fraction
+    would step past 0 and never stop its search, and ``bool`` is no count.
+    """
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {budget!r}")
+
+
 # --- JSON family format -----------------------------------------------------
 #
 # {"ground_set_size": n, "k": k, "sets": [[e1, ..., ek], ...]}

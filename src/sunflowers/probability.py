@@ -262,6 +262,8 @@ def mc_hit_probability(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
+    if interval not in ("normal", "clopper-pearson"):
+        raise ValueError(f"unknown interval kind {interval!r}")
     chunks = [(start, min(_CHUNK_TRIALS, trials - start)) for start in range(0, trials, _CHUNK_TRIALS)]
     family.holders()  # build the cached matrix before threads share the family
     if threads > 1:
@@ -279,8 +281,6 @@ def _mc_estimate(hits: int, trials: int, interval: str = "normal") -> HitEstimat
     ci_low = ci_high = None
     if interval == "clopper-pearson":
         ci_low, ci_high = clopper_pearson(hits, trials)
-    elif interval != "normal":
-        raise ValueError(f"unknown interval kind {interval!r}")
     return HitEstimate(
         p_hat=p_hat,
         trials=trials,

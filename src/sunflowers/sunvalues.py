@@ -10,6 +10,15 @@ element's eventual label is never smaller than the next-consecutive label it
 would get on introduction), so the pruned tree still sees a representative
 of every isomorphism class and the maximum found is the true maximum.
 
+A node's candidates are the masks of one table per number of elements used,
+above the node's last member; each table is built once per search.  A node
+hands its children the verdicts on its candidates.  After member m is added,
+a candidate c that the node rejected stays rejected (a sunflower in F + c
+is one in F + m + c).  For a candidate c it accepted, F + m and F + c are
+both sunflower-free, so a sunflower in F + m + c has petals m and c and
+only those need a look.  A candidate through an element m introduced gets
+the full test.
+
 Symmetry reduction stops there deliberately: no graph-canonization style
 isomorph rejection, which keeps the search simple and obviously sound for
 the tiny parameter range this is meant for (p <= 4, k <= 3).
@@ -19,12 +28,13 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .bitset import mask_from_elements
-from .families import SetFamily, find_disjoint_sets, is_sunflower
+from .families import SetFamily, check_budget, find_disjoint_sets, is_sunflower
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,20 @@ def _extends_sunflower_free(members: list[int], candidate: int, p: int) -> bool:
     return True
 
 
+def _closes_sunflower(members: list[int], newest: int, candidate: int, p: int) -> bool:
+    """Is there a p-petal sunflower with petals ``newest`` and ``candidate``
+    and its other petals in ``members``?
+
+    Its core is X = newest & candidate; a further petal f meets both in
+    exactly X, that is f & (newest | candidate) == X, and the further
+    petals' X-stripped remainders are pairwise disjoint.
+    """
+    core = newest & candidate
+    span = newest | candidate
+    petals = [f & ~core for f in members if f & span == core]
+    return p == 2 or (len(petals) >= p - 2 and find_disjoint_sets(petals, p - 2) is not None)
+
+
 def max_sunflower_free(
     p: int,
     k: int,
@@ -107,29 +131,44 @@ def max_sunflower_free(
         raise ValueError(f"k must be >= 1, got {k}")
     if ground_cap is not None and ground_cap < k:
         raise ValueError(f"ground_cap {ground_cap} cannot hold a single {k}-set")
-    if max_nodes is not None and max_nodes < 0:
-        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+    if max_nodes is not None:
+        check_budget("max_nodes", max_nodes)
     start_time = time.perf_counter()
     best_members: tuple[int, ...] = ()
     best_ground = k
     nodes = 0
     exhaustive = True
 
-    def candidates(last_mask: int, used: int) -> list[int]:
-        limit = used + k if ground_cap is None else min(ground_cap, used + k)
-        out = []
-        for fresh in range(0, k + 1):
-            if used + fresh > limit:
-                break
-            fresh_mask = ((1 << fresh) - 1) << used
-            for old in combinations(range(used), k - fresh):
-                mask = fresh_mask | mask_from_elements(old)
-                if mask > last_mask:
-                    out.append(mask)
-        out.sort()
-        return out
+    tables: dict[int, list[int]] = {}
+    fresh_tables: dict[tuple[int, int], list[int]] = {}
 
-    def extend(members: list[int], last_mask: int, used: int) -> None:
+    def table(used: int) -> list[int]:
+        """Every candidate of a node whose members span ``used`` elements,
+        ascending; a node's own candidates are the ones above its last mask."""
+        if used not in tables:
+            limit = used + k if ground_cap is None else min(ground_cap, used + k)
+            out = []
+            for fresh in range(0, k + 1):
+                if used + fresh > limit:
+                    break
+                fresh_mask = ((1 << fresh) - 1) << used
+                for old in combinations(range(used), k - fresh):
+                    out.append(fresh_mask | mask_from_elements(old))
+            tables[used] = sorted(out)
+        return tables[used]
+
+    def fresh_table(used: int, child_used: int) -> list[int]:
+        """Candidates at ``child_used`` elements that are not candidates at
+        ``used``: those through an element the newest member introduced."""
+        key = (used, child_used)
+        if key not in fresh_tables:
+            before = set(table(used))
+            fresh_tables[key] = [c for c in table(child_used) if c not in before]
+        return fresh_tables[key]
+
+    def extend(members: list[int], used: int, accepted: list[int]) -> None:
+        """``accepted``: the node's candidates c with members + c
+        sunflower-free, ascending."""
         nonlocal nodes, exhaustive, best_members, best_ground
         if max_nodes is not None and nodes >= max_nodes:
             exhaustive = False
@@ -138,15 +177,20 @@ def max_sunflower_free(
         if len(members) > len(best_members):
             best_members = tuple(members)
             best_ground = max(used, k)
-        for mask in candidates(last_mask, used):
+        for i, mask in enumerate(accepted):
             if not exhaustive:
                 return
-            if _extends_sunflower_free(members, mask, p):
-                members.append(mask)
-                extend(members, mask, max(used, mask.bit_length()))
-                members.pop()
+            kept = [c for c in accepted[i + 1 :] if not _closes_sunflower(members, mask, c, p)]
+            child_used = max(used, mask.bit_length())
+            members.append(mask)
+            if child_used > used:
+                fresh = fresh_table(used, child_used)
+                kept += [c for c in fresh[bisect_right(fresh, mask) :] if _extends_sunflower_free(members, c, p)]
+                kept.sort()
+            extend(members, child_used, kept)
+            members.pop()
 
-    extend([], 0, 0)
+    extend([], 0, table(0))  # a single set is sunflower-free
     witness = SetFamily(best_ground, k, best_members)
     return SunflowerFreeSearch(
         p=p,

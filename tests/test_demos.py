@@ -1,8 +1,4 @@
-"""Smoke test: the demo scripts run to completion.
-
-06_exact_sunflower_numbers.py is left out: its exhaustive searches take
-about 20 s.
-"""
+"""Smoke test: the demo scripts run to completion."""
 
 import os
 import subprocess
@@ -20,6 +16,7 @@ FAST_DEMOS = [
     "03_hit_probabilities.py",
     "04_partition_experiment.py",
     "05_extraction_walkthrough.py",
+    "06_exact_sunflower_numbers.py",
     "07_threshold_sweep.py",
 ]
 

@@ -264,6 +264,15 @@ def test_negative_fallback_cap_is_rejected():
         ExtractionParams(p=2, fallback_bruteforce_cap=-5)
 
 
+@pytest.mark.parametrize("cap", [0.5, 1.0, True, "3"])
+def test_non_int_fallback_cap_is_rejected(cap):
+    fam, _ = block_product_family(2, 4)
+    with pytest.raises(ValueError, match="cap"):
+        brute_force_sunflower(fam, 2, cap=cap)
+    with pytest.raises(ValueError, match="fallback_bruteforce_cap"):
+        ExtractionParams(p=2, fallback_bruteforce_cap=cap)
+
+
 def _budgeted_search_oracle(sets, p, cap):
     """The fallback's search with its own inline backtracker: the same cores
     in the same order, one budget step per candidate tried."""

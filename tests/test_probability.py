@@ -273,6 +273,15 @@ def test_clopper_pearson_brackets_the_estimate():
     assert est.ci_low is not None and est.ci_low <= est.p_hat <= est.ci_high
 
 
+def test_unknown_interval_is_rejected_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking the interval")
+
+    monkeypatch.setattr(probability, "_mc_hits_chunk", no_sampling)
+    with pytest.raises(ValueError, match="interval"):
+        mc_hit_probability(block_product_family(3, 8)[0], 0.5, trials=200_000, interval="bogus")
+
+
 # --- partition experiment -------------------------------------------------------------
 
 

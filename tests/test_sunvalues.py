@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,8 @@ from sunflowers.bitset import mask_from_elements
 from sunflowers.constructions import erdos_rado_family
 from sunflowers.families import SetFamily
 from sunflowers.sunvalues import (
+    _closes_sunflower,
+    _extends_sunflower_free,
     contains_sunflower,
     erdos_rado_upper_bound,
     max_sunflower_free,
@@ -38,6 +41,103 @@ def _naive_max_sunflower_free(p, k, ground):
 
     extend([], 0)
     return best
+
+
+def _rebuilding_search(p, k, max_nodes=None, ground_cap=None):
+    """Oracle: the canonical search with its candidate list rebuilt at every
+    node and the full extension test on every candidate."""
+    best, best_ground, nodes, exhaustive = (), k, 0, True
+
+    def candidates(last_mask, used):
+        limit = used + k if ground_cap is None else min(ground_cap, used + k)
+        out = []
+        for fresh in range(0, k + 1):
+            if used + fresh > limit:
+                break
+            fresh_mask = ((1 << fresh) - 1) << used
+            for old in combinations(range(used), k - fresh):
+                mask = fresh_mask | mask_from_elements(old)
+                if mask > last_mask:
+                    out.append(mask)
+        return sorted(out)
+
+    def extend(members, last_mask, used):
+        nonlocal best, best_ground, nodes, exhaustive
+        if max_nodes is not None and nodes >= max_nodes:
+            exhaustive = False
+            return
+        nodes += 1
+        if len(members) > len(best):
+            best, best_ground = tuple(members), max(used, k)
+        for mask in candidates(last_mask, used):
+            if not exhaustive:
+                return
+            if _extends_sunflower_free(members, mask, p):
+                members.append(mask)
+                extend(members, mask, max(used, mask.bit_length()))
+                members.pop()
+
+    extend([], 0, 0)
+    return len(best), nodes, exhaustive, best, best_ground
+
+
+def _outcome(search):
+    return search.max_size, search.nodes, search.exhaustive, search.witness.sets, search.witness.ground_size
+
+
+# the benchmark's canonical-search grid points (p, k, ground_cap), cheapest first
+SMALL_GRID = [(2, 2, 4), (3, 1, 3), (3, 2, 6), (3, 2, 7), (3, 2, 8), (3, 2, 10),
+              (3, 3, 5), (4, 2, 5), (4, 3, 5), (4, 2, 6), (3, 3, 6)]
+
+
+@pytest.mark.parametrize("p,k,cap", SMALL_GRID)
+def test_search_matches_rebuilding_search(p, k, cap):
+    assert _outcome(max_sunflower_free(p, k, ground_cap=cap)) == _rebuilding_search(p, k, ground_cap=cap)
+
+
+@pytest.mark.parametrize("p,k,cap,budgets", [
+    (4, 2, 6, (0, 1, 2, 7, 50, 200, 1000, 2095)),
+    (3, 3, 6, (3, 9, 100, 2000, 5950)),
+    (4, 3, 6, (40, 5000)),
+    (3, 3, None, (200, 800)),
+])
+def test_budgeted_search_matches_rebuilding_search(p, k, cap, budgets):
+    for budget in budgets:
+        expected = _rebuilding_search(p, k, max_nodes=budget, ground_cap=cap)
+        assert not expected[2]  # stops mid-tree
+        assert _outcome(max_sunflower_free(p, k, max_nodes=budget, ground_cap=cap)) == expected, budget
+
+
+def test_larger_grid_points_keep_their_node_counts():
+    # node counts of the rebuilding search, which takes several seconds here
+    for (p, k, cap), (size, nodes) in {(4, 2, 7): (10, 27_236), (4, 2, 8): (10, 70_201),
+                                       (4, 3, 6): (14, 163_997)}.items():
+        search = max_sunflower_free(p, k, ground_cap=cap)
+        assert (search.max_size, search.nodes, search.exhaustive) == (size, nodes, True), (p, k, cap)
+        assert verify_sunflower_free(search.witness, p)
+
+
+def test_pair_rule_agrees_with_full_extension_test():
+    rng = random.Random(5)
+    cases = closing = 0
+    while cases < 300:
+        n, k, p = rng.randint(3, 7), rng.randint(1, 3), rng.randint(2, 4)
+        ksets = [m(*c) for c in combinations(range(n), k)]
+        rng.shuffle(ksets)
+        members = []
+        for s in ksets[: rng.randint(0, len(ksets))]:
+            if not contains_sunflower(members + [s], p):
+                members.append(s)
+        free = [s for s in ksets if s not in members and not contains_sunflower(members + [s], p)]
+        if len(free) < 2:
+            continue
+        newest, candidate = rng.sample(free, 2)
+        closes = _closes_sunflower(members, newest, candidate, p)
+        assert closes == (not _extends_sunflower_free(members + [newest], candidate, p)), (members, newest, candidate)
+        assert closes == contains_sunflower(members + [newest, candidate], p)
+        cases += 1
+        closing += closes
+    assert 30 < closing < 270  # both verdicts are exercised
 
 
 def test_two_distinct_sets_always_form_a_pair_sunflower():
@@ -137,6 +237,12 @@ def test_node_budget_is_deterministic():
     assert (again.max_size, again.witness, again.nodes) == (short.max_size, short.witness, short.nodes)
     with pytest.raises(ValueError):
         max_sunflower_free(3, 2, max_nodes=-1)
+
+
+@pytest.mark.parametrize("budget", [0.5, 10.0, True, "10"])
+def test_non_int_node_budget_is_rejected(budget):
+    with pytest.raises(ValueError, match="max_nodes"):
+        max_sunflower_free(3, 2, max_nodes=budget)
 
 
 def test_ground_cap_disables_exactness_claim():
