@@ -21,6 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bitset import elements_of
+from . import probability
 from .families import SetFamily, Sunflower, check_budget, find_disjoint_sets, is_sunflower, link
 from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
 from .spread import spread_witness
@@ -49,6 +50,8 @@ class ExtractionParams:
         if self.C < 1:
             raise ValueError(f"C must be >= 1, got {self.C}")
         check_budget("fallback_bruteforce_cap", self.fallback_bruteforce_cap)
+        if self.max_partition_trials is not None:
+            check_budget("max_partition_trials", self.max_partition_trials)
         if self.r_override is not None and self.r_override < 1:
             raise ValueError(f"r_override must be >= 1, got {self.r_override}")
 
@@ -158,17 +161,33 @@ def _spread_case_search(
     """Random 2p-way partitions until >= p classes each contain a member.
 
     Returns (petals, trials_used); petals are one member per hit class, so
-    they are pairwise disjoint by construction.  Deterministic: the first
-    succeeding trial index wins, and each class contributes its smallest
-    contained member.
+    they are pairwise disjoint by construction.  Every trial is tested at
+    once: the class ids of each member's elements are gathered from the
+    family's element matrix, a member lies in a class when all its ids are
+    equal, and a trial succeeds when its members hit at least p classes.
+    Trials go in tiles of ``_KERNEL_TILE_BYTES`` of gathered ids, and the
+    tiles stop at the first one holding a success.  Deterministic: the
+    first succeeding trial index wins, whatever the tile size, and
+    :func:`_harvest` on that trial alone picks each class's smallest member.
     """
     if len(family) == 0 or trials < 1:
         return None, 0
+    classes = 2 * p
     uniforms = uniform_block(seed, stream, 0, trials, family.ground_size)
-    for trial in range(trials):
-        petals = _harvest(family, uniforms[trial], 2 * p, p)
-        if len(petals) == p:
-            return petals, trial + 1
+    if family.k == 0:  # the empty member lies in every class
+        return _harvest(family, uniforms[0], classes, p), 1
+    assign = (uniforms * classes).astype(np.min_scalar_type(classes - 1))
+    positions = family.elements().T  # row q: the q-th smallest element of every member
+    tile = max(1, probability._KERNEL_TILE_BYTES // (assign.itemsize * positions.size))
+    for start in range(0, trials, tile):
+        ids = np.take(assign[start : start + tile], positions, axis=1)  # (trials, k, |F|)
+        trial, member = np.nonzero((ids[:, 1:] == ids[:, :1]).all(axis=1))
+        hit = np.zeros((len(ids), classes), dtype=bool)
+        hit[trial, ids[trial, 0, member]] = True
+        won = np.flatnonzero(np.count_nonzero(hit, axis=1) >= p)
+        if won.size:
+            first = start + int(won[0])
+            return _harvest(family, uniforms[first], classes, p), first + 1
     return None, trials
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import elements_of, mask_from_elements, membership_matrix, pack_words
+from .bitset import mask_from_elements, membership_matrix, pack_words
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,15 @@ class SetFamily:
 
     Duplicate masks passed to the constructor are merged (identity is by
     value); the JSON loader, by contrast, rejects duplicate rows outright.
-    The numpy kernels read the members through :meth:`holders`, a packed
-    per-element member bitset built on first use and cached; the spread layer
-    caches its per-level superset counts in ``_levels``
-    (:func:`sunflowers.spread.level_counts`).
+    The numpy kernels read the members through two matrices, each built on
+    first use and cached: :meth:`holders`, a packed per-element member
+    bitset, and :meth:`elements`, each member's elements in ascending order,
+    which the spread layer's level counting and the extraction's partition
+    search gather from.  The spread layer caches its per-level superset
+    counts in ``_levels`` (:func:`sunflowers.spread.level_counts`).
     """
 
-    __slots__ = ("ground_size", "k", "sets", "_holders", "_levels")
+    __slots__ = ("ground_size", "k", "sets", "_holders", "_elements", "_levels")
 
     def __init__(self, ground_size: int, k: int, sets: Iterable[int]):
         if ground_size < 1:
@@ -80,7 +82,8 @@ class SetFamily:
         self.k = k
         self.sets = tuple(masks)
         self._holders = None
-        self._levels = None
+        self._elements = None
+        self._levels = {}
 
     @property
     def ground(self) -> GroundSet:
@@ -97,8 +100,21 @@ class SetFamily:
             self._holders = holders
         return self._holders
 
+    def elements(self) -> np.ndarray:
+        """Read-only ``(|F|, k)`` matrix whose row s holds the elements of
+        ``sets[s]`` in ascending order, in the narrowest unsigned dtype that
+        holds n - 1.  Built on first call, then cached.
+        """
+        if self._elements is None:
+            columns = np.nonzero(membership_matrix(self.sets, self.ground_size))[1]
+            elements = columns.astype(np.min_scalar_type(self.ground_size - 1))
+            elements = elements.reshape(len(self.sets), self.k)
+            elements.setflags(write=False)
+            self._elements = elements
+        return self._elements
+
     def element_rows(self) -> list[list[int]]:
-        return [list(elements_of(m)) for m in self.sets]
+        return self.elements().tolist()
 
     @classmethod
     def from_element_rows(cls, ground_size: int, k: int, rows: Iterable[Iterable[int]]) -> "SetFamily":

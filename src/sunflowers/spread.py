@@ -6,10 +6,13 @@ non-zero count, so the counts are taken one level |T| = j at a time over the
 j-subsets of members: each is named by its colex rank, sum_i C(e_i, i+1) over
 its ascending elements e_0 < e_1 < ..., and a level is the sorted distinct
 ranks with their multiplicities.  Among sets of one size, colex order is
-mask-value order, so ascending rank is ascending mask.  Levels are counted on
-demand and cached on the family, so a caller that stops at the first
-violating level pays only for the levels below it, and a later call reuses
-them.
+mask-value order, so ascending rank is ascending mask.  A level's ranks are
+gathered from the family's cached element matrix
+(:meth:`~sunflowers.families.SetFamily.elements`, one row of ascending
+elements per member), which the extraction's partition search reads too.
+Levels are counted on demand and cached on the family, so a caller that
+stops at the first violating level pays only for the levels below it, and a
+later call reuses them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitset import elements_of, membership_matrix
+from .bitset import elements_of
 from .families import SetFamily
 
 
@@ -64,15 +67,9 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 1 <= j <= family.k:
         raise ValueError(f"level j={j} outside 1..{family.k}")
-    n = family.ground_size
-    if family._levels is None:
-        # row s holds the elements of sets[s] in ascending order, in the
-        # narrowest dtype: the cache lives as long as the family
-        elements = np.nonzero(membership_matrix(family.sets, n))[1].astype(np.min_scalar_type(n - 1))
-        family._levels = (elements.reshape(len(family), family.k), {})
-    elements, levels = family._levels
+    levels = family._levels
     if j not in levels:
-        levels[j] = _count_level(n, elements, j)
+        levels[j] = _count_level(family.ground_size, family.elements(), j)
     return levels[j]
 
 

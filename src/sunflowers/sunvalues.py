@@ -27,7 +27,6 @@ the tiny parameter range this is meant for (p <= 4, k <= 3).
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -47,7 +46,6 @@ class SunflowerFreeSearch:
     witness: SetFamily
     exhaustive: bool
     nodes: int
-    seconds: float
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,6 @@ def max_sunflower_free(
         raise ValueError(f"ground_cap {ground_cap} cannot hold a single {k}-set")
     if max_nodes is not None:
         check_budget("max_nodes", max_nodes)
-    start_time = time.perf_counter()
     best_members: tuple[int, ...] = ()
     best_ground = k
     nodes = 0
@@ -199,7 +196,6 @@ def max_sunflower_free(
         witness=witness,
         exhaustive=exhaustive,
         nodes=nodes,
-        seconds=time.perf_counter() - start_time,
     )
 
 

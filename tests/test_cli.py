@@ -164,6 +164,8 @@ def test_exact_sun_csv_is_byte_reproducible(capsys):
 def test_negative_budgets_exit_2(block22, capsys):
     assert main(["find-sunflower", str(block22), "--p", "2", "--fallback-cap", "-1"]) == 2
     assert "fallback_bruteforce_cap" in capsys.readouterr().err
+    assert main(["find-sunflower", str(block22), "--p", "2", "--trials", "-3"]) == 2
+    assert "max_partition_trials" in capsys.readouterr().err
     assert main(["exact-sun", "--p", "3", "--k", "2", "--max-nodes", "-1"]) == 2
     assert "max_nodes" in capsys.readouterr().err
 

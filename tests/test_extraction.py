@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from sunflowers.bitset import mask_from_elements
+from sunflowers import probability
+from sunflowers.bitset import elements_of, mask_from_elements
 from sunflowers.constructions import block_product_family, erdos_rado_family
 from sunflowers.extraction import (
     ExtractionParams,
@@ -17,7 +19,7 @@ from sunflowers.extraction import (
     _spread_case_search,
 )
 from sunflowers.families import SetFamily, is_sunflower
-from sunflowers.rng import STREAM_SPREAD_SEARCH
+from sunflowers.rng import STREAM_SPREAD_SEARCH, uniform_block
 from sunflowers.spread import superset_count
 from sunflowers.sunvalues import contains_sunflower
 
@@ -199,6 +201,55 @@ def test_spread_case_output_is_always_disjoint():
             assert petals[0] & petals[1] == 0
 
 
+def _per_trial_search(family, p, trials, seed, stream):
+    """The search as a loop over trials: partition the ground set into 2p
+    classes, take each class's smallest member inside it, stop at the first
+    trial with p such members."""
+    if len(family) == 0 or trials < 1:
+        return None, 0
+    uniforms = uniform_block(seed, stream, 0, trials, family.ground_size)
+    for trial in range(trials):
+        cls = (uniforms[trial] * (2 * p)).astype(int).tolist()
+        petals = []
+        for c in range(2 * p):
+            inside = [s for s in family.sets if all(cls[e] == c for e in elements_of(s))]
+            petals += inside[:1]
+        if len(petals) >= p:
+            return petals[:p], trial + 1
+    return None, trials
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 1, 100])
+@pytest.mark.parametrize("n", [*range(2, 17), 63, 64, 65, 130])
+def test_spread_case_search_matches_per_trial_loop(n, tile_bytes, monkeypatch):
+    if tile_bytes is not None:  # one trial per tile, or ragged tiles of a few trials
+        monkeypatch.setattr(probability, "_KERNEL_TILE_BYTES", tile_bytes)
+    rng = random.Random(n)
+    # (k, |F|): k = 1, the empty member, |F| = 0 and 1, then random shapes
+    shapes = [(1, 12), (0, 1), (2, 0), (1, 1), (min(3, n), 1)]
+    shapes += [(rng.randint(1, min(4, n)), rng.randint(2, 40)) for _ in range(4)]
+    for k, size in shapes:
+        sets = {m(*rng.sample(range(n), k)) for _ in range(size)}
+        fam = SetFamily(n, k, sets)
+        p = rng.randint(2, 4)
+        seed = rng.randrange(2**32)
+        for trials in (0, 1, 64 * p):
+            expected = _per_trial_search(fam, p, trials, seed, STREAM_SPREAD_SEARCH)
+            assert _spread_case_search(fam, p, trials, seed, STREAM_SPREAD_SEARCH) == expected, (fam.sets, p)
+
+
+def test_spread_case_search_memory_is_bounded():
+    fam, _ = block_product_family(4, 16)  # 65,536 members: 64 MB of class ids for 256 trials untiled
+    tracemalloc.start()
+    try:
+        petals, _ = _spread_case_search(fam, 2, 256, 0, STREAM_SPREAD_SEARCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert petals is not None
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 # --- generalized partition search --------------------------------------------------------
 
 
@@ -262,6 +313,12 @@ def test_negative_fallback_cap_is_rejected():
         brute_force_sunflower(fam, 2, cap=-1)
     with pytest.raises(ValueError):
         ExtractionParams(p=2, fallback_bruteforce_cap=-5)
+
+
+@pytest.mark.parametrize("trials", [-3, 2.5, True])
+def test_bad_partition_trials_are_rejected(trials):
+    with pytest.raises(ValueError, match="max_partition_trials"):
+        ExtractionParams(p=2, max_partition_trials=trials)
 
 
 @pytest.mark.parametrize("cap", [0.5, 1.0, True, "3"])

@@ -216,6 +216,22 @@ def test_holders_matrix_bits(n, size):
     assert fam.holders() is holders and not holders.flags.writeable
 
 
+@pytest.mark.parametrize("n,k,size", [(3, 0, 1), (3, 2, 0), (16, 1, 9), (65, 3, 70), (256, 4, 40), (300, 2, 50)])
+def test_elements_matrix_rows(n, k, size):
+    rng = random.Random(n)
+    sets = set()
+    while len(sets) < size:
+        sets.add(m(*rng.sample(range(n), k)))
+    fam = SetFamily(n, k, sets)
+    elements = fam.elements()
+    assert elements.shape == (size, k)
+    assert elements.dtype == (np.uint8 if n <= 256 else np.uint16)
+    # oracle: each row lists its member's set bits in ascending order
+    rows = [[e for e in range(n) if s >> e & 1] for s in fam.sets]
+    assert elements.tolist() == rows == fam.element_rows()
+    assert fam.elements() is elements and not elements.flags.writeable
+
+
 # --- JSON format --------------------------------------------------------------------
 
 
