@@ -26,11 +26,9 @@ from .extraction import (
     r_threshold,
 )
 from .families import (
-    GroundSet,
     SetFamily,
     Sunflower,
     family_from_dict,
-    family_from_named,
     family_to_dict,
     find_disjoint_sets,
     is_sunflower,
@@ -39,20 +37,16 @@ from .families import (
     save_family,
 )
 from .probability import (
-    BernoulliSubsetParams,
     HitEstimate,
     PartitionStats,
     check_chernoff_tail,
     check_fixed_size_decomposition,
     check_partition_mean_identity,
     exact_hit_probability,
-    fixed_size_hit_probabilities,
     hit_threshold_sweep,
     mc_block_hit_probability,
     mc_hit_probability,
     partition_experiment,
-    sample_bernoulli_subset,
-    sample_uniform_m_subset,
 )
 from .rng import DEFAULT_SEED
 from .spread import SpreadReport, SpreadViolation, spread_witness, spreadness, superset_count

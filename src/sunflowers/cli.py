@@ -4,7 +4,8 @@ Every command that consumes randomness takes an explicit --seed (default a
 fixed constant, never the clock), and identical invocations produce
 identical output bytes.  JSON is the default format; CSV is available for
 the tabular outputs.  Exit status is 0 iff the command's verification (when
-it has one) passed.
+it has one) passed, and 2 on invalid input or a file that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def _write(text: str, out: Path | None) -> None:
         out.write_text(text if text.endswith("\n") else text + "\n")
 
 
+def _save(family, out: Path) -> None:
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_family(family, out)
+
+
 def _emit_json(payload: dict, out: Path | None) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     _write(json.dumps(payload, sort_keys=True, indent=2), out)
@@ -96,8 +102,7 @@ def cmd_construct(args) -> int:
     if out is None:
         _emit_json(family_to_dict(family), None)
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_family(family, out)
+        _save(family, out)
         print(f"wrote {len(family)} sets over ground {family.ground_size} to {out}")
     return 0
 
@@ -297,7 +302,7 @@ def cmd_exact_sun(args) -> int:
         }
         _emit_json(payload, out)
     if args.witness_out:
-        save_family(result.search.witness, _out_path(args.witness_out))
+        _save(result.search.witness, _out_path(args.witness_out))
     return 0
 
 
@@ -421,7 +426,7 @@ def main(argv=None) -> int:
             parser.error("construct erdos-rado requires --p")
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ fall through to the exhaustive fallback or fail honestly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -120,9 +119,6 @@ class ExtractionTrace:
             "sunflower": result,
             "fallback_used": self.fallback_used,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def r_threshold(p: int, k: int, C: float = 4.0) -> float:

@@ -3,8 +3,7 @@
 Members are Python-int bitmasks over ground elements {0, ..., n-1}.  A
 :class:`SetFamily` stores distinct k-element masks in ascending order; all
 types here are immutable after construction and safe to share across
-threads.  Families imported from named-element data are re-indexed to dense
-integer indices with a stored name table (see :func:`family_from_named`).
+threads.
 """
 
 from __future__ import annotations
@@ -14,26 +13,11 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .bitset import mask_from_elements, membership_matrix, pack_words
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """The ground set {0, ..., size-1}."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"ground-set size must be >= 1, got {self.size}")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
 
 
 @dataclass(frozen=True)
@@ -46,10 +30,6 @@ class Sunflower:
 
     core: int
     petals: tuple[int, ...]
-
-    @property
-    def p(self) -> int:
-        return len(self.petals)
 
 
 class SetFamily:
@@ -85,10 +65,6 @@ class SetFamily:
         self._elements = None
         self._levels = {}
 
-    @property
-    def ground(self) -> GroundSet:
-        return GroundSet(self.ground_size)
-
     def holders(self) -> np.ndarray:
         """Read-only ``(n, ceil(|F|/64))`` uint64 matrix; row e is the bitset of
         the members that contain ground element e (bit j of the row is
@@ -112,13 +88,6 @@ class SetFamily:
             elements.setflags(write=False)
             self._elements = elements
         return self._elements
-
-    def element_rows(self) -> list[list[int]]:
-        return self.elements().tolist()
-
-    @classmethod
-    def from_element_rows(cls, ground_size: int, k: int, rows: Iterable[Iterable[int]]) -> "SetFamily":
-        return cls(ground_size, k, (mask_from_elements(row) for row in rows))
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -235,7 +204,7 @@ def family_to_dict(family: SetFamily) -> dict:
     return {
         "ground_set_size": family.ground_size,
         "k": family.k,
-        "sets": family.element_rows(),
+        "sets": family.elements().tolist(),
     }
 
 
@@ -253,11 +222,12 @@ def family_from_dict(data: dict) -> SetFamily:
         raise ValueError(f"family data must be integers, got {sorted(t.__name__ for t in types - {int})}")
     masks = []
     for row in rows:
+        # range-check before building the mask: 1 << e allocates e bits
+        if row and not 0 <= min(row) <= max(row) < ground_size:
+            raise ValueError(f"row {row} leaves the ground set of size {ground_size}")
         mask = mask_from_elements(row)
         if mask.bit_count() != k or len(row) != k:
             raise ValueError(f"row {row} does not have cardinality k={k}")
-        if mask.bit_length() > ground_size or any(e < 0 for e in row):
-            raise ValueError(f"row {row} leaves the ground set of size {ground_size}")
         masks.append(mask)
     if len(set(masks)) != len(masks):
         raise ValueError("duplicate sets in family data")
@@ -271,30 +241,3 @@ def save_family(family: SetFamily, path) -> None:
 def load_family(path) -> SetFamily:
     return family_from_dict(json.loads(Path(path).read_text()))
 
-
-def family_from_named(rows: Iterable[Iterable[Hashable]]) -> tuple[SetFamily, tuple[Hashable, ...]]:
-    """Re-index named-element sets to dense integer indices.
-
-    Names are assigned indices in order of first appearance; the returned
-    table maps index -> name.  All rows must share one cardinality.
-    """
-    table: dict[Hashable, int] = {}
-    masks = []
-    sizes = set()
-    for row in rows:
-        row = list(row)
-        sizes.add(len(row))
-        mask = 0
-        for name in row:
-            if name not in table:
-                table[name] = len(table)
-            mask |= 1 << table[name]
-        if mask.bit_count() != len(row):
-            raise ValueError(f"row {row} repeats an element")
-        masks.append(mask)
-    if not masks:
-        raise ValueError("no sets given")
-    if len(sizes) != 1:
-        raise ValueError(f"rows have mixed cardinalities {sorted(sizes)}")
-    names = tuple(sorted(table, key=table.get))
-    return SetFamily(max(len(table), 1), sizes.pop(), masks), names

@@ -23,17 +23,10 @@ from typing import Optional
 import numpy as np
 from scipy.special import betaincinv
 
-from .bitset import mask_from_elements, membership_matrix, pack_words
+from .bitset import membership_matrix, pack_words
 from .constructions import BlockPartition
-from .families import GroundSet, SetFamily
-from .rng import (
-    DEFAULT_SEED,
-    STREAM_BERNOULLI,
-    STREAM_PARTITION,
-    STREAM_UNIFORM_SUBSET,
-    trial_uniforms,
-    uniform_block,
-)
+from .families import SetFamily
+from .rng import DEFAULT_SEED, STREAM_BERNOULLI, STREAM_PARTITION, uniform_block
 
 EXACT_ENUMERATION_GROUND_CAP = 24
 EXACT_IE_FAMILY_CAP = 20
@@ -43,18 +36,6 @@ _CHUNK_TRIALS = 1 << 13
 # bytes of the containment kernel's (trials, words) working matrix per tile
 _KERNEL_TILE_BYTES = 1 << 20
 _THREE_SIGMA_COVERAGE = 0.9973002039367398
-
-
-@dataclass(frozen=True)
-class BernoulliSubsetParams:
-    """Each ground element joins the sample independently with probability delta."""
-
-    delta: float
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -83,28 +64,6 @@ class PartitionStats:
     mean_hit_classes: float
     frac_trials_with_at_least: dict[int, float]
     hit_class_histogram: tuple[int, ...]  # index h = trials with exactly h hit classes
-
-
-# --- samplers ----------------------------------------------------------------
-
-
-def sample_bernoulli_subset(ground: GroundSet, params: BernoulliSubsetParams, trial_index: int) -> int:
-    """The Bernoulli-delta subset for one trial; deterministic in (seed, trial)."""
-    u = trial_uniforms(params.seed, STREAM_BERNOULLI, trial_index, ground.size)
-    return mask_from_elements(np.flatnonzero(u < params.delta).tolist())
-
-
-def sample_uniform_m_subset(ground: GroundSet, m: int, seed: int, trial_index: int) -> int:
-    """A uniformly random m-element subset; deterministic in (seed, trial).
-
-    Sorting one row of iid uniforms yields a uniform permutation; the sample
-    is the first m positions.
-    """
-    if not 0 <= m <= ground.size:
-        raise ValueError(f"m must be in [0, {ground.size}], got {m}")
-    u = trial_uniforms(seed, STREAM_UNIFORM_SUBSET, trial_index, ground.size)
-    order = np.argsort(u, kind="stable")
-    return mask_from_elements(order[:m].tolist())
 
 
 # --- exact hit probability ----------------------------------------------------
@@ -138,13 +97,6 @@ def hit_counts_by_size(family: SetFamily) -> np.ndarray:
         sizes = np.bitwise_count(np.arange(start, stop, dtype=np.uint32))
         counts += np.bincount(sizes[hit[start:stop]], minlength=n + 1)
     return counts
-
-
-def fixed_size_hit_probabilities(family: SetFamily) -> tuple[Fraction, ...]:
-    """Pr(hit | uniform m-subset) for every m = 0..n, as exact rationals."""
-    n = family.ground_size
-    counts = hit_counts_by_size(family)
-    return tuple(Fraction(int(counts[m]), math.comb(n, m)) for m in range(n + 1))
 
 
 def _exact_by_enumeration(family: SetFamily, delta: float) -> float:
@@ -424,7 +376,7 @@ def check_fixed_size_decomposition(
         raise ValueError(f"m must be in [0, {n}], got {m}")
     counts = hit_counts_by_size(family)
     lhs = sum(int(counts[j]) * d**j * (1 - d) ** (n - j) for j in range(n + 1))
-    by_size = fixed_size_hit_probabilities(family)
+    by_size = [Fraction(int(counts[j]), math.comb(n, j)) for j in range(n + 1)]
     monotone = all(by_size[j] <= by_size[j + 1] for j in range(n))
     tail = sum(math.comb(n, j) * d**j * (1 - d) ** (n - j) for j in range(m, n + 1))
     rhs = by_size[m] * tail

@@ -15,9 +15,9 @@ import numpy as np
 DEFAULT_SEED = 1729
 
 # Fixed stream ids keep independent experiment kinds decorrelated under a
-# shared seed.
+# shared seed.  Renumbering one changes every seeded output drawn from it, so
+# a retired id (2) stays unused.
 STREAM_BERNOULLI = 1
-STREAM_UNIFORM_SUBSET = 2
 STREAM_PARTITION = 3
 STREAM_SPREAD_SEARCH = 4
 STREAM_GENERALIZED = 5
@@ -28,11 +28,6 @@ _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter tick
 
 def _key(seed: int, stream: int) -> np.ndarray:
     return np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-
-
-def generator(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator positioned at the start of the (seed, stream) Philox stream."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream)))
 
 
 def uniform_block(seed: int, stream: int, first_trial: int, trials: int, width: int) -> np.ndarray:
@@ -51,7 +46,3 @@ def uniform_block(seed: int, stream: int, first_trial: int, trials: int, width: 
     flat = gen.random(skip + trials * width)
     return flat[skip:].reshape(trials, width)
 
-
-def trial_uniforms(seed: int, stream: int, trial_index: int, width: int) -> np.ndarray:
-    """The uniforms consumed by one trial, independent of any batch layout."""
-    return uniform_block(seed, stream, trial_index, 1, width)[0]

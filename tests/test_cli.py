@@ -178,6 +178,25 @@ def test_exact_sun_witness_out(tmp_path, capsys):
     assert len(fam) == 6
 
 
+def test_exact_sun_witness_out_creates_directories(tmp_path, capsys):
+    witness = tmp_path / "nested" / "dir" / "witness.json"
+    rc = main(["exact-sun", "--p", "3", "--k", "2", "--witness-out", str(witness)])
+    assert rc == 0
+    assert len(load_family(witness)) == 6
+
+
+@pytest.mark.parametrize(
+    "command", [["check-spread", "--r", "2"], ["find-sunflower", "--p", "2"]]
+)
+def test_missing_family_file_exits_2(tmp_path, capsys, command):
+    # 1 is the "not certified" / "no sunflower" verdict, so an unreadable file must not exit 1
+    missing = tmp_path / "missing.json"
+    assert main([command[0], str(missing), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "missing.json" in captured.err
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SUNFLOWERS_OUT_DIR", str(tmp_path))
     rc = main(["construct", "block-product", "--k", "1", "--r", "2", "--out", "sub/fam.json"])

@@ -140,7 +140,7 @@ def test_params_validate():
 
 def test_trace_json_roundtrip():
     trace = extract_sunflower(star(5), ExtractionParams(p=3))
-    data = json.loads(trace.to_json())
+    data = json.loads(json.dumps(trace.to_dict()))
     assert data["p"] == 3 and data["sunflower"]["core"] == [0]
     assert data["schema_version"] == 1
     kinds = {step["kind"] for step in data["steps"]}

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,6 @@ from sunflowers.families import (
     SetFamily,
     Sunflower,
     family_from_dict,
-    family_from_named,
     family_to_dict,
     find_disjoint_sets,
     is_sunflower,
@@ -228,7 +228,7 @@ def test_elements_matrix_rows(n, k, size):
     assert elements.dtype == (np.uint8 if n <= 256 else np.uint16)
     # oracle: each row lists its member's set bits in ascending order
     rows = [[e for e in range(n) if s >> e & 1] for s in fam.sets]
-    assert elements.tolist() == rows == fam.element_rows()
+    assert elements.tolist() == rows
     assert fam.elements() is elements and not elements.flags.writeable
 
 
@@ -261,6 +261,19 @@ def test_loader_rejects_out_of_range_elements():
         family_from_dict({"ground_set_size": 4, "k": 2, "sets": [[0, 4]]})
 
 
+@pytest.mark.parametrize("row", [[0, 10**8], [-1, 0]])
+def test_loader_range_checks_before_building_masks(row):
+    # a mask for element 10**8 would take 12.5 MB; the row must be refused first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="leaves the ground set"):
+            family_from_dict({"ground_set_size": 4, "k": 2, "sets": [row]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -282,17 +295,3 @@ def test_family_to_dict_rows_sorted():
     fam = SetFamily(4, 2, [m(3, 1)])
     assert family_to_dict(fam)["sets"] == [[1, 3]]
 
-
-# --- named-element import -------------------------------------------------------------
-
-
-def test_family_from_named():
-    fam, names = family_from_named([("b", "a"), ("a", "c")])
-    assert names == ("b", "a", "c")
-    assert fam.k == 2 and fam.ground_size == 3
-    assert fam.sets == (m(0, 1), m(1, 2))
-
-
-def test_family_from_named_rejects_mixed_sizes():
-    with pytest.raises(ValueError):
-        family_from_named([("a",), ("a", "b")])

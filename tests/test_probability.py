@@ -10,22 +10,18 @@ import pytest
 from sunflowers import probability
 from sunflowers.bitset import mask_from_elements
 from sunflowers.constructions import block_product_family
-from sunflowers.families import GroundSet, SetFamily
+from sunflowers.families import SetFamily
 from sunflowers.probability import (
-    BernoulliSubsetParams,
     check_chernoff_tail,
     check_fixed_size_decomposition,
     check_partition_mean_identity,
     clopper_pearson,
     exact_hit_probability,
-    fixed_size_hit_probabilities,
     hit_indicator_table,
     hit_threshold_sweep,
     mc_block_hit_probability,
     mc_hit_probability,
     partition_experiment,
-    sample_bernoulli_subset,
-    sample_uniform_m_subset,
 )
 from sunflowers.rng import STREAM_BERNOULLI, STREAM_PARTITION, uniform_block
 
@@ -40,55 +36,6 @@ def random_family(rng, n_max=10, k_max=4, size_max=10):
     all_ksets = [m(*c) for c in combinations(range(n), k)]
     size = rng.randint(0, min(size_max, len(all_ksets)))
     return SetFamily(n, k, rng.sample(all_ksets, size))
-
-
-# --- samplers -------------------------------------------------------------------
-
-
-def test_bernoulli_params_validate():
-    with pytest.raises(ValueError):
-        BernoulliSubsetParams(delta=0.0)
-    with pytest.raises(ValueError):
-        BernoulliSubsetParams(delta=1.0)
-
-
-def test_bernoulli_sampler_is_deterministic():
-    ground = GroundSet(10)
-    params = BernoulliSubsetParams(delta=0.5, seed=42)
-    assert sample_bernoulli_subset(ground, params, 0) == sample_bernoulli_subset(ground, params, 0)
-    samples = {sample_bernoulli_subset(ground, params, t) for t in range(8)}
-    assert len(samples) > 1
-
-
-def test_bernoulli_near_one_includes_everything():
-    ground = GroundSet(10)
-    params = BernoulliSubsetParams(delta=1 - 2.0**-30, seed=1)
-    assert all(
-        sample_bernoulli_subset(ground, params, t) == ground.full_mask for t in range(20)
-    )
-
-
-def test_uniform_subset_boundaries():
-    ground = GroundSet(6)
-    assert all(sample_uniform_m_subset(ground, 0, 3, t) == 0 for t in range(5))
-    assert all(sample_uniform_m_subset(ground, 6, 3, t) == ground.full_mask for t in range(5))
-    with pytest.raises(ValueError):
-        sample_uniform_m_subset(ground, 7, 3, 0)
-
-
-def test_uniform_subset_cardinality_and_uniformity():
-    ground = GroundSet(4)
-    trials = 100_000
-    counts = {}
-    for t in range(trials):
-        sample = sample_uniform_m_subset(ground, 2, 5, t)
-        assert sample.bit_count() == 2
-        counts[sample] = counts.get(sample, 0) + 1
-    assert len(counts) == 6
-    # each pair should appear with frequency 1/6 within 3 sigma
-    sigma = math.sqrt((1 / 6) * (5 / 6) / trials)
-    for c in counts.values():
-        assert abs(c / trials - 1 / 6) <= 3 * sigma
 
 
 # --- exact hit probability ---------------------------------------------------------
@@ -401,8 +348,7 @@ def test_size_monotonicity():
     rng = random.Random(16)
     for _ in range(20):
         fam = random_family(rng, n_max=8)
-        probs = fixed_size_hit_probabilities(fam)
-        assert all(a <= b for a, b in zip(probs, probs[1:]))
+        assert check_fixed_size_decomposition(fam, 0.5).monotone_in_size
 
 
 def test_decomposition_random_families():
