@@ -46,13 +46,13 @@ class ExtractionParams:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
-        if self.C < 1:
-            raise ValueError(f"C must be >= 1, got {self.C}")
+        if not (self.C >= 1 and math.isfinite(self.C)):
+            raise ValueError(f"C must be finite and >= 1, got {self.C}")
         check_budget("fallback_bruteforce_cap", self.fallback_bruteforce_cap)
         if self.max_partition_trials is not None:
             check_budget("max_partition_trials", self.max_partition_trials)
-        if self.r_override is not None and self.r_override < 1:
-            raise ValueError(f"r_override must be >= 1, got {self.r_override}")
+        if self.r_override is not None and not (self.r_override >= 1 and math.isfinite(self.r_override)):
+            raise ValueError(f"r_override must be finite and >= 1, got {self.r_override}")
 
     @property
     def partition_trials(self) -> int:

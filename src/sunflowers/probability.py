@@ -212,6 +212,8 @@ def mc_hit_probability(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
     if interval not in ("normal", "clopper-pearson"):
@@ -412,9 +414,11 @@ def check_chernoff_tail(
     """Exact Pr(Bin(n, delta) <= n*delta/2) <= e^(-n*delta/8).
 
     The tail is an exact rational sum up to floor(n*delta/2) inclusive.  When
-    r and eps are supplied, additionally checks e^(-r*delta/8) <= eps^2
-    whenever r >= 16/delta * ln(1/eps).
+    r and eps are supplied (one without the other is an error), additionally
+    checks e^(-r*delta/8) <= eps^2 whenever r >= 16/delta * ln(1/eps).
     """
+    if (r is None) != (eps is None):
+        raise ValueError("r and eps must be given together")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 < delta <= 0.5:
@@ -425,7 +429,7 @@ def check_chernoff_tail(
     bound = math.exp(-n * delta / 8.0)
     passed = float(tail) <= bound
     applies = ok = None
-    if r is not None and eps is not None:
+    if r is not None:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {eps}")
         applies = r >= 16.0 / delta * math.log(1.0 / eps)

@@ -137,8 +137,8 @@ def spread_witness(family: SetFamily, r: float, worst: bool = False) -> SpreadRe
     """
     if len(family) == 0:
         raise ValueError("spread_witness requires a non-empty family")
-    if not r > 0:
-        raise ValueError(f"r must be positive, got {r}")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"r must be positive and finite, got {r}")
     k = family.k
     best: Optional[SpreadViolation] = None
     best_ratio = 1.0

@@ -12,12 +12,17 @@ of every isomorphism class and the maximum found is the true maximum.
 
 A node's candidates are the masks of one table per number of elements used,
 above the node's last member; each table is built once per search.  A node
-hands its children the verdicts on its candidates.  After member m is added,
-a candidate c that the node rejected stays rejected (a sunflower in F + c
-is one in F + m + c).  For a candidate c it accepted, F + m and F + c are
-both sunflower-free, so a sunflower in F + m + c has petals m and c and
-only those need a look.  A candidate through an element m introduced gets
-the full test.
+whose members F span [0, u) hands its children its verdicts on table(u),
+and every child candidate c gets the same rule.  Its twin keeps c's
+elements below u and moves the rest down to u, u+1, ...  The child keeps c
+exactly when F + twin(c) is sunflower-free (the node accepted the twin) and
+no sunflower has petals m, the newest member, and c.  A candidate of
+table(u) is its own twin; one through an element m introduced has its twin
+in table(u) above every member of F.  Proof: a sunflower of F + m + c
+through c either has m as a petal, which the pair test sees, or lies in
+F + c; no member of F holds an element of c at or above u, so relabelling
+those elements maps it one-to-one onto a sunflower of F + twin(c) through
+twin(c).
 
 Symmetry reduction stops there deliberately: no graph-canonization style
 isomorph rejection, which keeps the search simple and obviously sound for
@@ -75,23 +80,11 @@ def verify_sunflower_free(family: SetFamily, p: int) -> bool:
     return not contains_sunflower(family.sets, p)
 
 
-def _extends_sunflower_free(members: list[int], candidate: int, p: int) -> bool:
-    """Would members + candidate still be p-petal-sunflower-free?
-
-    Only sunflowers through the candidate can appear (the rest were excluded
-    inductively).  Group members by their intersection with the candidate:
-    petals sharing core X are exactly X-containing members whose X-stripped
-    remainders are pairwise disjoint.
-    """
-    by_core: dict[int, list[int]] = {}
-    for m in members:
-        by_core.setdefault(m & candidate, []).append(m)
-    for core, group in by_core.items():
-        if len(group) < p - 1:
-            continue
-        if find_disjoint_sets([m & ~core for m in group], p - 1) is not None:
-            return False
-    return True
+def _twin(candidate: int, used: int, k: int) -> int:
+    """``candidate`` with its elements at or above ``used`` moved down to
+    used, used+1, ..."""
+    old = candidate & ((1 << used) - 1)
+    return old | ((1 << (k - old.bit_count())) - 1) << used
 
 
 def _closes_sunflower(members: list[int], newest: int, candidate: int, p: int) -> bool:
@@ -174,16 +167,17 @@ def max_sunflower_free(
         if len(members) > len(best_members):
             best_members = tuple(members)
             best_ground = max(used, k)
+        free = set(accepted)
         for i, mask in enumerate(accepted):
             if not exhaustive:
                 return
-            kept = [c for c in accepted[i + 1 :] if not _closes_sunflower(members, mask, c, p)]
             child_used = max(used, mask.bit_length())
-            members.append(mask)
+            later = accepted[i + 1 :]
             if child_used > used:
                 fresh = fresh_table(used, child_used)
-                kept += [c for c in fresh[bisect_right(fresh, mask) :] if _extends_sunflower_free(members, c, p)]
-                kept.sort()
+                later = sorted(later + [c for c in fresh[bisect_right(fresh, mask) :] if _twin(c, used, k) in free])
+            kept = [c for c in later if not _closes_sunflower(members, mask, c, p)]
+            members.append(mask)
             extend(members, child_used, kept)
             members.pop()
 

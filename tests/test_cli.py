@@ -121,6 +121,13 @@ def test_verify_chernoff(capsys):
     assert "0.0384063720703125" in out and "PASS" in out
 
 
+@pytest.mark.parametrize("half", [["--r", "10"], ["--eps", "0.5"]])
+def test_verify_chernoff_half_rate_check_exits_2(half, capsys):
+    assert main(["verify", "chernoff", "--n", "16", "--delta", "0.5", *half]) == 2
+    captured = capsys.readouterr()
+    assert "together" in captured.err and "PASS" not in captured.out
+
+
 def test_find_sunflower_trace(block22, capsys):
     rc = main(["find-sunflower", str(block22), "--p", "2"])
     assert rc == 0
@@ -168,6 +175,19 @@ def test_negative_budgets_exit_2(block22, capsys):
     assert "max_partition_trials" in capsys.readouterr().err
     assert main(["exact-sun", "--p", "3", "--k", "2", "--max-nodes", "-1"]) == 2
     assert "max_nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name", [
+    (["check-spread", "--r", "inf"], "r"),
+    (["find-sunflower", "--p", "2", "--C", "inf"], "C"),
+    (["find-sunflower", "--p", "2", "--r-override", "inf"], "r_override"),
+    (["estimate-hit", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--threads", "0"], "threads"),
+    (["estimate-hit", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--threads", "-3"], "threads"),
+])
+def test_non_finite_values_and_thread_counts_exit_2(block22, capsys, command, name):
+    assert main([command[0], str(block22), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be") and captured.out == ""
 
 
 def test_exact_sun_witness_out(tmp_path, capsys):

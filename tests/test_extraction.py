@@ -135,6 +135,10 @@ def test_params_validate():
         ExtractionParams(p=2, C=0.5)
     with pytest.raises(ValueError):
         ExtractionParams(p=2, r_override=0.5)
+    for knob in ("C", "r_override"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{knob} must be finite"):
+                ExtractionParams(p=2, **{knob: value})
     assert ExtractionParams(p=3).partition_trials == 192
 
 

@@ -229,6 +229,12 @@ def test_unknown_interval_is_rejected_before_sampling(monkeypatch):
         mc_hit_probability(block_product_family(3, 8)[0], 0.5, trials=200_000, interval="bogus")
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_mc_rejects_thread_counts_below_one(threads):
+    with pytest.raises(ValueError, match="threads"):
+        mc_hit_probability(block_product_family(2, 2)[0], 0.5, trials=100, threads=threads)
+
+
 # --- partition experiment -------------------------------------------------------------
 
 
@@ -406,6 +412,9 @@ def test_chernoff_validates():
         check_chernoff_tail(0, 0.5)
     with pytest.raises(ValueError):
         check_chernoff_tail(4, 0.75)
+    for half in ({"r": 10.0}, {"eps": 0.5}):  # the rate check needs both
+        with pytest.raises(ValueError, match="together"):
+            check_chernoff_tail(16, 0.5, **half)
 
 
 # --- threshold sweep -------------------------------------------------------------------------

@@ -259,6 +259,9 @@ def test_spread_witness_validates():
         spread_witness(SetFamily(2, 1, [m(0)]), 0.0)
     with pytest.raises(ValueError):
         spread_witness(SetFamily(2, 1, []), 1.0)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            spread_witness(star(3), r)
 
 
 # --- spreadness -------------------------------------------------------------------

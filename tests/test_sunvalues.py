@@ -5,10 +5,10 @@ import pytest
 
 from sunflowers.bitset import mask_from_elements
 from sunflowers.constructions import erdos_rado_family
-from sunflowers.families import SetFamily
+from sunflowers.families import SetFamily, find_disjoint_sets
 from sunflowers.sunvalues import (
     _closes_sunflower,
-    _extends_sunflower_free,
+    _twin,
     contains_sunflower,
     erdos_rado_upper_bound,
     max_sunflower_free,
@@ -22,6 +22,25 @@ def m(*elements):
 
 
 TWO_TRIANGLES = [m(0, 1), m(1, 2), m(0, 2), m(3, 4), m(4, 5), m(3, 5)]
+
+
+def _extends_sunflower_free(members: list[int], candidate: int, p: int) -> bool:
+    """Would members + candidate still be p-petal-sunflower-free?
+
+    Only sunflowers through the candidate can appear (the rest were excluded
+    inductively).  Group members by their intersection with the candidate:
+    petals sharing core X are exactly X-containing members whose X-stripped
+    remainders are pairwise disjoint.
+    """
+    by_core: dict[int, list[int]] = {}
+    for m in members:
+        by_core.setdefault(m & candidate, []).append(m)
+    for core, group in by_core.items():
+        if len(group) < p - 1:
+            continue
+        if find_disjoint_sets([m & ~core for m in group], p - 1) is not None:
+            return False
+    return True
 
 
 def _naive_max_sunflower_free(p, k, ground):
@@ -100,6 +119,8 @@ def test_search_matches_rebuilding_search(p, k, cap):
     (3, 3, 6, (3, 9, 100, 2000, 5950)),
     (4, 3, 6, (40, 5000)),
     (3, 3, None, (200, 800)),
+    (4, 2, None, (5000,)),
+    (5, 2, None, (3000,)),
 ])
 def test_budgeted_search_matches_rebuilding_search(p, k, cap, budgets):
     for budget in budgets:
@@ -140,6 +161,46 @@ def test_pair_rule_agrees_with_full_extension_test():
     assert 30 < closing < 270  # both verdicts are exercised
 
 
+def _canonical_table(used, k):
+    """Every k-set whose elements at or above ``used`` are used, used+1, ..."""
+    return {((1 << fresh) - 1) << used | m(*old) for fresh in range(k + 1) for old in combinations(range(used), k - fresh)}
+
+
+def test_twin_rule_agrees_with_full_extension_test():
+    rng = random.Random(8)
+    cases = twin_rejects = pair_rejects = 0
+    while cases < 300:
+        k, p = rng.randint(1, 3), rng.randint(2, 4)
+        used = rng.randint(k, 5)
+        ksets = [m(*c) for c in combinations(range(used), k)]
+        rng.shuffle(ksets)
+        members = []
+        for s in ksets[: rng.randint(1, len(ksets))]:
+            if not contains_sunflower(members + [s], p):
+                members.append(s)
+        span = 0
+        for s in members:
+            span |= s
+        if span != (1 << used) - 1:
+            continue
+        table = _canonical_table(used, k)
+        free = {c for c in table if c > max(members) and not contains_sunflower(members + [c], p)}
+        widening = sorted(c for c in free if c >> used)
+        if not widening:
+            continue
+        newest = rng.choice(widening)
+        fresh = sorted(_canonical_table(newest.bit_length(), k) - table)
+        candidate = rng.choice(fresh)
+        twin_free = _twin(candidate, used, k) in free
+        closes = _closes_sunflower(members, newest, candidate, p)
+        assert (twin_free and not closes) == (not contains_sunflower(members + [newest, candidate], p)), (
+            members, newest, candidate)
+        cases += 1
+        twin_rejects += not twin_free
+        pair_rejects += twin_free and closes
+    assert twin_rejects > 30 and pair_rejects > 30  # both halves of the rule decide cases
+
+
 def test_two_distinct_sets_always_form_a_pair_sunflower():
     assert contains_sunflower([m(0, 1), m(0, 2)], 2)
     assert contains_sunflower([m(0, 1), m(2, 3)], 2)
@@ -169,6 +230,18 @@ def test_sun_3_2_is_7():
     witness = value.search.witness
     assert len(witness) == 6
     assert verify_sunflower_free(witness, 3)
+
+
+@pytest.mark.parametrize("p,nodes", [(3, 64), (4, 163_500)])
+def test_sun_p_2_matches_chvatal_hanson(p, nodes):
+    # a 2-set family is p-sunflower-free exactly when its maximum degree and
+    # matching number are <= p - 1; Chvatal and Hanson ("Degrees and
+    # matchings", JCT B 20, 1976) give the most edges under both bounds
+    nu = delta = p - 1
+    value = sun_value(p, 2)
+    assert value.exact == nu * delta + (delta // 2) * (nu // -(-delta // 2)) + 1 == {3: 7, 4: 11}[p]
+    assert value.search.nodes == nodes
+    assert verify_sunflower_free(value.search.witness, p)
 
 
 def test_two_disjoint_triangles_are_sunflower_free():
