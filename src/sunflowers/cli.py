@@ -140,6 +140,8 @@ def cmd_find_sunflower(args) -> int:
 
 
 def cmd_estimate_hit(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     family = load_family(args.family)
     if args.method == "monte-carlo":
         estimate = mc_hit_probability(

@@ -7,6 +7,14 @@ Carlo estimates draw from the keyed Philox streams in :mod:`.rng`, so every
 estimate is a pure function of (seed, trials) no matter how trials are
 chunked or threaded.
 
+Monte Carlo trials share one containment kernel (:func:`_contains_member`).
+It is bit-sliced over members: ground element e's row of
+``SetFamily.holders()`` is the bitset of the members containing e.  The
+ground set splits into groups of up to 8 consecutive elements, each with a
+lookup table indexed by the sample's bits in that group, so a trial's
+surviving members are the AND of one table row per group.  The group width
+depends only on (n, |F|, trials) and never changes a result.
+
 Uncertainty is reported as a 3-sigma normal half-width, which is optimistic
 when p_hat is very close to 0 or 1; an exact Clopper-Pearson interval is
 available behind the ``interval`` flag of :func:`mc_hit_probability`.
@@ -33,7 +41,8 @@ EXACT_IE_FAMILY_CAP = 20
 DECOMPOSITION_GROUND_CAP = 20
 
 _CHUNK_TRIALS = 1 << 13
-# bytes of the containment kernel's (trials, words) working matrix per tile
+# bytes of the containment kernel's (trials, words) working matrix per tile,
+# and of its lookup tables when they are more than one element wide
 _KERNEL_TILE_BYTES = 1 << 20
 _THREE_SIGMA_COVERAGE = 0.9973002039367398
 
@@ -172,23 +181,72 @@ def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto")
 # --- Monte Carlo hit probability ----------------------------------------------
 
 
+def _group_width(n: int, words: int, trials: int) -> int:
+    """Elements per lookup group of the containment kernel.
+
+    The w in 1..8 minimizing ceil(n/w) * (2^w + trials), the rows built plus
+    the rows gathered, among the widths whose tables fit in
+    ``_KERNEL_TILE_BYTES``; w = 1 always qualifies.
+    """
+    def fits(w):
+        return w == 1 or -(-n // w) * (8 * words << w) <= _KERNEL_TILE_BYTES
+
+    return min((w for w in range(1, 9) if fits(w)), key=lambda w: -(-n // w) * ((1 << w) + trials))
+
+
 def _contains_member(family: SetFamily, bits: np.ndarray) -> np.ndarray:
     """Row-wise: does the sample with boolean row ``bits[i]`` contain a member?
 
-    Bit-sliced over members: a trial's alive set starts as all of F and drops
-    ``holders[e]`` for every ground element e outside the sample; the trial
-    hits iff a member survives.  Trials go in tiles of ``_KERNEL_TILE_BYTES``.
+    Bit-sliced over members with grouped lookup tables.  The ground set splits
+    into groups of w consecutive elements (the last may be shorter, w from
+    :func:`_group_width`).  Row b of a group's table is the set of members
+    that avoid every element of the group absent from b (bit j of b is
+    element j of the group), built by doubling over the group's elements.  A
+    trial's alive set is the AND of one table row per group, indexed by the
+    trial's bits there; the trial hits iff a member survives.  The tables
+    start from all of F with padding bits clear, so no padding bit is ever
+    alive.  Trials go in tiles of ``_KERNEL_TILE_BYTES``.
     """
-    missing = ~family.holders()  # padding bits turn on here but never in ``alive``
+    n = family.ground_size
     full = pack_words(np.ones((1, len(family)), dtype=bool))
-    tile = max(1, _KERNEL_TILE_BYTES // (8 * max(1, full.shape[1])))
+    words = full.shape[1]
+    w = _group_width(n, words, len(bits))
+    groups = -(-n // w)
+    holders = family.holders()
+    tables = np.empty((groups, 1 << w, words), dtype=np.uint64)
+    tables[:, :1] = full
+    for j in range(w):
+        half = 1 << j
+        tables[:, half : 2 * half] = tables[:, :half]
+        absent = ~holders[j::w, None]  # element j of every group; a short last group may lack it
+        tables[: len(absent), :half] &= absent
+    # group g's code: w bits from bit g*w % 8 on of the sample's bytes g*w // 8 and g*w // 8 + 1
+    first = np.arange(groups) * w
+    low, shift = first // 8, (first % 8).astype(np.uint16)[:, None]
+    code_mask = np.uint16((1 << w) - 1)
+    nbytes = -(-n // 8)
+    tile = max(1, _KERNEL_TILE_BYTES // (8 * max(1, words)))
+    rows = min(tile, len(bits))
+    padded = np.zeros((rows, 8 * nbytes), dtype=bool)
+    lanes = np.zeros((nbytes + 1, rows), dtype=np.uint16)  # lane i: byte i of each sample
+    alive = np.empty((rows, words), dtype=np.uint64)
+    row = np.empty_like(alive)
     hits = np.empty(len(bits), dtype=bool)
     for start in range(0, len(bits), tile):
-        absent = ~bits[start : start + tile].T[:, :, None]
-        alive = np.repeat(full, absent.shape[1], axis=0)
-        for e, row in enumerate(missing):
-            np.bitwise_and(alive, row, out=alive, where=absent[e])
-        hits[start : start + tile] = alive.any(axis=1)
+        count = min(tile, len(bits) - start)
+        sample = bits[start : start + count]
+        if n % 8:
+            padded[:count, :n] = sample
+            sample = padded[:count]
+        lanes[:nbytes, :count] = np.packbits(sample.reshape(-1), bitorder="little").reshape(count, nbytes).T
+        pairs = lanes[:-1, :count] | (lanes[1:, :count] << 8)
+        codes = (pairs[low] >> shift) & code_mask
+        # codes are below 2^w, so "clip" never clips; it spares the checked copy of "raise"
+        np.take(tables[0], codes[0], axis=0, out=alive[:count], mode="clip")
+        for g in range(1, groups):
+            np.take(tables[g], codes[g], axis=0, out=row[:count], mode="clip")
+            alive[:count] &= row[:count]
+        hits[start : start + count] = alive[:count].any(axis=1)
     return hits
 
 
@@ -414,8 +472,9 @@ def check_chernoff_tail(
     """Exact Pr(Bin(n, delta) <= n*delta/2) <= e^(-n*delta/8).
 
     The tail is an exact rational sum up to floor(n*delta/2) inclusive.  When
-    r and eps are supplied (one without the other is an error), additionally
-    checks e^(-r*delta/8) <= eps^2 whenever r >= 16/delta * ln(1/eps).
+    r and eps are supplied (one without the other is an error, and r must be
+    finite), additionally checks e^(-r*delta/8) <= eps^2 whenever
+    r >= 16/delta * ln(1/eps).
     """
     if (r is None) != (eps is None):
         raise ValueError("r and eps must be given together")
@@ -430,6 +489,8 @@ def check_chernoff_tail(
     passed = float(tail) <= bound
     applies = ok = None
     if r is not None:
+        if not math.isfinite(r):
+            raise ValueError(f"r must be finite, got {r}")
         if not 0.0 < eps < 1.0:
             raise ValueError(f"eps must be in (0,1), got {eps}")
         applies = r >= 16.0 / delta * math.log(1.0 / eps)

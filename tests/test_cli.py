@@ -178,14 +178,21 @@ def test_negative_budgets_exit_2(block22, capsys):
 
 
 @pytest.mark.parametrize("command,name", [
-    (["check-spread", "--r", "inf"], "r"),
-    (["find-sunflower", "--p", "2", "--C", "inf"], "C"),
-    (["find-sunflower", "--p", "2", "--r-override", "inf"], "r_override"),
-    (["estimate-hit", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--threads", "0"], "threads"),
-    (["estimate-hit", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--threads", "-3"], "threads"),
+    (["check-spread", "FAMILY", "--r", "inf"], "r"),
+    (["find-sunflower", "FAMILY", "--p", "2", "--C", "inf"], "C"),
+    (["find-sunflower", "FAMILY", "--p", "2", "--r-override", "inf"], "r_override"),
+    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--threads", "0"],
+     "threads"),
+    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--threads", "-3"],
+     "threads"),
+    (["estimate-hit", "FAMILY", "--delta", "0.5", "--threads", "0"], "threads"),
+    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "enumeration", "--threads", "-3"], "threads"),
+    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "inclusion-exclusion", "--threads", "0"], "threads"),
+    (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "nan", "--eps", "0.5"], "r"),
+    (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "inf", "--eps", "0.5"], "r"),
 ])
 def test_non_finite_values_and_thread_counts_exit_2(block22, capsys, command, name):
-    assert main([command[0], str(block22), *command[1:]]) == 2
+    assert main([str(block22) if arg == "FAMILY" else arg for arg in command]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {name} must be") and captured.out == ""
 

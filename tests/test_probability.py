@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sunflowers import probability
 from sunflowers.bitset import mask_from_elements
@@ -131,12 +132,18 @@ def test_mc_tiny_probability():
     assert lo == 0.0 and 0 < hi < 0.01
 
 
-# ground sizes around the 64-bit word boundary; 70 members leave padding
-# bits in the last word of each holder row, 0 members leave no word at all
-WORD_BOUNDARY_CASES = [(n, size) for n in (63, 64, 65, 130) for size in (0, 70)]
+# ground sizes around the 64-bit word boundary and around the containment
+# kernel's groups of up to 8 elements (a short last group); 64 and 65 members
+# fill one word or leave padding bits in a second, 0 members leave no word
+# at all.  Trial counts of 1 and 32 pull the group width down, 3,000 lets it
+# reach 8.
+WORD_BOUNDARY_CASES = [(n, size) for n in (1, 7, 8, 9, 17, 63, 64, 65, 130) for size in (0, 1, 64, 65)
+                       if size <= math.comb(n, n // 2)]
+KERNEL_TRIALS = (1, 32, 300, 3000)
 
 
 def wide_family(n, size, k=3):
+    k = min(k, n) if math.comb(n, min(k, n)) >= size else n // 2
     rng = random.Random(n)
     sets = set()
     while len(sets) < size:
@@ -152,31 +159,73 @@ def _oracle_contains(family, row):
 
 @pytest.fixture(params=[None, 48], ids=["default-tiles", "tiny-tiles"])
 def kernel_tiles(request, monkeypatch):
-    # tiny tiles split every chunk into many trial tiles with a ragged last one
+    # tiny tiles split every chunk into many trial tiles with a ragged last
+    # one, and leave no room for tables wider than one element
     if request.param is not None:
         monkeypatch.setattr(probability, "_KERNEL_TILE_BYTES", request.param)
 
 
+def test_word_boundary_cases_reach_every_group_width():
+    widths = {probability._group_width(n, -(-size // 64), trials)
+              for n, size in WORD_BOUNDARY_CASES for trials in KERNEL_TRIALS}
+    assert widths == set(range(1, 9))
+
+
+@pytest.mark.parametrize("trials", KERNEL_TRIALS)
 @pytest.mark.parametrize("n,size", WORD_BOUNDARY_CASES)
-def test_mc_hits_match_python_oracle_across_word_boundary(n, size, kernel_tiles):
+def test_mc_hits_match_python_oracle_across_word_boundary(n, size, trials, kernel_tiles):
     fam = wide_family(n, size)
-    trials, delta, seed = 300, 0.3, 17
+    delta, seed = 0.3, 17
     bits = uniform_block(seed, STREAM_BERNOULLI, 0, trials, n) < delta
     hits = sum(_oracle_contains(fam, row) for row in bits)
-    assert size == 0 or 0 < hits < trials
+    assert size == 0 or trials < 300 or 0 < hits < trials
     assert mc_hit_probability(fam, delta, trials, seed=seed).p_hat == hits / trials
 
 
+# the partition reducer adds nothing width-specific, so it skips the 3,000-trial
+# cases, which cost seconds each under tiny tiles
+@pytest.mark.parametrize("trials", KERNEL_TRIALS[:-1])
 @pytest.mark.parametrize("n,size", WORD_BOUNDARY_CASES)
-def test_partition_histogram_matches_python_oracle_across_word_boundary(n, size, kernel_tiles):
+def test_partition_histogram_matches_python_oracle_across_word_boundary(n, size, trials, kernel_tiles):
     fam = wide_family(n, size, k=2)
-    trials, classes, seed = 200, 3, 23
+    classes, seed = 3, 23
     assign = (uniform_block(seed, STREAM_PARTITION, 0, trials, n) * classes).astype(np.int32)
     expected = [0] * (classes + 1)
     for row in assign:
         expected[sum(_oracle_contains(fam, row == c) for c in range(classes))] += 1
-    assert size == 0 or expected[0] < trials
+    assert size == 0 or trials < 300 or expected[0] < trials
     assert partition_experiment(fam, classes, trials, seed=seed).hit_class_histogram == tuple(expected)
+
+
+@st.composite
+def uniform_families(draw):
+    n = draw(st.integers(1, 70))
+    k = draw(st.integers(0, min(n, 4)))
+    sets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k, max_size=k), max_size=80))
+    return SetFamily(n, k, {mask_from_elements(s) for s in sets})
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(uniform_families(), st.data())
+def test_contains_member_matches_python_oracle_row_by_row(fam, data):
+    n = fam.ground_size
+    rows = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=12))
+    # a sample equal to one member hits through that member alone, so every element it reads counts
+    rows += [[bool(s >> e & 1) for e in range(n)] for s in fam.sets]
+    repeat = data.draw(st.sampled_from([1, 30, 300]))  # copies give room for wider groups
+    bits = np.tile(np.array(rows, dtype=bool).reshape(len(rows), n), (repeat, 1))
+    expected = [_oracle_contains(fam, row) for row in rows] * repeat
+    assert probability._contains_member(fam, bits).tolist() == expected
+
+
+def test_group_width_rule():
+    width = probability._group_width
+    assert width(64, 2048, 8192) == 1  # two-element tables would exceed the budget
+    assert width(24, 8, 8192) == 8  # block(3,8) at a full chunk
+    assert width(64, 1024, 32) == 2  # block(4,16) at 32 trials: tables cost more than trials
+    for n, words, trials in product((1, 9, 30, 64, 130), (0, 1, 122, 1024, 4096), (1, 32, 8192)):
+        w = width(n, words, trials)
+        assert w == 1 or -(-n // w) * (words << w) * 8 <= probability._KERNEL_TILE_BYTES
 
 
 def test_mc_thread_count_is_invisible_at_n64():
@@ -195,6 +244,29 @@ def test_mc_memory_is_bounded_on_block_5_6():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_kernel_tables_stay_within_the_tile_budget_on_block_4_16():
+    # 65,536 members in 1,024 words, n = 64, a full chunk of trials
+    fam, _ = block_product_family(4, 16)
+    words, budget = fam.holders().shape[1], probability._KERNEL_TILE_BYTES
+    w = probability._group_width(64, words, 8192)
+    assert w > 1 and -(-64 // w) * (words << w) * 8 <= budget
+    bits = uniform_block(1, STREAM_BERNOULLI, 0, 8192, 64) < 0.125
+    tracemalloc.start()
+    try:
+        hits = probability._contains_member(fam, bits)
+        _, kernel_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        mc_hit_probability(fam, 0.125, trials=8192, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a sample contains a transversal iff it meets every block
+    assert hits.tolist() == bits.reshape(8192, 4, 16).any(axis=2).all(axis=1).tolist()
+    # the tables, the alive tile and the gathered rows take one budget each
+    assert kernel_peak < 4 * budget
     assert peak < 64 * 2**20
 
 
@@ -415,6 +487,9 @@ def test_chernoff_validates():
     for half in ({"r": 10.0}, {"eps": 0.5}):  # the rate check needs both
         with pytest.raises(ValueError, match="together"):
             check_chernoff_tail(16, 0.5, **half)
+    for r in (math.nan, math.inf, -math.inf):  # NaN would skip the rate check as not applying
+        with pytest.raises(ValueError, match="finite"):
+            check_chernoff_tail(16, 0.5, r=r, eps=0.5)
 
 
 # --- threshold sweep -------------------------------------------------------------------------
