@@ -5,6 +5,12 @@ to a randomized partition search for p disjoint petals; otherwise some set T
 sits in more than r^(k-|T|) members, and the search recurses on those members
 with T stripped, re-attaching T to every petal afterwards.
 
+The spread case and the floor(1/delta)-class step of the probabilistic part
+are one search, :func:`_spread_case_search`: split the ground set into
+random classes and keep the smallest member of every class that holds one.
+The spread case asks for p of 2p classes within its trial budget; the
+generalized step takes a single trial as it falls.
+
 Failure is a value carrying the full trace, never an exception: the
 guarantee that the randomized step succeeds needs families of size r^k,
 which is astronomically beyond desk scale, so small instances routinely
@@ -132,58 +138,41 @@ def r_threshold(p: int, k: int, C: float = 4.0) -> float:
     return float(p) if k == 1 else C * p * math.log(k)
 
 
-def _harvest(family: SetFamily, uniforms_row: np.ndarray, classes: int, stop: int) -> list[int]:
-    """Partition the ground set by ``uniforms_row`` into ``classes`` classes and
-    take, class by class, the first member inside each; stops at ``stop``
-    members.  Members ascend, so each pick is the class's smallest member."""
-    class_masks = [0] * classes
-    for element, cls in enumerate((uniforms_row * classes).astype(np.int64).tolist()):
-        class_masks[cls] |= 1 << element
-    petals = []
-    for class_mask in class_masks:
-        outside = ~class_mask
-        for m in family.sets:
-            if m & outside == 0:
-                petals.append(m)
-                if len(petals) == stop:
-                    return petals
-                break
-    return petals
-
-
 def _spread_case_search(
-    family: SetFamily, p: int, trials: int, seed: int, stream: int
+    family: SetFamily, classes: int, need: int, trials: int, seed: int, stream: int
 ) -> tuple[Optional[list[int]], int]:
-    """Random 2p-way partitions until >= p classes each contain a member.
+    """Random ``classes``-way partitions of the ground set until at least
+    ``need`` classes each contain a member.
 
-    Returns (petals, trials_used); petals are one member per hit class, so
-    they are pairwise disjoint by construction.  Every trial is tested at
-    once: the class ids of each member's elements are gathered from the
-    family's element matrix, a member lies in a class when all its ids are
-    equal, and a trial succeeds when its members hit at least p classes.
-    Trials go in tiles of ``_KERNEL_TILE_BYTES`` of gathered ids, and the
-    tiles stop at the first one holding a success.  Deterministic: the
-    first succeeding trial index wins, whatever the tile size, and
-    :func:`_harvest` on that trial alone picks each class's smallest member.
+    Returns (petals, trials_used): petals are the smallest member of every
+    hit class of the first such trial, in class order, so they are pairwise
+    disjoint by construction; None when no trial succeeds.  Every trial is
+    tested at once: the class ids of each member's elements are gathered
+    from the family's element matrix, and a member lies in a class when all
+    its ids are equal.  Trials go in tiles of ``_KERNEL_TILE_BYTES`` of
+    gathered ids, and the tiles stop at the first one holding a success;
+    the first succeeding trial index wins, whatever the tile size.
     """
-    if len(family) == 0 or trials < 1:
+    if trials < 1:
         return None, 0
-    classes = 2 * p
-    uniforms = uniform_block(seed, stream, 0, trials, family.ground_size)
-    if family.k == 0:  # the empty member lies in every class
-        return _harvest(family, uniforms[0], classes, p), 1
-    assign = (uniforms * classes).astype(np.min_scalar_type(classes - 1))
     positions = family.elements().T  # row q: the q-th smallest element of every member
+    if positions.size == 0:  # no member, or only the empty one, which lies in every class
+        petals = list(family.sets) * classes
+        return (petals, 1) if len(petals) >= need else (None, trials)
+    uniforms = uniform_block(seed, stream, 0, trials, family.ground_size)
+    assign = (uniforms * classes).astype(np.min_scalar_type(classes - 1))
     tile = max(1, probability._KERNEL_TILE_BYTES // (assign.itemsize * positions.size))
     for start in range(0, trials, tile):
         ids = np.take(assign[start : start + tile], positions, axis=1)  # (trials, k, |F|)
         trial, member = np.nonzero((ids[:, 1:] == ids[:, :1]).all(axis=1))
         hit = np.zeros((len(ids), classes), dtype=bool)
         hit[trial, ids[trial, 0, member]] = True
-        won = np.flatnonzero(np.count_nonzero(hit, axis=1) >= p)
+        won = np.flatnonzero(np.count_nonzero(hit, axis=1) >= need)
         if won.size:
-            first = start + int(won[0])
-            return _harvest(family, uniforms[first], classes, p), first + 1
+            first = int(won[0])
+            members = member[trial == first]  # ascending, so unique keeps each class's smallest
+            picks = members[np.unique(ids[first, 0, members], return_index=True)[1]]
+            return [family.sets[j] for j in picks.tolist()], start + first + 1
     return None, trials
 
 
@@ -201,18 +190,16 @@ class PartitionDisjointResult:
 def generalized_disjoint_search(
     family: SetFamily, delta: float, eps: float, seed: int = DEFAULT_SEED
 ) -> PartitionDisjointResult:
-    """Partition into t = floor(1/delta) classes and harvest one member per
-    hit class; reports whether more than t*(1-eps) classes were hit."""
+    """One trial of the spread-case search with t = floor(1/delta) classes
+    and no success bar: the smallest member of every hit class, and whether
+    more than t*(1-eps) classes were hit."""
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     classes = math.floor(1.0 / delta)
     required = classes * (1.0 - eps)
-    if len(family) == 0:
-        return PartitionDisjointResult((), classes, 0, required, False)
-    uniforms = uniform_block(seed, STREAM_GENERALIZED, 0, 1, family.ground_size)
-    petals = _harvest(family, uniforms[0], classes, classes)
+    petals, _ = _spread_case_search(family, classes, 0, 1, seed, STREAM_GENERALIZED)
     return PartitionDisjointResult(
         sets=tuple(petals),
         classes=classes,
@@ -293,11 +280,11 @@ def extract_sunflower(family: SetFamily, params: ExtractionParams) -> Extraction
                 core=inner.core | v.t, petals=tuple(petal | v.t for petal in inner.petals)
             )
         petals, used = _spread_case_search(
-            fam, p, params.partition_trials, params.seed, STREAM_SPREAD_SEARCH + depth
+            fam, 2 * p, p, params.partition_trials, params.seed, STREAM_SPREAD_SEARCH + depth
         )
         steps.append(SpreadCase(r=r, trials_used=used, found_disjoint=petals is not None))
         if petals is not None:
-            return Sunflower(core=0, petals=tuple(petals))
+            return Sunflower(core=0, petals=tuple(petals[:p]))
         if params.use_fallback:
             fallback_used[0] = True
             return brute_force_sunflower(fam, p, cap=params.fallback_bruteforce_cap)

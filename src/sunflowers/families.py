@@ -239,5 +239,9 @@ def save_family(family: SetFamily, path) -> None:
 
 
 def load_family(path) -> SetFamily:
-    return family_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    return family_from_dict(data)
 

@@ -38,7 +38,6 @@ from .rng import DEFAULT_SEED, STREAM_BERNOULLI, STREAM_PARTITION, uniform_block
 
 EXACT_ENUMERATION_GROUND_CAP = 24
 EXACT_IE_FAMILY_CAP = 20
-DECOMPOSITION_GROUND_CAP = 20
 
 _CHUNK_TRIALS = 1 << 13
 # bytes of the containment kernel's (trials, words) working matrix per tile,
@@ -422,11 +421,10 @@ def check_fixed_size_decomposition(
     The default cut is m = ceil((delta/2)*n).  Every quantity is computed as
     an exact rational (any float delta is a dyadic rational; counts come from
     full enumeration; the binomial tail is a finite sum), so the comparison
-    itself is exact.
+    itself is exact.  The enumeration's 2^n table caps n at
+    ``EXACT_ENUMERATION_GROUND_CAP``.
     """
     n = family.ground_size
-    if n > DECOMPOSITION_GROUND_CAP:
-        raise ValueError(f"ground size {n} exceeds decomposition cap {DECOMPOSITION_GROUND_CAP}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
     d = Fraction(delta)

@@ -214,7 +214,7 @@ def test_criterion_9_spread_case_engine():
     successes = sum(
         1
         for seed in range(100)
-        if _spread_case_search(family, 2, 10, seed, STREAM_SPREAD_SEARCH)[0] is not None
+        if _spread_case_search(family, 4, 2, 10, seed, STREAM_SPREAD_SEARCH)[0] is not None
     )
     per_class = exact_block_hit_probability(4, 16, 0.25)
     ok = successes >= 99 and abs(per_class - 0.9605) < 1e-3

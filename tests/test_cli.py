@@ -224,6 +224,26 @@ def test_missing_family_file_exits_2(tmp_path, capsys, command):
     assert captured.err.startswith("error: ") and "missing.json" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command", [["check-spread", "--r", "2"], ["find-sunflower", "--p", "2"]]
+)
+def test_deeply_nested_family_file_exits_2(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command[0], str(deep), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "deep.json" in captured.err
+
+
+def test_clopper_pearson_with_csv_exits_2(block22, capsys):
+    args = ["estimate-hit", str(block22), "--delta", "0.5", "--method", "monte-carlo", "--trials", "1000"]
+    assert main([*args, "--clopper-pearson", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--clopper-pearson" in captured.err and "--format csv" in captured.err
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SUNFLOWERS_OUT_DIR", str(tmp_path))
     rc = main(["construct", "block-product", "--k", "1", "--r", "2", "--out", "sub/fam.json"])

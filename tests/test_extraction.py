@@ -19,7 +19,7 @@ from sunflowers.extraction import (
     _spread_case_search,
 )
 from sunflowers.families import SetFamily, is_sunflower
-from sunflowers.rng import STREAM_SPREAD_SEARCH, uniform_block
+from sunflowers.rng import STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
 from sunflowers.spread import superset_count
 from sunflowers.sunvalues import contains_sunflower
 
@@ -177,7 +177,7 @@ def test_extraction_soundness_fuzz_small():
 
 def test_spread_case_search_on_wide_block_family():
     fam, _ = block_product_family(4, 16)
-    petals = _spread_case_search(fam, 2, 10, 0, STREAM_SPREAD_SEARCH)[0]
+    petals = _spread_case_search(fam, 4, 2, 10, 0, STREAM_SPREAD_SEARCH)[0]
     assert petals is not None
     assert petals[0] & petals[1] == 0
     assert all(p in fam.sets for p in petals)
@@ -185,12 +185,12 @@ def test_spread_case_search_on_wide_block_family():
 
 def test_spread_case_search_fails_when_no_disjoint_pair():
     fam = star(6)
-    assert _spread_case_search(fam, 2, 50, 0, STREAM_SPREAD_SEARCH)[0] is None
+    assert _spread_case_search(fam, 4, 2, 50, 0, STREAM_SPREAD_SEARCH)[0] is None
 
 
 def test_spread_case_search_two_disjoint_pairs():
     fam = SetFamily(4, 2, [m(0, 1), m(2, 3)])
-    petals = _spread_case_search(fam, 2, 64, 0, STREAM_SPREAD_SEARCH)[0]
+    petals = _spread_case_search(fam, 4, 2, 64, 0, STREAM_SPREAD_SEARCH)[0]
     assert petals is not None and petals[0] & petals[1] == 0
 
 
@@ -200,53 +200,75 @@ def test_spread_case_output_is_always_disjoint():
         n = rng.randint(4, 12)
         all_pairs = [m(*c) for c in combinations(range(n), 2)]
         fam = SetFamily(n, 2, rng.sample(all_pairs, min(8, len(all_pairs))))
-        petals = _spread_case_search(fam, 2, 16, rng.randrange(2**20), STREAM_SPREAD_SEARCH)[0]
+        petals = _spread_case_search(fam, 4, 2, 16, rng.randrange(2**20), STREAM_SPREAD_SEARCH)[0]
         if petals is not None:
             assert petals[0] & petals[1] == 0
 
 
-def _per_trial_search(family, p, trials, seed, stream):
-    """The search as a loop over trials: partition the ground set into 2p
-    classes, take each class's smallest member inside it, stop at the first
-    trial with p such members."""
-    if len(family) == 0 or trials < 1:
+def _per_trial_search(family, classes, need, trials, seed, stream):
+    """The search as a loop over trials: partition the ground set into
+    ``classes`` classes, take each class's smallest member inside it, stop at
+    the first trial with at least ``need`` such members."""
+    if trials < 1:
         return None, 0
     uniforms = uniform_block(seed, stream, 0, trials, family.ground_size)
     for trial in range(trials):
-        cls = (uniforms[trial] * (2 * p)).astype(int).tolist()
+        cls = (uniforms[trial] * classes).astype(int).tolist()
         petals = []
-        for c in range(2 * p):
+        for c in range(classes):
             inside = [s for s in family.sets if all(cls[e] == c for e in elements_of(s))]
             petals += inside[:1]
-        if len(petals) >= p:
-            return petals[:p], trial + 1
+        if len(petals) >= need:
+            return petals, trial + 1
     return None, trials
 
 
-@pytest.mark.parametrize("tile_bytes", [None, 1, 100])
-@pytest.mark.parametrize("n", [*range(2, 17), 63, 64, 65, 130])
-def test_spread_case_search_matches_per_trial_loop(n, tile_bytes, monkeypatch):
-    if tile_bytes is not None:  # one trial per tile, or ragged tiles of a few trials
-        monkeypatch.setattr(probability, "_KERNEL_TILE_BYTES", tile_bytes)
+def _oracle_families(n):
+    """(k, |F|) = (1, 12), the empty member, |F| = 0 and 1, then random shapes."""
     rng = random.Random(n)
-    # (k, |F|): k = 1, the empty member, |F| = 0 and 1, then random shapes
     shapes = [(1, 12), (0, 1), (2, 0), (1, 1), (min(3, n), 1)]
     shapes += [(rng.randint(1, min(4, n)), rng.randint(2, 40)) for _ in range(4)]
     for k, size in shapes:
-        sets = {m(*rng.sample(range(n), k)) for _ in range(size)}
-        fam = SetFamily(n, k, sets)
+        yield SetFamily(n, k, {m(*rng.sample(range(n), k)) for _ in range(size)}), rng
+
+
+_ORACLE_GROUND_SIZES = [*range(2, 17), 63, 64, 65, 130]
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 1, 100])
+@pytest.mark.parametrize("n", _ORACLE_GROUND_SIZES)
+def test_spread_case_search_matches_per_trial_loop(n, tile_bytes, monkeypatch):
+    if tile_bytes is not None:  # one trial per tile, or ragged tiles of a few trials
+        monkeypatch.setattr(probability, "_KERNEL_TILE_BYTES", tile_bytes)
+    for fam, rng in _oracle_families(n):
         p = rng.randint(2, 4)
         seed = rng.randrange(2**32)
         for trials in (0, 1, 64 * p):
-            expected = _per_trial_search(fam, p, trials, seed, STREAM_SPREAD_SEARCH)
-            assert _spread_case_search(fam, p, trials, seed, STREAM_SPREAD_SEARCH) == expected, (fam.sets, p)
+            expected = _per_trial_search(fam, 2 * p, p, trials, seed, STREAM_SPREAD_SEARCH)
+            got = _spread_case_search(fam, 2 * p, p, trials, seed, STREAM_SPREAD_SEARCH)
+            assert got == expected, (fam.sets, p)
+
+
+@pytest.mark.parametrize("tile_bytes", [None, 1, 100])
+@pytest.mark.parametrize("n", _ORACLE_GROUND_SIZES)
+def test_generalized_search_matches_per_trial_loop(n, tile_bytes, monkeypatch):
+    if tile_bytes is not None:
+        monkeypatch.setattr(probability, "_KERNEL_TILE_BYTES", tile_bytes)
+    for fam, rng in _oracle_families(n):
+        seed = rng.randrange(2**32)
+        for delta in (1 / 2, 0.3, 1 / 5, 1 / 10):
+            classes = math.floor(1 / delta)
+            expected, _ = _per_trial_search(fam, classes, 0, 1, seed, STREAM_GENERALIZED)
+            result = generalized_disjoint_search(fam, delta, 0.5, seed=seed)
+            assert result.sets == tuple(expected), (fam.sets, delta)
+            assert result.hit_classes == len(expected)
 
 
 def test_spread_case_search_memory_is_bounded():
     fam, _ = block_product_family(4, 16)  # 65,536 members: 64 MB of class ids for 256 trials untiled
     tracemalloc.start()
     try:
-        petals, _ = _spread_case_search(fam, 2, 256, 0, STREAM_SPREAD_SEARCH)
+        petals, _ = _spread_case_search(fam, 4, 2, 256, 0, STREAM_SPREAD_SEARCH)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -244,6 +244,21 @@ def test_json_roundtrip(tmp_path):
     assert load_family(path) == fam
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000 + "]" * 100_000,
+        '{"ground_set_size": 4, "k": 2, "sets": [[0, 1]], "note": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["bare", "unused-key"],
+)
+def test_loader_rejects_deeply_nested_json(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="nested"):
+        load_family(path)
+
+
 def test_loader_rejects_duplicates():
     with pytest.raises(ValueError):
         family_from_dict({"ground_set_size": 4, "k": 2, "sets": [[0, 1], [1, 0]]})

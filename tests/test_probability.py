@@ -444,6 +444,15 @@ def test_decomposition_holds_at_every_cut():
             assert check_fixed_size_decomposition(fam, delta, m=m).passed
 
 
+def test_decomposition_runs_up_to_the_enumeration_cap():
+    fam, _ = block_product_family(6, 4)  # n = 24
+    report = check_fixed_size_decomposition(fam, 0.5)
+    assert report.passed
+    assert abs(report.hit_probability - (1 - (1 - 0.5) ** 4) ** 6) < 1e-12
+    with pytest.raises(ValueError, match="enumeration cap"):
+        check_fixed_size_decomposition(block_product_family(5, 5)[0], 0.5)  # n = 25
+
+
 # --- Chernoff tail -------------------------------------------------------------------------
 
 
