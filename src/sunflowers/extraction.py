@@ -164,7 +164,8 @@ def _spread_case_search(
     tile = max(1, probability._KERNEL_TILE_BYTES // (assign.itemsize * positions.size))
     for start in range(0, trials, tile):
         ids = np.take(assign[start : start + tile], positions, axis=1)  # (trials, k, |F|)
-        trial, member = np.nonzero((ids[:, 1:] == ids[:, :1]).all(axis=1))
+        hit_pairs = np.flatnonzero((ids[:, 1:] == ids[:, :1]).all(axis=1))  # trial * |F| + member
+        trial, member = np.divmod(hit_pairs, positions.shape[1])
         hit = np.zeros((len(ids), classes), dtype=bool)
         hit[trial, ids[trial, 0, member]] = True
         won = np.flatnonzero(np.count_nonzero(hit, axis=1) >= need)

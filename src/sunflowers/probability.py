@@ -7,8 +7,11 @@ Carlo estimates draw from the keyed Philox streams in :mod:`.rng`, so every
 estimate is a pure function of (seed, trials) no matter how trials are
 chunked or threaded.
 
-Monte Carlo trials share one containment kernel (:func:`_contains_member`).
-It is bit-sliced over members: ground element e's row of
+Monte Carlo samples come packed from :func:`.rng.bernoulli_block`: one
+``uint8`` row of ceil(n/8) bytes per trial, bit j of byte i standing for
+element 8i + j.  The partition experiment packs each class's rows the same
+way.  Both share one containment kernel (:func:`_contains_member`) over
+those rows.  It is bit-sliced over members: ground element e's row of
 ``SetFamily.holders()`` is the bitset of the members containing e.  The
 ground set splits into groups of up to 8 consecutive elements, each with a
 lookup table indexed by the sample's bits in that group, so a trial's
@@ -34,7 +37,7 @@ from scipy.special import betaincinv
 from .bitset import membership_matrix, pack_words
 from .constructions import BlockPartition
 from .families import SetFamily
-from .rng import DEFAULT_SEED, STREAM_BERNOULLI, STREAM_PARTITION, uniform_block
+from .rng import DEFAULT_SEED, STREAM_BERNOULLI, STREAM_PARTITION, bernoulli_block, uniform_block
 
 EXACT_ENUMERATION_GROUND_CAP = 24
 EXACT_IE_FAMILY_CAP = 20
@@ -193,8 +196,12 @@ def _group_width(n: int, words: int, trials: int) -> int:
     return min((w for w in range(1, 9) if fits(w)), key=lambda w: -(-n // w) * ((1 << w) + trials))
 
 
-def _contains_member(family: SetFamily, bits: np.ndarray) -> np.ndarray:
-    """Row-wise: does the sample with boolean row ``bits[i]`` contain a member?
+def _contains_member(family: SetFamily, rows: np.ndarray) -> np.ndarray:
+    """Row-wise: does the sample packed in ``rows[i]`` contain a member?
+
+    ``rows`` is ``uint8 (trials, ceil(n/8))`` in the layout of
+    :func:`.rng.bernoulli_block`: bit j of byte i is element 8i + j, padding
+    bits clear.
 
     Bit-sliced over members with grouped lookup tables.  The ground set splits
     into groups of w consecutive elements (the last may be shorter, w from
@@ -204,12 +211,18 @@ def _contains_member(family: SetFamily, bits: np.ndarray) -> np.ndarray:
     trial's alive set is the AND of one table row per group, indexed by the
     trial's bits there; the trial hits iff a member survives.  The tables
     start from all of F with padding bits clear, so no padding bit is ever
-    alive.  Trials go in tiles of ``_KERNEL_TILE_BYTES``.
+    alive.  Trials go in tiles of ``_KERNEL_TILE_BYTES``.  A tile's hits
+    are the OR of each alive row: folded down the columns into the first
+    when a row has at most 8 words (a few long passes), and one segmented
+    reduction over the rows otherwise (short passes would cost more than the
+    per-row step).
     """
+    if not len(family):
+        return np.zeros(len(rows), dtype=bool)
     n = family.ground_size
     full = pack_words(np.ones((1, len(family)), dtype=bool))
     words = full.shape[1]
-    w = _group_width(n, words, len(bits))
+    w = _group_width(n, words, len(rows))
     groups = -(-n // w)
     holders = family.holders()
     tables = np.empty((groups, 1 << w, words), dtype=np.uint64)
@@ -225,19 +238,14 @@ def _contains_member(family: SetFamily, bits: np.ndarray) -> np.ndarray:
     code_mask = np.uint16((1 << w) - 1)
     nbytes = -(-n // 8)
     tile = max(1, _KERNEL_TILE_BYTES // (8 * max(1, words)))
-    rows = min(tile, len(bits))
-    padded = np.zeros((rows, 8 * nbytes), dtype=bool)
-    lanes = np.zeros((nbytes + 1, rows), dtype=np.uint16)  # lane i: byte i of each sample
-    alive = np.empty((rows, words), dtype=np.uint64)
+    lanes = np.zeros((nbytes + 1, min(tile, len(rows))), dtype=np.uint16)  # lane i: byte i of each sample
+    alive = np.empty((lanes.shape[1], words), dtype=np.uint64)
     row = np.empty_like(alive)
-    hits = np.empty(len(bits), dtype=bool)
-    for start in range(0, len(bits), tile):
-        count = min(tile, len(bits) - start)
-        sample = bits[start : start + count]
-        if n % 8:
-            padded[:count, :n] = sample
-            sample = padded[:count]
-        lanes[:nbytes, :count] = np.packbits(sample.reshape(-1), bitorder="little").reshape(count, nbytes).T
+    row_starts = np.arange(0, alive.size, words)
+    hits = np.empty(len(rows), dtype=bool)
+    for start in range(0, len(rows), tile):
+        count = min(tile, len(rows) - start)
+        lanes[:nbytes, :count] = rows[start : start + count].T
         pairs = lanes[:-1, :count] | (lanes[1:, :count] << 8)
         codes = (pairs[low] >> shift) & code_mask
         # codes are below 2^w, so "clip" never clips; it spares the checked copy of "raise"
@@ -245,13 +253,19 @@ def _contains_member(family: SetFamily, bits: np.ndarray) -> np.ndarray:
         for g in range(1, groups):
             np.take(tables[g], codes[g], axis=0, out=row[:count], mode="clip")
             alive[:count] &= row[:count]
-        hits[start : start + count] = alive[:count].any(axis=1)
+        if words <= 8:
+            for c in range(1, words):
+                alive[:count, 0] |= alive[:count, c]
+            hits[start : start + count] = alive[:count, 0] != 0
+        else:
+            ors = np.bitwise_or.reduceat(alive[:count].reshape(-1), row_starts[:count])
+            hits[start : start + count] = ors != 0
     return hits
 
 
 def _mc_hits_chunk(family: SetFamily, delta: float, seed: int, start: int, count: int) -> int:
-    bits = uniform_block(seed, STREAM_BERNOULLI, start, count, family.ground_size) < delta
-    return int(_contains_member(family, bits).sum())
+    rows = bernoulli_block(seed, STREAM_BERNOULLI, start, count, family.ground_size, delta)
+    return int(_contains_member(family, rows).sum())
 
 
 def mc_hit_probability(
@@ -328,14 +342,18 @@ def partition_experiment(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = family.ground_size
+    nbytes = -(-n // 8)
     t = classes
     histogram = np.zeros(t + 1, dtype=np.int64)
     for start in range(0, trials, _CHUNK_TRIALS):
         count = min(_CHUNK_TRIALS, trials - start)
         assign = (uniform_block(seed, STREAM_PARTITION, start, count, n) * t).astype(np.int32)
+        padded = np.zeros((count, 8 * nbytes), dtype=bool)  # padding columns stay clear
         hit_classes = np.zeros(count, dtype=np.int64)
         for c in range(t):
-            hit_classes += _contains_member(family, assign == c)
+            np.equal(assign, c, out=padded[:, :n])
+            rows = np.packbits(padded.reshape(-1), bitorder="little").reshape(count, nbytes)
+            hit_classes += _contains_member(family, rows)
         histogram += np.bincount(hit_classes, minlength=t + 1)
     mean = float(np.dot(np.arange(t + 1), histogram)) / trials
     frac_at_least = {
@@ -527,7 +545,8 @@ def mc_block_hit_probability(
     hits = 0
     for start in range(0, trials, _CHUNK_TRIALS):
         count = min(_CHUNK_TRIALS, trials - start)
-        bits = uniform_block(seed, STREAM_BERNOULLI, start, count, n) < delta
+        rows = bernoulli_block(seed, STREAM_BERNOULLI, start, count, n, delta)
+        bits = np.unpackbits(rows.reshape(-1), bitorder="little").reshape(count, -1)[:, :n]
         hits += int(bits.reshape(count, k, r).any(axis=2).all(axis=1).sum())
     return _mc_estimate(hits, trials)
 

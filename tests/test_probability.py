@@ -24,7 +24,7 @@ from sunflowers.probability import (
     mc_hit_probability,
     partition_experiment,
 )
-from sunflowers.rng import STREAM_BERNOULLI, STREAM_PARTITION, uniform_block
+from sunflowers.rng import STREAM_BERNOULLI, STREAM_PARTITION, bernoulli_block, uniform_block
 
 
 def m(*elements):
@@ -151,6 +151,11 @@ def wide_family(n, size, k=3):
     return SetFamily(n, k, sets)
 
 
+def _unpacked(rows, n):
+    # packed sampler rows (bit j of byte i is element 8i + j) as boolean rows
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
+
+
 def _oracle_contains(family, row):
     # oracle: plain Python-int containment of one boolean sample row
     sample = mask_from_elements(int(e) for e in np.flatnonzero(row))
@@ -176,7 +181,7 @@ def test_word_boundary_cases_reach_every_group_width():
 def test_mc_hits_match_python_oracle_across_word_boundary(n, size, trials, kernel_tiles):
     fam = wide_family(n, size)
     delta, seed = 0.3, 17
-    bits = uniform_block(seed, STREAM_BERNOULLI, 0, trials, n) < delta
+    bits = _unpacked(bernoulli_block(seed, STREAM_BERNOULLI, 0, trials, n, delta), n)
     hits = sum(_oracle_contains(fam, row) for row in bits)
     assert size == 0 or trials < 300 or 0 < hits < trials
     assert mc_hit_probability(fam, delta, trials, seed=seed).p_hat == hits / trials
@@ -215,7 +220,8 @@ def test_contains_member_matches_python_oracle_row_by_row(fam, data):
     repeat = data.draw(st.sampled_from([1, 30, 300]))  # copies give room for wider groups
     bits = np.tile(np.array(rows, dtype=bool).reshape(len(rows), n), (repeat, 1))
     expected = [_oracle_contains(fam, row) for row in rows] * repeat
-    assert probability._contains_member(fam, bits).tolist() == expected
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    assert probability._contains_member(fam, rows).tolist() == expected
 
 
 def test_group_width_rule():
@@ -253,10 +259,11 @@ def test_kernel_tables_stay_within_the_tile_budget_on_block_4_16():
     words, budget = fam.holders().shape[1], probability._KERNEL_TILE_BYTES
     w = probability._group_width(64, words, 8192)
     assert w > 1 and -(-64 // w) * (words << w) * 8 <= budget
-    bits = uniform_block(1, STREAM_BERNOULLI, 0, 8192, 64) < 0.125
+    rows = bernoulli_block(1, STREAM_BERNOULLI, 0, 8192, 64, 0.125)
+    bits = _unpacked(rows, 64)
     tracemalloc.start()
     try:
-        hits = probability._contains_member(fam, bits)
+        hits = probability._contains_member(fam, rows)
         _, kernel_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         mc_hit_probability(fam, 0.125, trials=8192, seed=1)
