@@ -55,11 +55,9 @@ def uniform_block(seed: int, stream: int, first_trial: int, trials: int, width: 
     if trials < 0 or width < 0 or first_trial < 0:
         raise ValueError("first_trial, trials and width must be non-negative")
     position = int(first_trial) * int(width)
-    philox = getattr(_local, "philox", None)
-    if philox is None:
-        bitgen = np.random.Philox(0)
-        philox = _local.philox = bitgen, np.random.Generator(bitgen)
-    bitgen, gen = philox
+    bitgen = getattr(_local, "philox", None)
+    if bitgen is None:
+        bitgen = _local.philox = np.random.Philox(0)
     # jump straight to the 4-word block holding ``position``: Philox counts blocks
     block = position // _WORDS_PER_BLOCK
     bitgen.state = {
@@ -74,7 +72,7 @@ def uniform_block(seed: int, stream: int, first_trial: int, trials: int, width: 
         "uinteger": 0,
     }
     skip = position % _WORDS_PER_BLOCK
-    flat = gen.random(skip + trials * width)
+    flat = np.random.Generator(bitgen).random(skip + trials * width)
     return flat[skip:].reshape(trials, width)
 
 
@@ -131,7 +129,7 @@ def bernoulli_block(
 
 
 def _settle_tail(eq: np.ndarray, lt: np.ndarray, rest: float, uniforms) -> None:
-    """Settle, in place, the lanes of ``eq`` still tied after the prefix levels.
+    """Settle into ``lt`` the lanes of ``eq`` still tied after the prefix levels.
 
     A tied lane is 1 iff the rest U' of its uniform satisfies U' < ``rest``,
     the fraction of delta past the prefix digits.  Each round reads the next
@@ -143,21 +141,21 @@ def _settle_tail(eq: np.ndarray, lt: np.ndarray, rest: float, uniforms) -> None:
     the lane stays tied against that fraction.
     """
     words = eq.shape[1]
-    flat_eq, flat_lt = eq.reshape(-1), lt.reshape(-1)
-    tied = np.flatnonzero(flat_eq)
-    against = np.full(tied.size, rest)
+    flat_lt = lt.reshape(-1)
+    tied = np.flatnonzero(eq)  # (trial, word) positions with a tied lane
+    lanes = eq.reshape(-1)[tied]
+    against = np.full(tied.size, rest)  # what each position's lowest tied lane is compared with
     level = _PREFIX_LEVELS
     while tied.size:
         start = int(tied[0]) // words
-        u = uniforms(level, start, tied[-1] // words + 1 - start).reshape(-1)[tied - start * words]
+        u = uniforms(level, start, int(tied[-1]) // words + 1 - start).reshape(-1)[tied - start * words]
         level += 1
-        lanes = flat_eq[tied]
         lowest = lanes & (~lanes + np.uint64(1))
         scaled = against * _GRID
         grid = np.floor(scaled)
         grid_tie = (u * _GRID == grid) & (scaled != grid)
         flat_lt[tied] |= np.where((u < against) & ~grid_tie, lowest, np.uint64(0))
-        flat_eq[tied] = lanes & ~np.where(grid_tie, np.uint64(0), lowest)
+        lanes ^= np.where(grid_tie, np.uint64(0), lowest)
         against = np.where(grid_tie, scaled - grid, rest)
-        keep = flat_eq[tied] != 0
-        tied, against = tied[keep], against[keep]
+        keep = lanes != 0
+        tied, lanes, against = tied[keep], lanes[keep], against[keep]

