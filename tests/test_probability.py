@@ -220,7 +220,17 @@ def test_contains_member_matches_python_oracle_row_by_row(fam, data):
     repeat = data.draw(st.sampled_from([1, 30, 300]))  # copies give room for wider groups
     bits = np.tile(np.array(rows, dtype=bool).reshape(len(rows), n), (repeat, 1))
     expected = [_oracle_contains(fam, row) for row in rows] * repeat
-    rows = np.packbits(bits, axis=1, bitorder="little")
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    assert probability._contains_member(fam, packed).tolist() == expected
+
+
+@pytest.mark.parametrize("size", [512, 513], ids=["8-words", "9-words"])
+def test_kernel_or_rules_match_python_oracle(size, kernel_tiles):
+    # rows of at most 8 words fold their columns; wider rows take the segmented reduction
+    fam = wide_family(30, size)
+    rows = bernoulli_block(5, STREAM_BERNOULLI, 0, 300, 30, 0.1)
+    expected = [_oracle_contains(fam, row) for row in _unpacked(rows, 30)]
+    assert 0 < sum(expected) < 300
     assert probability._contains_member(fam, rows).tolist() == expected
 
 
