@@ -1,11 +1,11 @@
 """Random-subset experiments over set families.
 
 The central quantity is the hit probability Pr(some member is contained in a
-random subset).  Exact values come from full subset enumeration (ground size
-<= 24) or from the inclusion-exclusion polynomial (family size <= 20); Monte
-Carlo estimates draw from the keyed Philox streams in :mod:`.rng`, so every
-estimate is a pure function of (seed, trials) no matter how trials are
-chunked or threaded.
+random subset).  Exact values come from full subset enumeration over a table
+of one bit per subset (ground size <= 24, 2 MiB at n = 24) or from the
+inclusion-exclusion polynomial (family size <= 20); Monte Carlo estimates
+draw from the keyed Philox streams in :mod:`.rng`, so every estimate is a
+pure function of (seed, trials) no matter how trials are chunked or threaded.
 
 Monte Carlo samples come packed from :func:`.rng.bernoulli_block`: one
 ``uint8`` row of ceil(n/8) bytes per trial, bit j of byte i standing for
@@ -47,6 +47,9 @@ _CHUNK_TRIALS = 1 << 13
 # and of its lookup tables when they are more than one element wide
 _KERNEL_TILE_BYTES = 1 << 20
 _THREE_SIGMA_COVERAGE = 0.9973002039367398
+# positions b < 64 in a word of the enumeration table: without element e, and of size i
+_WITHOUT_ELEMENT = tuple(np.uint64(sum(1 << b for b in range(64) if not b >> e & 1)) for e in range(6))
+_IN_WORD_SIZE = tuple(np.uint64(sum(1 << b for b in range(64) if b.bit_count() == i)) for i in range(7))
 
 
 @dataclass(frozen=True)
@@ -80,34 +83,33 @@ class PartitionStats:
 # --- exact hit probability ----------------------------------------------------
 
 
-def hit_indicator_table(family: SetFamily) -> np.ndarray:
-    """Boolean table over all 2^n ground subsets: does Y contain a member?
+def hit_counts_by_size(family: SetFamily) -> np.ndarray:
+    """Number of hitting subsets of each cardinality 0..n (exact integers).
 
-    Superset closure of the member indicator, one bit per pass.
+    The hitting subsets are the superset closure of the members, at one bit
+    per subset: bit b of word w is subset 64w + b.  Each member's bit closes
+    under elements 0..5 (which pick b) by masked shift-ORs before one scatter;
+    elements 6.. pick w and close by doubling over words.  A subset's size is
+    popcount(w) + popcount(b), so counts are read per in-word size class.
     """
     n = family.ground_size
     if n > EXACT_ENUMERATION_GROUND_CAP:
         raise ValueError(f"ground size {n} exceeds enumeration cap {EXACT_ENUMERATION_GROUND_CAP}")
-    hit = np.zeros(1 << n, dtype=bool)
-    for m in family.sets:
-        hit[m] = True
-    for i in range(n):
-        view = hit.reshape(-1, 2, 1 << i)
+    words = np.zeros(1 << max(n - 6, 0), dtype=np.uint64)
+    masks = np.fromiter(family.sets, dtype=np.uint64, count=len(family))
+    bits = np.uint64(1) << (masks & 63)
+    for e in range(min(n, 6)):
+        bits |= (bits & _WITHOUT_ELEMENT[e]) << np.uint64(1 << e)
+    np.bitwise_or.at(words, masks >> 6, bits)
+    for i in range(n - 6):
+        view = words.reshape(-1, 2, 1 << i)
         view[:, 1, :] |= view[:, 0, :]
-    return hit
-
-
-def hit_counts_by_size(family: SetFamily) -> np.ndarray:
-    """Number of hitting subsets of each cardinality 0..n (exact integers)."""
-    n = family.ground_size
-    hit = hit_indicator_table(family)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    chunk = 1 << 20
-    for start in range(0, 1 << n, chunk):
-        stop = min(start + chunk, 1 << n)
-        sizes = np.bitwise_count(np.arange(start, stop, dtype=np.uint32))
-        counts += np.bincount(sizes[hit[start:stop]], minlength=n + 1)
-    return counts
+    word_sizes = np.bitwise_count(np.arange(len(words))).astype(np.intp)
+    counts = np.zeros(n + 7, dtype=np.int64)  # in-word sizes above n < 6 stay empty
+    for i, size_class in enumerate(_IN_WORD_SIZE):
+        by_word_size = np.bincount(word_sizes, weights=np.bitwise_count(words & size_class))
+        counts[i : i + len(by_word_size)] += by_word_size.astype(np.int64)
+    return counts[: n + 1]
 
 
 def _exact_by_enumeration(family: SetFamily, delta: float) -> float:
@@ -124,15 +126,15 @@ def _union_size_coefficients(family: SetFamily) -> np.ndarray:
     c_u = (#odd subfamilies with |union| = u) - (#even subfamilies with
     |union| = u), empty subfamily excluded.  The hit probability is then the
     integer-coefficient polynomial evaluated at delta, which sidesteps the
-    cancellation of summing 2^|F| signed terms in floating point.
+    cancellation of summing 2^|F| signed terms in floating point.  Its own
+    terms still cancel, so it is evaluated exactly at the dyadic delta.
     """
     m = len(family)
     n = family.ground_size
     if m > EXACT_IE_FAMILY_CAP:
         raise ValueError(f"family size {m} exceeds inclusion-exclusion cap {EXACT_IE_FAMILY_CAP}")
-    coeffs = np.zeros(n + 1, dtype=np.int64)
     if m == 0:
-        return coeffs
+        return np.zeros(n + 1, dtype=np.int64)
     members = pack_words(membership_matrix(family.sets, n))
     unions = np.zeros((1 << m, members.shape[1]), dtype=np.uint64)
     for i in range(m):
@@ -140,15 +142,12 @@ def _union_size_coefficients(family: SetFamily) -> np.ndarray:
         view[:, 1] = view[:, 0] | members[i]
     sizes = np.bitwise_count(unions[1:]).sum(axis=1, dtype=np.int64)
     parity = np.bitwise_count(np.arange(1, 1 << m, dtype=np.uint32)).astype(np.int64) & 1
-    odd = np.bincount(sizes[parity == 1], minlength=n + 1)
-    even = np.bincount(sizes[parity == 0], minlength=n + 1)
-    coeffs += odd.astype(np.int64) - even.astype(np.int64)
-    return coeffs
+    return np.bincount(sizes[parity == 1], minlength=n + 1) - np.bincount(sizes[parity == 0], minlength=n + 1)
 
 
 def _exact_by_inclusion_exclusion(family: SetFamily, delta: float) -> float:
-    coeffs = _union_size_coefficients(family)
-    return math.fsum(int(c) * delta**u for u, c in enumerate(coeffs) if c)
+    d = Fraction(delta)
+    return float(sum(int(c) * d**u for u, c in enumerate(_union_size_coefficients(family)) if c))
 
 
 def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto") -> HitEstimate:
@@ -391,9 +390,10 @@ def check_partition_mean_identity(
     """
     if trials < 2:
         raise ValueError("need trials >= 2 to estimate the standard error")
+    if classes < 2:
+        raise ValueError(f"classes must be >= 2, got {classes}")
+    expected = classes * exact_hit_probability(family, 1.0 / classes).p_hat  # before any trial
     stats = partition_experiment(family, classes, trials, seed=seed)
-    exact = exact_hit_probability(family, 1.0 / classes).p_hat
-    expected = classes * exact
     hist = np.asarray(stats.hit_class_histogram, dtype=np.float64)
     values = np.arange(classes + 1, dtype=np.float64)
     var = float(np.dot(hist, (values - stats.mean_hit_classes) ** 2)) / (trials - 1)
@@ -439,8 +439,8 @@ def check_fixed_size_decomposition(
     The default cut is m = ceil((delta/2)*n).  Every quantity is computed as
     an exact rational (any float delta is a dyadic rational; counts come from
     full enumeration; the binomial tail is a finite sum), so the comparison
-    itself is exact.  The enumeration's 2^n table caps n at
-    ``EXACT_ENUMERATION_GROUND_CAP``.
+    itself is exact.  The enumeration's table, one bit per subset (2 MiB at
+    n = 24), caps n at ``EXACT_ENUMERATION_GROUND_CAP``; m must be an int.
     """
     n = family.ground_size
     if not 0.0 < delta < 1.0:
@@ -448,8 +448,8 @@ def check_fixed_size_decomposition(
     d = Fraction(delta)
     if m is None:
         m = math.ceil(d / 2 * n)
-    elif not 0 <= m <= n:
-        raise ValueError(f"m must be in [0, {n}], got {m}")
+    elif type(m) is not int or not 0 <= m <= n:
+        raise ValueError(f"m must be an int in [0, {n}], got {m!r}")
     counts = hit_counts_by_size(family)
     lhs = sum(int(counts[j]) * d**j * (1 - d) ** (n - j) for j in range(n + 1))
     by_size = [Fraction(int(counts[j]), math.comb(n, j)) for j in range(n + 1)]

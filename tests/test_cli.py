@@ -101,6 +101,17 @@ def test_verify_partition_mean(block22, capsys):
     assert rc == 0 and out.strip().endswith("PASS")
 
 
+def test_verify_partition_mean_without_exact_path_exits_2(tmp_path, capsys):
+    # block(2,13): n = 26 and |F| = 169, past both exact caps; refused before sampling
+    path = tmp_path / "block2x13.json"
+    assert main(["construct", "block-product", "--k", "2", "--r", "13", "--out", str(path)]) == 0
+    capsys.readouterr()
+    rc = main(["verify", "partition-mean", "--family", str(path), "--classes", "4", "--trials", "200000"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: no exact path")
+
+
 def test_verify_tightness_pass_and_fail(capsys):
     assert main(["verify", "tightness", "--k", "16", "--r", "1", "--delta", "0.5", "--eps", "0.5"]) == 0
     capsys.readouterr()

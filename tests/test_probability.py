@@ -18,7 +18,7 @@ from sunflowers.probability import (
     check_partition_mean_identity,
     clopper_pearson,
     exact_hit_probability,
-    hit_indicator_table,
+    hit_counts_by_size,
     hit_threshold_sweep,
     mc_block_hit_probability,
     mc_hit_probability,
@@ -42,10 +42,85 @@ def random_family(rng, n_max=10, k_max=4, size_max=10):
 # --- exact hit probability ---------------------------------------------------------
 
 
+def hit_indicator_table(family):
+    """Oracle: one byte per ground subset Y, set iff Y contains a member.
+
+    Superset closure of the member indicator, one element per pass.
+    """
+    hit = np.zeros(1 << family.ground_size, dtype=bool)
+    for mask in family.sets:
+        hit[mask] = True
+    for i in range(family.ground_size):
+        view = hit.reshape(-1, 2, 1 << i)
+        view[:, 1, :] |= view[:, 0, :]
+    return hit
+
+
+def oracle_counts_by_size(family):
+    """Popcount histogram of the hitting subsets in the byte table."""
+    n = family.ground_size
+    hit = hit_indicator_table(family)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for start in range(0, 1 << n, 1 << 20):
+        stop = min(start + (1 << 20), 1 << n)
+        sizes = np.bitwise_count(np.arange(start, stop, dtype=np.uint32))
+        counts += np.bincount(sizes[hit[start:stop]], minlength=n + 1)
+    return counts
+
+
+def relabelled_block_3_8():
+    fam, _ = block_product_family(3, 8)
+    perm = list(range(24))
+    random.Random(8).shuffle(perm)
+    relabel = [mask_from_elements(perm[e] for e in range(24) if s >> e & 1) for s in fam.sets]
+    return SetFamily(24, 3, relabel)
+
+
 def test_hit_table_marks_supersets():
     fam = SetFamily(3, 2, [m(0, 1)])
     table = hit_indicator_table(fam)
     assert [int(x) for x in table] == [0, 0, 0, 1, 0, 0, 0, 1]
+
+
+def _word_boundary_families(n):
+    rng = random.Random(1000 + n)
+    families = [SetFamily(n, 1, []), SetFamily(n, 0, [0]), SetFamily(n, n, [(1 << n) - 1])]
+    for size in (3, 20, 60):
+        k = rng.randint(1, min(5, n))
+        ksets = set()
+        while len(ksets) < min(size, math.comb(n, k)):
+            ksets.add(mask_from_elements(rng.sample(range(n), k)))
+        families.append(SetFamily(n, k, sorted(ksets)))
+    if n == 24:
+        families.append(relabelled_block_3_8())
+    return families
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 18, 24])
+def test_packed_counts_match_byte_table_across_the_word_boundary(n):
+    # n <= 6 fills part of one table word, n = 7 two words; the closure crosses
+    # from in-word shifts to word doubling at element 6
+    for fam in _word_boundary_families(n):
+        counts = hit_counts_by_size(fam)
+        assert counts.dtype == np.int64 and counts.tolist() == oracle_counts_by_size(fam).tolist()
+        if len(fam) <= 20:
+            for delta in (0.13, 0.5, 0.86):
+                a = exact_hit_probability(fam, delta, method="enumeration").p_hat
+                b = exact_hit_probability(fam, delta, method="inclusion-exclusion").p_hat
+                assert abs(a - b) <= 1e-12
+
+
+def test_packed_counts_stay_within_8_mib_on_block_3_8():
+    fam, _ = block_product_family(3, 8)  # n = 24; the byte table alone is 16 MiB
+    hit_counts_by_size(fam)  # warm numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        counts = hit_counts_by_size(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert counts[3] == 8**3 and counts[24] == 1
 
 
 def test_exact_block_2x2_is_9_16():
@@ -77,6 +152,16 @@ def test_exact_paths_agree_on_random_families():
             a = exact_hit_probability(fam, delta, method="enumeration").p_hat
             b = exact_hit_probability(fam, delta, method="inclusion-exclusion").p_hat
             assert abs(a - b) <= 1e-12
+
+
+def test_inclusion_exclusion_is_exact_where_its_terms_cancel():
+    # 18 singletons: coefficients +-C(18, u) nearly cancel to 1 - 0.14^18;
+    # a float sum of the terms was 2.6e-12 off
+    fam = SetFamily(18, 1, [m(i) for i in range(18)])
+    d = Fraction(0.86)
+    value = exact_hit_probability(fam, 0.86, method="inclusion-exclusion").p_hat
+    assert value == float(1 - (1 - d) ** 18)
+    assert value == exact_hit_probability(fam, 0.86, method="enumeration").p_hat
 
 
 def test_exact_monotone_in_delta():
@@ -398,6 +483,23 @@ def test_partition_mean_identity_needs_exact_path():
         check_partition_mean_identity(fam, 2, trials=10)
 
 
+def test_partition_mean_identity_refuses_before_sampling(monkeypatch):
+    fam, _ = block_product_family(2, 13)  # n = 26, |F| = 169: no exact path
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("partition_experiment ran before the exact path was refused")
+
+    monkeypatch.setattr(probability, "partition_experiment", sampled)
+    with pytest.raises(ValueError, match="no exact path"):
+        check_partition_mean_identity(fam, 2, trials=200_000)
+
+
+@pytest.mark.parametrize("classes", [1, 0, -2])
+def test_partition_mean_identity_rejects_fewer_than_two_classes(classes):
+    with pytest.raises(ValueError, match="classes must be >= 2"):
+        check_partition_mean_identity(SetFamily(4, 1, [m(0)]), classes, trials=10)
+
+
 # --- fixed-size decomposition -----------------------------------------------------------
 
 
@@ -459,6 +561,13 @@ def test_decomposition_holds_at_every_cut():
     for delta in (0.25, 0.5):
         for m in range(fam.ground_size + 1):
             assert check_fixed_size_decomposition(fam, delta, m=m).passed
+
+
+@pytest.mark.parametrize("cut", [-1, 5, 2.0, True])
+def test_decomposition_rejects_cuts_that_are_not_ints_in_range(cut):
+    fam, _ = block_product_family(2, 2)  # n = 4
+    with pytest.raises(ValueError, match="m must be an int"):
+        check_fixed_size_decomposition(fam, 0.5, m=cut)
 
 
 def test_decomposition_runs_up_to_the_enumeration_cap():
