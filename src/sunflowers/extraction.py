@@ -149,9 +149,9 @@ def _spread_case_search(
     disjoint by construction; None when no trial succeeds.  Every trial is
     tested at once: the class ids of each member's elements are gathered
     from the family's element matrix, and a member lies in a class when all
-    its ids are equal.  Trials go in tiles of ``_KERNEL_TILE_BYTES`` of
-    gathered ids, and the tiles stop at the first one holding a success;
-    the first succeeding trial index wins, whatever the tile size.
+    its ids are equal.  A tile of trials draws its own uniforms and holds at
+    most ``_KERNEL_TILE_BYTES`` of them or of gathered ids; the tiles stop at
+    the first success, and the first succeeding trial wins, whatever the tile size.
     """
     if trials < 1:
         return None, 0
@@ -159,11 +159,11 @@ def _spread_case_search(
     if positions.size == 0:  # no member, or only the empty one, which lies in every class
         petals = list(family.sets) * classes
         return (petals, 1) if len(petals) >= need else (None, trials)
-    uniforms = uniform_block(seed, stream, 0, trials, family.ground_size)
-    assign = (uniforms * classes).astype(np.min_scalar_type(classes - 1))
-    tile = max(1, probability._KERNEL_TILE_BYTES // (assign.itemsize * positions.size))
+    n, dtype = family.ground_size, np.min_scalar_type(classes - 1)
+    tile = max(1, probability._KERNEL_TILE_BYTES // max(dtype.itemsize * positions.size, 8 * n))
     for start in range(0, trials, tile):
-        ids = np.take(assign[start : start + tile], positions, axis=1)  # (trials, k, |F|)
+        uniforms = uniform_block(seed, stream, start, min(tile, trials - start), n)
+        ids = np.take((uniforms * classes).astype(dtype), positions, axis=1)  # (trials, k, |F|)
         hit_pairs = np.flatnonzero((ids[:, 1:] == ids[:, :1]).all(axis=1))  # trial * |F| + member
         trial, member = np.divmod(hit_pairs, positions.shape[1])
         hit = np.zeros((len(ids), classes), dtype=bool)

@@ -3,9 +3,10 @@
 The central quantity is the hit probability Pr(some member is contained in a
 random subset).  Exact values come from full subset enumeration over a table
 of one bit per subset (ground size <= 24, 2 MiB at n = 24) or from the
-inclusion-exclusion polynomial (family size <= 20); Monte Carlo estimates
-draw from the keyed Philox streams in :mod:`.rng`, so every estimate is a
-pure function of (seed, trials) no matter how trials are chunked or threaded.
+inclusion-exclusion polynomial (family size <= 20), both summed exactly by
+:func:`_exact_sum` and rounded once; Monte Carlo estimates draw from the keyed
+Philox streams in :mod:`.rng`, so every estimate is a pure function of
+(seed, trials) no matter how trials are chunked or threaded.
 
 Monte Carlo samples come packed from :func:`.rng.bernoulli_block`: one
 ``uint8`` row of ceil(n/8) bytes per trial, bit j of byte i standing for
@@ -112,50 +113,45 @@ def hit_counts_by_size(family: SetFamily) -> np.ndarray:
     return counts[: n + 1]
 
 
-def _exact_by_enumeration(family: SetFamily, delta: float) -> float:
-    n = family.ground_size
-    counts = hit_counts_by_size(family)
-    return math.fsum(
-        int(counts[j]) * delta**j * (1.0 - delta) ** (n - j) for j in range(n + 1) if counts[j]
-    )
-
-
 def _union_size_coefficients(family: SetFamily) -> np.ndarray:
     """Signed inclusion-exclusion coefficients c_u of the polynomial sum_u c_u * delta^u.
 
     c_u = (#odd subfamilies with |union| = u) - (#even subfamilies with
-    |union| = u), empty subfamily excluded.  The hit probability is then the
-    integer-coefficient polynomial evaluated at delta, which sidesteps the
-    cancellation of summing 2^|F| signed terms in floating point.  Its own
-    terms still cancel, so it is evaluated exactly at the dyadic delta.
+    |union| = u), empty subfamily excluded; their terms cancel, so they go
+    through the exact sum.  Rows 0..2^i - 1 are the subfamilies of members
+    0..i-1, so member i fills rows 2^i..2^(i+1) - 1 in one slice, and odd
+    parity rides along as an offset n + 1 that splits one ``bincount``.
     """
-    m = len(family)
-    n = family.ground_size
+    m, n = len(family), family.ground_size
     if m > EXACT_IE_FAMILY_CAP:
         raise ValueError(f"family size {m} exceeds inclusion-exclusion cap {EXACT_IE_FAMILY_CAP}")
-    if m == 0:
-        return np.zeros(n + 1, dtype=np.int64)
     members = pack_words(membership_matrix(family.sets, n))
     unions = np.zeros((1 << m, members.shape[1]), dtype=np.uint64)
+    keys = np.zeros(1 << m, dtype=np.intp)  # n + 1 on odd subfamilies
     for i in range(m):
-        view = unions.reshape(-1, 2, 1 << i, members.shape[1])
-        view[:, 1] = view[:, 0] | members[i]
-    sizes = np.bitwise_count(unions[1:]).sum(axis=1, dtype=np.int64)
-    parity = np.bitwise_count(np.arange(1, 1 << m, dtype=np.uint32)).astype(np.int64) & 1
-    return np.bincount(sizes[parity == 1], minlength=n + 1) - np.bincount(sizes[parity == 0], minlength=n + 1)
+        np.bitwise_or(unions[: 1 << i], members[i], out=unions[1 << i : 2 << i])
+        np.subtract(n + 1, keys[: 1 << i], out=keys[1 << i : 2 << i])
+    keys += np.bitwise_count(unions).sum(axis=1, dtype=np.intp)
+    even, odd = np.bincount(keys[1:], minlength=2 * (n + 1)).reshape(2, n + 1)
+    return odd - even
 
 
-def _exact_by_inclusion_exclusion(family: SetFamily, delta: float) -> float:
-    d = Fraction(delta)
-    return float(sum(int(c) * d**u for u, c in enumerate(_union_size_coefficients(family)) if c))
+def _exact_sum(delta: float, terms, top: int) -> Fraction:
+    """The exact sum of w * delta^i * (1 - delta)^j over integer terms (w, i, j), i + j <= top.
+
+    A float delta is a/b exactly, so this is sum w * a^i * (b - a)^j * b^(top - i - j) over b^top.
+    Powers are taken per term: a table of them would hold top^2 * 54 bits.
+    """
+    a, b = delta.as_integer_ratio()
+    return Fraction(sum(w * a**i * (b - a) ** j * b ** (top - i - j) for w, i, j in terms if w), b**top)
 
 
 def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto") -> HitEstimate:
     """Exact Pr(some member is contained in a Bernoulli-delta subset).
 
     Feasible when the ground set allows full enumeration (n <= 24) or the
-    family allows inclusion-exclusion (|F| <= 20); both paths agree to
-    within 1e-12 whenever both run.
+    family allows inclusion-exclusion (|F| <= 20).  Both are summed exactly
+    and rounded once, so they agree bit for bit whenever both run.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
@@ -171,12 +167,12 @@ def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto")
                 f"and family size {len(family)} > {EXACT_IE_FAMILY_CAP}"
             )
     if method == "enumeration":
-        value = _exact_by_enumeration(family, delta)
+        terms = ((int(c), j, n - j) for j, c in enumerate(hit_counts_by_size(family)))
     elif method == "inclusion-exclusion":
-        value = _exact_by_inclusion_exclusion(family, delta)
+        terms = ((int(c), u, 0) for u, c in enumerate(_union_size_coefficients(family)))
     else:
         raise ValueError(f"unknown exact method {method!r}")
-    return HitEstimate(p_hat=value, trials=0, half_width_3sigma=0.0, method=method)
+    return HitEstimate(p_hat=float(_exact_sum(delta, terms, n)), trials=0, half_width_3sigma=0.0, method=method)
 
 
 # --- Monte Carlo hit probability ----------------------------------------------
@@ -436,25 +432,24 @@ def check_fixed_size_decomposition(
 
         Pr(hit at delta) >= Pr(hit | uniform m-subset) * Pr(|sample| >= m).
 
-    The default cut is m = ceil((delta/2)*n).  Every quantity is computed as
-    an exact rational (any float delta is a dyadic rational; counts come from
-    full enumeration; the binomial tail is a finite sum), so the comparison
-    itself is exact.  The enumeration's table, one bit per subset (2 MiB at
-    n = 24), caps n at ``EXACT_ENUMERATION_GROUND_CAP``; m must be an int.
+    The default cut is m = ceil((delta/2)*n).  Every quantity is an exact
+    rational (counts from full enumeration; the hit probability and the
+    binomial tail from :func:`_exact_sum`), so the comparison itself is
+    exact.  The enumeration's table, one bit per subset (2 MiB at n = 24),
+    caps n at ``EXACT_ENUMERATION_GROUND_CAP``; m must be an int.
     """
     n = family.ground_size
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    d = Fraction(delta)
     if m is None:
-        m = math.ceil(d / 2 * n)
+        m = math.ceil(Fraction(delta) / 2 * n)
     elif type(m) is not int or not 0 <= m <= n:
         raise ValueError(f"m must be an int in [0, {n}], got {m!r}")
     counts = hit_counts_by_size(family)
-    lhs = sum(int(counts[j]) * d**j * (1 - d) ** (n - j) for j in range(n + 1))
+    lhs = _exact_sum(delta, ((int(c), j, n - j) for j, c in enumerate(counts)), n)
     by_size = [Fraction(int(counts[j]), math.comb(n, j)) for j in range(n + 1)]
     monotone = all(by_size[j] <= by_size[j + 1] for j in range(n))
-    tail = sum(math.comb(n, j) * d**j * (1 - d) ** (n - j) for j in range(m, n + 1))
+    tail = _exact_sum(delta, ((math.comb(n, j), j, n - j) for j in range(m, n + 1)), n)
     rhs = by_size[m] * tail
     return SizeDecompositionReport(
         delta=delta,
@@ -487,20 +482,19 @@ def check_chernoff_tail(
 ) -> ChernoffTailReport:
     """Exact Pr(Bin(n, delta) <= n*delta/2) <= e^(-n*delta/8).
 
-    The tail is an exact rational sum up to floor(n*delta/2) inclusive.  When
-    r and eps are supplied (one without the other is an error, and r must be
-    finite), additionally checks e^(-r*delta/8) <= eps^2 whenever
+    The tail is an exact rational sum up to floor(n*delta/2) inclusive; n must
+    be an int.  When r and eps are supplied (one without the other is an error,
+    and r must be finite), additionally checks e^(-r*delta/8) <= eps^2 whenever
     r >= 16/delta * ln(1/eps).
     """
     if (r is None) != (eps is None):
         raise ValueError("r and eps must be given together")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an int >= 1, got {n!r}")
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-    d = Fraction(delta)
-    threshold = math.floor(d * n / 2)
-    tail = sum(math.comb(n, j) * d**j * (1 - d) ** (n - j) for j in range(threshold + 1))
+    threshold = math.floor(Fraction(delta) * n / 2)
+    tail = _exact_sum(delta, ((math.comb(n, j), j, n - j) for j in range(threshold + 1)), n)
     bound = math.exp(-n * delta / 8.0)
     passed = float(tail) <= bound
     applies = ok = None

@@ -132,8 +132,8 @@ def spread_witness(family: SetFamily, r: float, worst: bool = False) -> SpreadRe
     the levels up to it are counted; with ``worst=True`` it is the one
     maximizing count / r^(k-|T|) instead (the first such in that order).
     The comparison is exact integer count against float threshold, no
-    tolerance.  Sets of full size k never violate: distinct members give
-    count 1 <= r^0.
+    tolerance; a threshold past the float range saturates to infinity.  Sets
+    of full size k never violate: distinct members give count 1 <= r^0.
     """
     if len(family) == 0:
         raise ValueError("spread_witness requires a non-empty family")
@@ -144,7 +144,10 @@ def spread_witness(family: SetFamily, r: float, worst: bool = False) -> SpreadRe
     best_ratio = 1.0
     for j in range(1, k):
         ranks, counts = level_counts(family, j)
-        threshold = r ** (k - j)
+        try:
+            threshold = r ** (k - j)
+        except OverflowError:  # past the float range: no count can exceed it
+            threshold = math.inf
         if worst:
             i = int(np.argmax(counts))
             count = int(counts[i])

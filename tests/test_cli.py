@@ -41,6 +41,27 @@ def test_check_spread_exit_codes(block22, capsys):
     assert payload["violation"]["count"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-spread", "{}", "--r", "1e300"],
+        ["check-spread", "{}", "--r", "1e300", "--worst"],
+        ["find-sunflower", "{}", "--p", "2", "--r-override", "1e300"],
+        ["find-sunflower", "{}", "--p", "2", "--C", "1e300"],
+    ],
+)
+def test_spread_threshold_past_the_float_range_certifies(tmp_path, capsys, argv):
+    path = tmp_path / "block32.json"
+    assert main(["construct", "block-product", "--k", "3", "--r", "2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main([a.format(path) for a in argv]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    if argv[0] == "check-spread":
+        assert payload["certified"] is True
+    else:
+        assert payload["steps"][0]["kind"] == "spread" and payload["sunflower"] is not None
+
+
 def test_estimate_hit_json_and_determinism(block22, capsys):
     args = ["estimate-hit", str(block22), "--delta", "0.5"]
     assert main(args) == 0

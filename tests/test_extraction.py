@@ -276,6 +276,19 @@ def test_spread_case_search_memory_is_bounded():
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_spread_case_search_draws_its_uniforms_per_tile():
+    # trial 1 succeeds; drawing all 10^6 trials' uniforms first peaked near 389 MiB
+    fam, _ = block_product_family(3, 8)
+    tracemalloc.start()
+    try:
+        petals, used = _spread_case_search(fam, 4, 2, 10**6, 0, STREAM_SPREAD_SEARCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert petals is not None and used == 1
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 # --- generalized partition search --------------------------------------------------------
 
 

@@ -151,7 +151,17 @@ def test_exact_paths_agree_on_random_families():
         for delta in (0.13, 0.5, 0.86):
             a = exact_hit_probability(fam, delta, method="enumeration").p_hat
             b = exact_hit_probability(fam, delta, method="inclusion-exclusion").p_hat
-            assert abs(a - b) <= 1e-12
+            assert a == b
+
+
+@pytest.mark.parametrize("k, r", [(3, 8), (5, 4), (2, 8)])
+def test_enumeration_is_correctly_rounded_on_block_families(k, r):
+    # block(k, r) is hit iff every block is met: (1 - (1 - d)^r)^k exactly
+    fam, _ = block_product_family(k, r)
+    for i in range(1, 100):
+        d = Fraction(i / 100)
+        expected = float((1 - (1 - d) ** r) ** k)
+        assert exact_hit_probability(fam, i / 100, method="enumeration").p_hat == expected, i
 
 
 def test_inclusion_exclusion_is_exact_where_its_terms_cancel():
@@ -619,6 +629,9 @@ def test_chernoff_validates():
         check_chernoff_tail(0, 0.5)
     with pytest.raises(ValueError):
         check_chernoff_tail(4, 0.75)
+    for n in (True, 16.0):  # n must be an int, as the decomposition's m
+        with pytest.raises(ValueError, match="int"):
+            check_chernoff_tail(n, 0.5)
     for half in ({"r": 10.0}, {"eps": 0.5}):  # the rate check needs both
         with pytest.raises(ValueError, match="together"):
             check_chernoff_tail(16, 0.5, **half)

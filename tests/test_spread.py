@@ -232,6 +232,14 @@ def test_huge_r_always_certifies():
         assert spread_witness(fam, float(len(fam))).certified
 
 
+def test_threshold_past_the_float_range_saturates():
+    # 1e300 ** 2 overflows a float; no count can exceed the threshold
+    fam, _ = block_product_family(3, 2)
+    for worst in (False, True):
+        report = spread_witness(fam, 1e300, worst=worst)
+        assert report.certified and report.r == 1e300
+
+
 def test_violation_tie_break_prefers_small_then_lexicographic():
     # {0} and {5} are both violating singletons at r = 1.5; {0} has the
     # smaller mask
