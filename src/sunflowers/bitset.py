@@ -21,7 +21,15 @@ def mask_from_elements(elements: Iterable[int]) -> int:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+    """The elements of a mask in ascending order, in time linear in its bit
+    length plus its popcount: one binary string, scanned by ``str.find``."""
+    bits = bin(mask)[:1:-1]  # bit i at index i
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return tuple(out)
 
 
 def membership_matrix(masks: Sequence[int], width: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """k-uniform set families over an integer ground set, with bitmask members.
 
 Members are Python-int bitmasks over ground elements {0, ..., n-1}.  A
-:class:`SetFamily` stores distinct k-element masks in ascending order; all
-types here are immutable after construction and safe to share across
+:class:`SetFamily` holds distinct k-element sets in ascending mask order,
+either as masks or, when loaded from JSON, as the ``(|F|, k)`` matrix of
+their elements, whose masks are built on first use; all types here are
+immutable after construction (their caches aside) and safe to share across
 threads.
 """
 
@@ -17,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import mask_from_elements, membership_matrix, pack_words
+from .bitset import membership_matrix, pack_words
 
 
 @dataclass(frozen=True)
@@ -36,22 +38,21 @@ class SetFamily:
     """Distinct k-element sets over a common ground set, ascending by mask.
 
     Duplicate masks passed to the constructor are merged (identity is by
-    value); the JSON loader, by contrast, rejects duplicate rows outright.
-    The numpy kernels read the members through two matrices, each built on
-    first use and cached: :meth:`holders`, a packed per-element member
-    bitset, and :meth:`elements`, each member's elements in ascending order,
-    which the spread layer's level counting and the extraction's partition
-    search gather from.  The spread layer caches its per-level superset
-    counts in ``_levels`` (:func:`sunflowers.spread.level_counts`).
+    value); the JSON loader, by contrast, rejects duplicate rows outright
+    and keeps the members as the element matrix it validated, building the
+    masks (:attr:`sets`) only when something asks for them.  The numpy
+    kernels read the members through two matrices, each built on first use
+    and cached: :meth:`holders`, a packed per-element member bitset, and
+    :meth:`elements`, each member's elements in ascending order, which the
+    spread layer's level counting and the extraction's partition search
+    gather from.  The spread layer caches its per-level superset counts in
+    ``_levels`` (:func:`sunflowers.spread.level_counts`).
     """
 
-    __slots__ = ("ground_size", "k", "sets", "_holders", "_elements", "_levels")
+    __slots__ = ("ground_size", "k", "_sets", "_holders", "_elements", "_levels")
 
     def __init__(self, ground_size: int, k: int, sets: Iterable[int]):
-        if ground_size < 1:
-            raise ValueError(f"ground-set size must be >= 1, got {ground_size}")
-        if k < 0:
-            raise ValueError(f"set size k must be >= 0, got {k}")
+        _check_sizes(ground_size, k)
         masks = sorted(set(sets))
         for m in masks:
             if m < 0 or m.bit_length() > ground_size:
@@ -60,10 +61,34 @@ class SetFamily:
                 raise ValueError(f"mask {m:#x} has {m.bit_count()} elements, expected k={k}")
         self.ground_size = ground_size
         self.k = k
-        self.sets = tuple(masks)
+        self._sets = tuple(masks)
         self._holders = None
         self._elements = None
         self._levels = {}
+
+    @classmethod
+    def _from_elements(cls, ground_size: int, k: int, elements: np.ndarray) -> "SetFamily":
+        """A family held as a validated ``(|F|, k)`` matrix: distinct rows of
+        ascending elements in colex (ascending-mask) order, in the dtype of
+        :meth:`elements`."""
+        _check_sizes(ground_size, k)
+        family = cls.__new__(cls)
+        family.ground_size = ground_size
+        family.k = k
+        family._sets = None
+        family._holders = None
+        elements.setflags(write=False)
+        family._elements = elements
+        family._levels = {}
+        return family
+
+    @property
+    def sets(self) -> tuple[int, ...]:
+        """The members as ascending masks.  Built from :meth:`elements` on
+        first use when the family was loaded as a matrix, then cached."""
+        if self._sets is None:
+            self._sets = _masks_of_rows(self._elements)
+        return self._sets
 
     def holders(self) -> np.ndarray:
         """Read-only ``(n, ceil(|F|/64))`` uint64 matrix; row e is the bitset of
@@ -90,7 +115,7 @@ class SetFamily:
         return self._elements
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self._sets if self._sets is not None else self._elements)
 
     def __iter__(self):
         return iter(self.sets)
@@ -110,7 +135,26 @@ class SetFamily:
         return hash((self.ground_size, self.k, self.sets))
 
     def __repr__(self) -> str:
-        return f"SetFamily(ground_size={self.ground_size}, k={self.k}, size={len(self.sets)})"
+        return f"SetFamily(ground_size={self.ground_size}, k={self.k}, size={len(self)})"
+
+
+def _check_sizes(ground_size: int, k: int) -> None:
+    if ground_size < 1:
+        raise ValueError(f"ground-set size must be >= 1, got {ground_size}")
+    if k < 0:
+        raise ValueError(f"set size k must be >= 0, got {k}")
+
+
+def _masks_of_rows(elements: np.ndarray) -> tuple[int, ...]:
+    """The mask of each row of elements, read from one little-endian byte row
+    per member that ends at the largest element: no wider than the masks."""
+    nbytes = int(elements.max()) // 8 + 1 if elements.size else 1
+    rows = np.zeros((len(elements), nbytes), dtype=np.uint8)
+    index = np.arange(len(elements))
+    for column in elements.astype(np.intp).T:  # loaded elements are below 2^63 whatever their dtype
+        rows[index, column >> 3] |= (1 << (column & 7)).astype(np.uint8)
+    data = rows.tobytes()
+    return tuple(int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes))
 
 
 def _bisect_contains(sorted_masks: Sequence[int], mask: int) -> bool:
@@ -209,29 +253,51 @@ def family_to_dict(family: SetFamily) -> dict:
 
 
 def family_from_dict(data: dict) -> SetFamily:
-    """Strict loader: rejects non-integer values, duplicate rows and
-    wrong-cardinality rows."""
+    """Strict loader: rejects non-integer values, out-of-range elements,
+    wrong-cardinality rows (a repeated element counts as one) and duplicate
+    rows, naming the first offending row in file order.
+
+    After the exact-type pass the rows are checked and sorted in numpy,
+    straight into the family's element matrix, so loading costs |F|·k
+    elements whatever the ground size; masks are built only on demand.
+    """
     try:
         ground_size = data["ground_set_size"]
         k = data["k"]
-        rows = data["sets"]
+        rows = list(data["sets"])
         types = {type(ground_size), type(k)} | set(map(type, chain.from_iterable(rows)))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed family data: {exc}") from exc
     if types - {int}:  # bool is a subclass of int, so test the exact type
         raise ValueError(f"family data must be integers, got {sorted(t.__name__ for t in types - {int})}")
-    masks = []
-    for row in rows:
-        # range-check before building the mask: 1 << e allocates e bits
-        if row and not 0 <= min(row) <= max(row) < ground_size:
-            raise ValueError(f"row {row} leaves the ground set of size {ground_size}")
-        mask = mask_from_elements(row)
-        if mask.bit_count() != k or len(row) != k:
-            raise ValueError(f"row {row} does not have cardinality k={k}")
-        masks.append(mask)
-    if len(set(masks)) != len(masks):
+    width = max(k, 0)
+    wrong = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) != k)
+    head = int(wrong[0]) if wrong.size else len(rows)  # rows before the first of the wrong length
+    try:
+        flat = np.fromiter(chain.from_iterable(rows[:head]), dtype=np.int64, count=head * width)
+    except OverflowError:  # an element past int64 is out of range: check the rows before it
+        head = next(i for i, row in enumerate(rows) if not all(-(2**63) <= e < 2**63 for e in row))
+        flat = np.fromiter(chain.from_iterable(rows[:head]), dtype=np.int64, count=head * width)
+    elements = flat.reshape(head, width)
+    outside = ((elements < 0) | (elements >= ground_size)).any(axis=1)
+    elements = elements.astype(np.min_scalar_type(ground_size - 1))
+    elements.sort(axis=1)
+    bad = np.flatnonzero(outside | (elements[:, 1:] == elements[:, :-1]).any(axis=1))
+    if bad.size:
+        head = int(bad[0])
+        leaves = outside[head]
+    elif head < len(rows):  # the first row of the wrong length, or with an element past int64
+        row = rows[head]
+        leaves = bool(row) and not 0 <= min(row) <= max(row) < min(ground_size, 2**63)
+    if head < len(rows):
+        if leaves:
+            raise ValueError(f"row {rows[head]} leaves the ground set of size {ground_size}")
+        raise ValueError(f"row {rows[head]} does not have cardinality k={k}")
+    if width:
+        elements = elements[np.lexsort(elements.T)]  # colex order: ascending masks
+    if (elements[1:] == elements[:-1]).all(axis=1).any():
         raise ValueError("duplicate sets in family data")
-    return SetFamily(ground_size, k, masks)
+    return SetFamily._from_elements(ground_size, k, elements)
 
 
 def save_family(family: SetFamily, path) -> None:

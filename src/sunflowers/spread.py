@@ -7,9 +7,12 @@ j-subsets of members: each is named by its colex rank, sum_i C(e_i, i+1) over
 its ascending elements e_0 < e_1 < ..., and a level is the sorted distinct
 ranks with their multiplicities.  Among sets of one size, colex order is
 mask-value order, so ascending rank is ascending mask.  A level's ranks are
-gathered from the family's cached element matrix
+gathered from the family's element matrix
 (:meth:`~sunflowers.families.SetFamily.elements`, one row of ascending
-elements per member), which the extraction's partition search reads too.
+elements per member), which a family loaded from JSON holds from the start
+and the extraction's partition search reads too, so certifying a loaded
+family never builds its masks.  Ranks are summed and sorted in ``uint32``
+when C(n, j) allows it, the narrowest width that keeps numpy's sort fast.
 Levels are counted on demand and cached on the family, so a caller that
 stops at the first violating level pays only for the levels below it, and a
 later call reuses them.
@@ -63,7 +66,9 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(ranks, counts)``: the distinct colex ranks in ascending order
     (``int64``, or Python ints in an object array when some C(n, i), i <= k,
     reaches 2^63) and, for each, the number of members containing that set.
-    :func:`rank_to_mask` turns a rank back into a mask.  Cached on the family.
+    The ranks are summed and sorted in ``uint32`` when they fit it, and only
+    the distinct ones are widened.  :func:`rank_to_mask` turns a rank back
+    into a mask.  Cached on the family.
     """
     if not 1 <= j <= family.k:
         raise ValueError(f"level j={j} outside 1..{family.k}")
@@ -76,27 +81,31 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
 def _count_level(n: int, elements: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     k = elements.shape[1]
     # terms[i, s, q] = C(q-th element of sets[s], i+1)
-    terms = np.take(_binomial_columns(n, k)[:j], elements, axis=1)
+    terms = np.take(_binomial_columns(n, j), elements, axis=1)
     positions = _position_combinations(k, j)
     ranks = terms[0][:, positions[:, 0]]
     for i in range(1, j):
         ranks += terms[i][:, positions[:, i]]
     ranks, counts = np.unique(ranks, return_counts=True)
+    ranks = ranks.astype(object if math.comb(n, min(k, n // 2)) >= 2**63 else np.int64, copy=False)
     ranks.setflags(write=False)
     counts.setflags(write=False)
     return ranks, counts
 
 
 @lru_cache(maxsize=64)
-def _binomial_columns(n: int, k: int) -> np.ndarray:
-    """Read-only ``(k, n)`` table whose entry (i, e) is C(e, i+1).
+def _binomial_columns(n: int, j: int) -> np.ndarray:
+    """Read-only ``(j, n)`` table whose entry (i, e) is C(e, i+1).
 
-    ``int64`` when every colex rank of a j-subset, j <= k, is below 2^63;
-    object (Python ints) otherwise, which needs n > 66.
+    Its entries and the colex ranks of j-subsets summed from them are all
+    below C(n, min(j, n // 2)), so the table is ``uint32`` when that bound
+    is at most 2^32 (C(n, j) itself for j <= n/2), ``int64`` when it is at
+    most 2^63, and object (Python ints) otherwise.
     """
-    table = [[math.comb(e, i + 1) for e in range(n)] for i in range(k)]
-    wide = any(math.comb(n, j) >= 2**63 for j in range(1, k + 1))
-    out = np.array(table, dtype=object if wide else np.int64).reshape(k, n)
+    bound = math.comb(n, min(j, n // 2))
+    dtype = np.uint32 if bound <= 2**32 else np.int64 if bound <= 2**63 else object
+    table = [[math.comb(e, i + 1) for e in range(n)] for i in range(j)]
+    out = np.array(table, dtype=dtype).reshape(j, n)
     out.setflags(write=False)
     return out
 

@@ -1,3 +1,5 @@
+import time
+
 from hypothesis import given, strategies as st
 
 from sunflowers.bitset import elements_of, mask_from_elements
@@ -13,3 +15,10 @@ def test_mask_roundtrip_basic():
 @given(st.sets(st.integers(min_value=0, max_value=80)))
 def test_mask_roundtrip(elements):
     assert set(elements_of(mask_from_elements(elements))) == elements
+
+
+def test_elements_of_is_linear_in_bit_length():
+    # shifting the whole int once per bit took minutes at this width
+    start = time.process_time()
+    assert elements_of((1 << 2_000_000) | 1) == (0, 2_000_000)
+    assert time.process_time() - start < 2.0

@@ -222,6 +222,7 @@ def test_negative_budgets_exit_2(block22, capsys):
     (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "inclusion-exclusion", "--threads", "0"], "threads"),
     (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "nan", "--eps", "0.5"], "r"),
     (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "inf", "--eps", "0.5"], "r"),
+    (["verify", "chernoff", "--n", "100000", "--delta", "0.3"], "n"),
 ])
 def test_non_finite_values_and_thread_counts_exit_2(block22, capsys, command, name):
     assert main([str(block22) if arg == "FAMILY" else arg for arg in command]) == 2

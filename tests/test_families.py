@@ -1,7 +1,8 @@
+import copy
 import json
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -304,6 +305,123 @@ def test_loader_rejects_non_integer_values(text):
     # int() would truncate 4.9 to 4 and 0.7 to 0, and read true as 1
     with pytest.raises(ValueError):
         family_from_dict(json.loads(text))
+
+
+def _oracle_family_from_dict(data):
+    # the per-row loader that the numpy loader replaced: one mask per row, checked as it is built
+    try:
+        ground_size = data["ground_set_size"]
+        k = data["k"]
+        rows = data["sets"]
+        types = {type(ground_size), type(k)} | set(map(type, chain.from_iterable(rows)))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed family data: {exc}") from exc
+    if types - {int}:
+        raise ValueError(f"family data must be integers, got {sorted(t.__name__ for t in types - {int})}")
+    masks = []
+    for row in rows:
+        if row and not 0 <= min(row) <= max(row) < ground_size:
+            raise ValueError(f"row {row} leaves the ground set of size {ground_size}")
+        mask = mask_from_elements(row)
+        if mask.bit_count() != k or len(row) != k:
+            raise ValueError(f"row {row} does not have cardinality k={k}")
+        masks.append(mask)
+    if len(set(masks)) != len(masks):
+        raise ValueError("duplicate sets in family data")
+    return SetFamily(ground_size, k, masks)
+
+
+def _mutate(rng, data, n):
+    """Break one row, or the header, in one of the ways the loader must refuse."""
+    rows = data["sets"]
+    kind = rng.choice(["bool", "float", "str", "negative", "past-n", "past-int64", "ragged", "repeat",
+                       "duplicate", "empty-row", "header"])
+    if kind == "header":
+        key = rng.choice(["ground_set_size", "k"])
+        data[key] = rng.choice([True, float(data[key]), str(data[key]), -1, 0])
+        return
+    if not rows:
+        return
+    i = rng.randrange(len(rows))
+    row = rows[i]
+    q = rng.randrange(len(row)) if row else None
+    if kind == "duplicate":
+        rows.insert(rng.randrange(len(rows) + 1), rng.sample(row, len(row)))
+    elif kind == "ragged":
+        rows[i] = row[:-1] if row and rng.random() < 0.5 else row + [rng.randrange(n)]
+    elif kind == "empty-row":
+        rows[i] = []
+    elif q is not None and type(row[q]) is int:
+        e = row[q]
+        row[q] = {"bool": bool(e % 2), "float": float(e), "str": str(e), "negative": -1 - e,
+                  "past-n": n + e, "past-int64": 2**63 + e * 2**40,
+                  "repeat": row[q - 1]}[kind]
+
+
+def _random_family_dict(rng):
+    n = rng.choice([1, 2, 3, 5, 8, 9, 40, 64, 65, 130, 300])
+    k = rng.randint(0, min(n, 5))
+    size = rng.randint(0, 12)
+    rows = []
+    for _ in range(size):
+        row = rng.sample(range(n), k)
+        if sorted(row) not in [sorted(r) for r in rows]:
+            rows.append(row)  # unsorted rows in no particular order
+    data = {"ground_set_size": n, "k": k, "sets": rows}
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        _mutate(rng, data, n)
+    return data
+
+
+def _load_or_error(loader, data):
+    try:
+        return loader(copy.deepcopy(data))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_loader_matches_per_row_oracle(tmp_path):
+    rng = random.Random(2024)
+    loaded = refused = 0
+    for case in range(2000):
+        data = _random_family_dict(rng)
+        expected = _load_or_error(_oracle_family_from_dict, data)
+        got = _load_or_error(family_from_dict, data)
+        if isinstance(expected, str):
+            assert got == expected, data
+            refused += 1
+            continue
+        assert isinstance(got, SetFamily), (data, got)
+        assert got.sets == expected.sets and got == expected and len(got) == len(expected)
+        assert got.elements().dtype == expected.elements().dtype
+        assert got.elements().tolist() == expected.elements().tolist()
+        save_family(expected, tmp_path / "expected.json")
+        save_family(got, tmp_path / "got.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        loaded += 1
+    assert loaded > 500 and refused > 500
+
+
+def test_loaded_family_builds_masks_on_demand():
+    fam = family_from_dict({"ground_set_size": 6, "k": 2, "sets": [[5, 0], [3, 1], [2, 1]]})
+    assert fam._sets is None and len(fam) == 3
+    assert fam.elements().tolist() == [[1, 2], [1, 3], [0, 5]] and not fam.elements().flags.writeable
+    assert fam.sets == (m(1, 2), m(1, 3), m(0, 5)) and fam.sets is fam.sets
+
+
+def test_loading_a_wide_ground_set_costs_only_its_rows(tmp_path):
+    # each mask of element ~10**8 takes 12.5 MB; the element matrix takes 4 bytes a row
+    path = tmp_path / "wide.json"
+    path.write_text('{"ground_set_size": 100000000, "k": 1, "sets": [[99999999], [99999998], [99999997], [9]]}')
+    assert len(path.read_bytes()) <= 96
+    tracemalloc.start()
+    try:
+        fam = load_family(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert len(fam) == 4 and fam.elements()[:, 0].tolist() == [9, 99999997, 99999998, 99999999]
 
 
 def test_family_to_dict_rows_sorted():

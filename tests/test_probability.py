@@ -13,6 +13,7 @@ from sunflowers.bitset import mask_from_elements
 from sunflowers.constructions import block_product_family
 from sunflowers.families import SetFamily
 from sunflowers.probability import (
+    CHERNOFF_TAIL_N_CAP,
     check_chernoff_tail,
     check_fixed_size_decomposition,
     check_partition_mean_identity,
@@ -638,6 +639,10 @@ def test_chernoff_validates():
     for r in (math.nan, math.inf, -math.inf):  # NaN would skip the rate check as not applying
         with pytest.raises(ValueError, match="finite"):
             check_chernoff_tail(16, 0.5, r=r, eps=0.5)
+    for n in (CHERNOFF_TAIL_N_CAP + 1, 100_000):  # the exact tail's cost grows like n^2.6
+        with pytest.raises(ValueError, match="CHERNOFF_TAIL_N_CAP"):
+            check_chernoff_tail(n, 0.3)
+    assert check_chernoff_tail(CHERNOFF_TAIL_N_CAP, 0.5).passed
 
 
 # --- threshold sweep -------------------------------------------------------------------------

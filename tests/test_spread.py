@@ -4,6 +4,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from sunflowers import cli, spread
@@ -167,6 +168,19 @@ def test_level_counter_matches_dict_count_with_object_ranks():
     assert math.comb(130, 15) >= 2**63
     fam = _random_family(random.Random(3), 130, 16, 3, pool_size=20)
     assert len(fam) == 3 and level_counts(fam, 15)[0].dtype == object
+    _assert_matches_dict_count(fam)
+
+
+@pytest.mark.parametrize("n", [568, 569])
+def test_level_counter_on_each_side_of_uint32_ranks(n):
+    # C(568, 4) <= 2^32 < C(569, 4): level 4 is summed in uint32 at n = 568, in int64 at n = 569
+    assert spread._binomial_columns(n, 4).dtype == (np.uint32 if math.comb(n, 4) <= 2**32 else np.int64)
+    top = m(*range(n - 5, n))  # holds {n-4, ..., n-1}, whose rank C(n, 4) - 1 is the largest
+    fam = SetFamily(n, 5, set(_random_family(random.Random(n), n, 5, 40, pool_size=12).sets) | {top})
+    ranks, counts = level_counts(fam, 4)
+    assert ranks.dtype == np.int64 and ranks[-1] == math.comb(n, 4) - 1
+    expected = {t: c for t, c in _dict_counts(fam).items() if t.bit_count() == 4}
+    assert {rank_to_mask(rank, 4): int(c) for rank, c in zip(ranks, counts)} == expected
     _assert_matches_dict_count(fam)
 
 
