@@ -13,7 +13,6 @@ from .constructions import (
     erdos_rado_family,
     exact_block_hit_probability,
     in_tightness_regime,
-    iter_block_product_masks,
 )
 from .extraction import (
     ExtractionParams,

@@ -1,14 +1,15 @@
-"""Bit-vector sets: Python-int masks and their packed uint64 word form.
+"""Bit-vector sets: Python-int masks and packed uint64 bit matrices.
 
 Bit i set means ground element i is present.  Python ints are arbitrary
 width, so any ground-set size is representable.  The numpy kernels work on
-boolean rows packed into little-endian uint64 words (:func:`pack_words`), so
-they too take any ground size and any number of sets.
+bit matrices packed into little-endian uint64 words, scattered from (row,
+column) pairs by :func:`bit_matrix`, so they too take any ground size and
+any number of sets.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -32,20 +33,16 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def membership_matrix(masks: Sequence[int], width: int) -> np.ndarray:
-    """Boolean ``(len(masks), width)`` matrix: entry (i, e) is bit e of masks[i]."""
-    nbytes = -(-width // 8)
-    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(masks), nbytes), axis=1, count=width, bitorder="little").view(bool)
-
-
-def pack_words(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows ``(r, c)`` as ``(r, ceil(c/64))`` uint64 words.
-
-    Column j lands in word j // 64 at bit j % 64; the padding bits of the
-    last word are zero.
+def bit_matrix(rows: np.ndarray, columns: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The ``(shape[0], ceil(shape[1]/64))`` uint64 matrix with bit
+    (rows[i, q], columns[i, q]) set for every pair of the two broadcast 2-D
+    arrays, and no other: column c lands in word c // 64 at bit c % 64.
+    Pairs are scattered one q at a time, so temporaries stay one column long.
     """
-    rows, cols = bits.shape
-    packed = np.zeros((rows, 8 * -(-cols // 64)), dtype=np.uint8)
-    packed[:, : -(-cols // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8").astype(np.uint64, copy=False)
+    words = -(-shape[1] // 64)
+    out = np.zeros(shape[0] * words, dtype=np.uint64)
+    rows, columns = np.broadcast_arrays(rows, columns)
+    for q in range(rows.shape[1]):
+        r, c = rows[:, q].astype(np.intp), columns[:, q].astype(np.intp)
+        np.bitwise_or.at(out, r * words + (c >> 6), np.uint64(1) << (c & 63).astype(np.uint64))
+    return out.reshape(shape[0], words)

@@ -40,7 +40,6 @@ from .probability import (
 from .rng import DEFAULT_SEED
 from .spread import spread_witness, spreadness
 from .sunvalues import sun_value
-from .bitset import elements_of
 
 SCHEMA_VERSION = 1
 OUT_DIR_ENV = "SUNFLOWERS_OUT_DIR"
@@ -117,7 +116,7 @@ def cmd_check_spread(args) -> int:
         "spreadness": spreadness(family),
         "violation": None
         if report.violation is None
-        else {"t": list(elements_of(report.violation.t)), "count": report.violation.count},
+        else {"t": list(report.violation.elements), "count": report.violation.count},
     }
     _emit_json(payload, _out_path(args.out))
     return 0 if report.certified else 1

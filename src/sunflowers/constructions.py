@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator
+
+import numpy as np
 
 from .families import SetFamily
 
-# refuse to materialize more than this many sets; sweeps beyond it should use
-# iter_block_product_masks
+# refuse to materialize more than this many sets
 FAMILY_SIZE_CAP = 1 << 24
 
 
@@ -52,27 +51,18 @@ class BlockPartition:
         return tuple(base << (i * self.r) for i in range(self.k))
 
 
-def iter_block_product_masks(k: int, r: int) -> Iterator[int]:
-    """Stream all r^k transversal masks without materializing the family."""
-    BlockPartition(k, r)
-    for choices in product(range(r), repeat=k):
-        mask = 0
-        for i, c in enumerate(choices):
-            mask |= 1 << (i * r + c)
-        yield mask
-
-
 def block_product_family(k: int, r: int) -> tuple[SetFamily, BlockPartition]:
     """The family of all r^k transversals of the k-by-r block partition."""
     partition = BlockPartition(k, r)
     size = r**k
     if size > FAMILY_SIZE_CAP:
-        raise ValueError(
-            f"r^k = {size} exceeds the family-size cap {FAMILY_SIZE_CAP}; "
-            "use iter_block_product_masks to stream"
-        )
-    family = SetFamily(partition.ground_size, k, iter_block_product_masks(k, r))
-    return family, partition
+        raise ValueError(f"r^k = {size} exceeds the family-size cap {FAMILY_SIZE_CAP}")
+    dtype = np.min_scalar_type(partition.ground_size - 1)
+    # row (c_0, ..., c_{k-1}) holds i*r + c_i; colex order varies c_{k-1} slowest
+    elements = np.empty((size, k), dtype=dtype)
+    elements[:] = np.indices((r,) * k, dtype=dtype).reshape(k, size)[::-1].T
+    elements += np.arange(0, partition.ground_size, r, dtype=dtype)
+    return SetFamily._from_elements(partition.ground_size, k, elements), partition
 
 
 def erdos_rado_family(p: int, k: int) -> SetFamily:

@@ -1,11 +1,11 @@
 """k-uniform set families over an integer ground set, with bitmask members.
 
-Members are Python-int bitmasks over ground elements {0, ..., n-1}.  A
-:class:`SetFamily` holds distinct k-element sets in ascending mask order,
-either as masks or, when loaded from JSON, as the ``(|F|, k)`` matrix of
-their elements, whose masks are built on first use; all types here are
-immutable after construction (their caches aside) and safe to share across
-threads.
+Members are sets of ground elements {0, ..., n-1}.  A :class:`SetFamily`
+holds distinct k-element sets as one ``(|F|, k)`` matrix of their elements,
+rows ascending and in colex (ascending-mask) order, whether it was built from
+Python-int bitmasks or loaded from JSON; the masks are a view of it, built on
+first use.  All types here are immutable after construction (their caches
+aside) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitset import membership_matrix, pack_words
+from .bitset import bit_matrix, elements_of
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,15 @@ class Sunflower:
 class SetFamily:
     """Distinct k-element sets over a common ground set, ascending by mask.
 
+    The family is stored as one matrix, :meth:`elements`: each member's
+    elements in ascending order, one row per member in ascending-mask order.
     Duplicate masks passed to the constructor are merged (identity is by
-    value); the JSON loader, by contrast, rejects duplicate rows outright
-    and keeps the members as the element matrix it validated, building the
-    masks (:attr:`sets`) only when something asks for them.  The numpy
-    kernels read the members through two matrices, each built on first use
-    and cached: :meth:`holders`, a packed per-element member bitset, and
-    :meth:`elements`, each member's elements in ascending order, which the
-    spread layer's level counting and the extraction's partition search
-    gather from.  The spread layer caches its per-level superset counts in
-    ``_levels`` (:func:`sunflowers.spread.level_counts`).
+    value); the JSON loader, by contrast, rejects duplicate rows outright.
+    Everything else is read from the matrix on first use and cached: the
+    masks (:attr:`sets`), and :meth:`holders`, a packed per-element member
+    bitset for the Monte Carlo kernel.  The spread layer caches its
+    per-level superset counts in ``_levels``
+    (:func:`sunflowers.spread.level_counts`).
     """
 
     __slots__ = ("ground_size", "k", "_sets", "_holders", "_elements", "_levels")
@@ -59,44 +58,45 @@ class SetFamily:
                 raise ValueError(f"mask {m:#x} does not fit ground set of size {ground_size}")
             if m.bit_count() != k:
                 raise ValueError(f"mask {m:#x} has {m.bit_count()} elements, expected k={k}")
-        self.ground_size = ground_size
-        self.k = k
+        self._hold(ground_size, k, _rows_of_masks(masks, k, np.min_scalar_type(ground_size - 1)))
         self._sets = tuple(masks)
-        self._holders = None
-        self._elements = None
-        self._levels = {}
 
     @classmethod
     def _from_elements(cls, ground_size: int, k: int, elements: np.ndarray) -> "SetFamily":
-        """A family held as a validated ``(|F|, k)`` matrix: distinct rows of
-        ascending elements in colex (ascending-mask) order, in the dtype of
-        :meth:`elements`."""
+        """A family held as a validated ``(|F|, k)`` matrix: distinct rows of ascending
+        elements in colex (ascending-mask) order, in the dtype of :meth:`elements`."""
         _check_sizes(ground_size, k)
         family = cls.__new__(cls)
-        family.ground_size = ground_size
-        family.k = k
-        family._sets = None
-        family._holders = None
-        elements.setflags(write=False)
-        family._elements = elements
-        family._levels = {}
+        family._hold(ground_size, k, elements)
         return family
+
+    def _hold(self, ground_size: int, k: int, elements: np.ndarray) -> None:
+        self.ground_size = ground_size
+        self.k = k
+        elements.setflags(write=False)
+        self._elements = elements
+        self._sets = None
+        self._holders = None
+        self._levels = {}
 
     @property
     def sets(self) -> tuple[int, ...]:
-        """The members as ascending masks.  Built from :meth:`elements` on
-        first use when the family was loaded as a matrix, then cached."""
+        """The members as ascending masks, read from :meth:`elements` packed into
+        words (no larger than the masks).  Built on first use, then cached."""
         if self._sets is None:
-            self._sets = _masks_of_rows(self._elements)
+            width = int(self._elements.max(initial=0)) + 1
+            words = bit_matrix(np.arange(len(self))[:, None], self._elements, (len(self), width))
+            self._sets = tuple(int.from_bytes(row.tobytes(), "little") for row in words.astype("<u8", copy=False))
         return self._sets
 
     def holders(self) -> np.ndarray:
         """Read-only ``(n, ceil(|F|/64))`` uint64 matrix; row e is the bitset of
         the members that contain ground element e (bit j of the row is
-        ``sets[j]``, padding bits zero).  Built on first call, then cached.
+        ``sets[j]``, padding bits zero).  Scattered from :meth:`elements` on
+        first call, then cached.
         """
         if self._holders is None:
-            holders = pack_words(membership_matrix(self.sets, self.ground_size).T)
+            holders = bit_matrix(self._elements, np.arange(len(self))[:, None], (self.ground_size, len(self)))
             holders.setflags(write=False)
             self._holders = holders
         return self._holders
@@ -104,31 +104,26 @@ class SetFamily:
     def elements(self) -> np.ndarray:
         """Read-only ``(|F|, k)`` matrix whose row s holds the elements of
         ``sets[s]`` in ascending order, in the narrowest unsigned dtype that
-        holds n - 1.  Built on first call, then cached.
+        holds n - 1: the family's stored form.
         """
-        if self._elements is None:
-            columns = np.nonzero(membership_matrix(self.sets, self.ground_size))[1]
-            elements = columns.astype(np.min_scalar_type(self.ground_size - 1))
-            elements = elements.reshape(len(self.sets), self.k)
-            elements.setflags(write=False)
-            self._elements = elements
         return self._elements
 
     def __len__(self) -> int:
-        return len(self._sets if self._sets is not None else self._elements)
+        return len(self._elements)
 
     def __iter__(self):
         return iter(self.sets)
 
     def __contains__(self, mask: int) -> bool:
-        return _bisect_contains(self.sets, mask)
+        i = bisect.bisect_left(self.sets, mask)
+        return i < len(self) and self.sets[i] == mask
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SetFamily)
             and self.ground_size == other.ground_size
             and self.k == other.k
-            and self.sets == other.sets
+            and np.array_equal(self._elements, other._elements)
         )
 
     def __hash__(self) -> int:
@@ -145,21 +140,13 @@ def _check_sizes(ground_size: int, k: int) -> None:
         raise ValueError(f"set size k must be >= 0, got {k}")
 
 
-def _masks_of_rows(elements: np.ndarray) -> tuple[int, ...]:
-    """The mask of each row of elements, read from one little-endian byte row
-    per member that ends at the largest element: no wider than the masks."""
-    nbytes = int(elements.max()) // 8 + 1 if elements.size else 1
-    rows = np.zeros((len(elements), nbytes), dtype=np.uint8)
-    index = np.arange(len(elements))
-    for column in elements.astype(np.intp).T:  # loaded elements are below 2^63 whatever their dtype
-        rows[index, column >> 3] |= (1 << (column & 7)).astype(np.uint8)
-    data = rows.tobytes()
-    return tuple(int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes))
-
-
-def _bisect_contains(sorted_masks: Sequence[int], mask: int) -> bool:
-    i = bisect.bisect_left(sorted_masks, mask)
-    return i < len(sorted_masks) and sorted_masks[i] == mask
+def _rows_of_masks(masks: Sequence[int], k: int, dtype: np.dtype) -> np.ndarray:
+    """Each mask's elements, ascending: the set bits of its non-zero little-endian bytes."""
+    nbytes = -(-masks[-1].bit_length() // 8) if masks else 1
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
+    byte = np.flatnonzero(raw)
+    which, bit = np.nonzero(np.unpackbits(raw[byte, None], axis=1, bitorder="little"))
+    return (byte[which] % nbytes * 8 + bit).astype(dtype).reshape(len(masks), k)
 
 
 def is_sunflower(sets: Sequence[int]) -> Optional[Sunflower]:
@@ -186,15 +173,23 @@ def is_sunflower(sets: Sequence[int]) -> Optional[Sunflower]:
 def link(family: SetFamily, t: int) -> SetFamily:
     """The family {S \\ T : S in family, T subset of S}, (k-|T|)-uniform.
 
-    Distinct supersets of T yield distinct differences, so no members merge.
+    The rows of :meth:`SetFamily.elements` that hold all of T, with T's
+    columns deleted: distinct supersets of T yield distinct differences, in
+    the same colex order, so no members merge and nothing is sorted.
     """
     if t == 0:
         raise ValueError("link requires a non-empty set T")
     size_t = t.bit_count()
     if size_t > family.k:
         raise ValueError(f"|T|={size_t} exceeds family k={family.k}")
-    kept = [s & ~t for s in family.sets if s & t == t]
-    return SetFamily(family.ground_size, family.k - size_t, kept)
+    elements = family.elements()
+    inside = np.zeros(elements.shape, dtype=bool)
+    for e in elements_of(t):
+        inside |= elements == e
+    kept = inside.sum(axis=1) == size_t
+    rows = elements[kept]
+    rows = rows[~inside[kept]].reshape(len(rows), family.k - size_t)
+    return SetFamily._from_elements(family.ground_size, family.k - size_t, rows)
 
 
 def find_disjoint_sets(

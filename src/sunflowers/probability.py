@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import betaincinv
 
-from .bitset import membership_matrix, pack_words
+from .bitset import bit_matrix
 from .constructions import BlockPartition
 from .families import SetFamily
 from .rng import DEFAULT_SEED, STREAM_BERNOULLI, STREAM_PARTITION, bernoulli_block, uniform_block
@@ -100,7 +100,7 @@ def hit_counts_by_size(family: SetFamily) -> np.ndarray:
     if n > EXACT_ENUMERATION_GROUND_CAP:
         raise ValueError(f"ground size {n} exceeds enumeration cap {EXACT_ENUMERATION_GROUND_CAP}")
     words = np.zeros(1 << max(n - 6, 0), dtype=np.uint64)
-    masks = np.fromiter(family.sets, dtype=np.uint64, count=len(family))
+    masks = np.bitwise_or.reduce(np.uint64(1) << family.elements().astype(np.uint64), axis=1)
     bits = np.uint64(1) << (masks & 63)
     for e in range(min(n, 6)):
         bits |= (bits & _WITHOUT_ELEMENT[e]) << np.uint64(1 << e)
@@ -134,7 +134,7 @@ def _union_size_coefficients(family: SetFamily) -> np.ndarray:
     m, n = len(family), family.ground_size
     if m > EXACT_IE_FAMILY_CAP:
         raise ValueError(f"family size {m} exceeds inclusion-exclusion cap {EXACT_IE_FAMILY_CAP}")
-    members = pack_words(membership_matrix(family.sets, n))
+    members = bit_matrix(np.arange(m)[:, None], family.elements(), (m, n))
     unions = np.zeros((1 << m, members.shape[1]), dtype=np.uint64)
     keys = np.zeros(1 << m, dtype=np.intp)  # n + 1 on odd subfamilies
     for i in range(m):
@@ -224,8 +224,9 @@ def _contains_member(family: SetFamily, rows: np.ndarray) -> np.ndarray:
     if not len(family):
         return np.zeros(len(rows), dtype=bool)
     n = family.ground_size
-    full = pack_words(np.ones((1, len(family)), dtype=bool))
-    words = full.shape[1]
+    words = -(-len(family) // 64)
+    full = np.full(words, ~np.uint64(0))
+    full[-1] >>= np.uint64(-len(family) % 64)  # every member, padding bits clear
     w = _group_width(n, words, len(rows))
     groups = -(-n // w)
     holders = family.holders()

@@ -9,17 +9,18 @@ ranks with their multiplicities.  Among sets of one size, colex order is
 mask-value order, so ascending rank is ascending mask.  A level's ranks are
 gathered from the family's element matrix
 (:meth:`~sunflowers.families.SetFamily.elements`, one row of ascending
-elements per member), which a family loaded from JSON holds from the start
-and the extraction's partition search reads too, so certifying a loaded
-family never builds its masks.  Ranks are summed and sorted in ``uint32``
-when C(n, j) allows it, the narrowest width that keeps numpy's sort fast.
-Levels are counted on demand and cached on the family, so a caller that
-stops at the first violating level pays only for the levels below it, and a
-later call reuses them.
+elements per member), the family's stored form, so certifying never builds
+masks; binomials are tabulated over the ground set, or over the elements
+present when n is wider than the matrix.  Ranks are summed and sorted in
+``uint32`` when C(n, j) allows it, the narrowest width that keeps numpy's
+sort fast.  Levels are counted on demand and cached on the family, so a
+caller that stops at the first violating level pays only for the levels
+below it, and a later call reuses them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,16 +29,20 @@ from typing import Optional
 
 import numpy as np
 
-from .bitset import elements_of
-from .families import SetFamily
+from .bitset import mask_from_elements
+from .families import SetFamily, link
 
 
 @dataclass(frozen=True)
 class SpreadViolation:
-    """A set t contained in ``count`` members with count > r^(k-|t|)."""
+    """A set T, by its ascending elements, in ``count`` > r^(k-|T|) members; ``t`` is its mask."""
 
-    t: int
+    elements: tuple[int, ...]
     count: int
+
+    @property
+    def t(self) -> int:
+        return mask_from_elements(self.elements)
 
 
 @dataclass(frozen=True)
@@ -51,13 +56,11 @@ class SpreadReport:
 
 
 def superset_count(family: SetFamily, t: int) -> int:
-    """Exact number of members containing the non-empty set t."""
+    """Exact number of members containing the non-empty set t: the size of
+    its link, a selection of the rows of the element matrix."""
     if t == 0:
         raise ValueError("superset_count requires a non-empty set")
-    if t.bit_length() > family.ground_size:
-        return 0
-    common = np.bitwise_and.reduce(family.holders()[list(elements_of(t))], axis=0)
-    return int(np.bitwise_count(common).sum())
+    return len(link(family, t)) if t.bit_count() <= family.k else 0
 
 
 def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -67,8 +70,8 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
     (``int64``, or Python ints in an object array when some C(n, i), i <= k,
     reaches 2^63) and, for each, the number of members containing that set.
     The ranks are summed and sorted in ``uint32`` when they fit it, and only
-    the distinct ones are widened.  :func:`rank_to_mask` turns a rank back
-    into a mask.  Cached on the family.
+    the distinct ones are widened.  :func:`rank_to_elements` turns a rank
+    back into its set.  Cached on the family.
     """
     if not 1 <= j <= family.k:
         raise ValueError(f"level j={j} outside 1..{family.k}")
@@ -80,8 +83,13 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _count_level(n: int, elements: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     k = elements.shape[1]
+    if n <= elements.size:
+        table, index = _binomial_columns(n, j), elements
+    else:  # a ground set wider than the matrix: tabulate only the elements present
+        present, index = np.unique(elements, return_inverse=True)
+        table, index = _binomial_table(n, j, present.tolist()), index.reshape(elements.shape)
     # terms[i, s, q] = C(q-th element of sets[s], i+1)
-    terms = np.take(_binomial_columns(n, j), elements, axis=1)
+    terms = np.take(table, index, axis=1)
     positions = _position_combinations(k, j)
     ranks = terms[0][:, positions[:, 0]]
     for i in range(1, j):
@@ -95,7 +103,13 @@ def _count_level(n: int, elements: np.ndarray, j: int) -> tuple[np.ndarray, np.n
 
 @lru_cache(maxsize=64)
 def _binomial_columns(n: int, j: int) -> np.ndarray:
-    """Read-only ``(j, n)`` table whose entry (i, e) is C(e, i+1).
+    """:func:`_binomial_table` over the whole ground set, cached by (n, j)."""
+    return _binomial_table(n, j, range(n))
+
+
+def _binomial_table(n: int, j: int, values) -> np.ndarray:
+    """Read-only ``(j, len(values))`` table whose entry (i, q) is
+    C(values[q], i+1), for elements of a ground set of size n.
 
     Its entries and the colex ranks of j-subsets summed from them are all
     below C(n, min(j, n // 2)), so the table is ``uint32`` when that bound
@@ -104,8 +118,8 @@ def _binomial_columns(n: int, j: int) -> np.ndarray:
     """
     bound = math.comb(n, min(j, n // 2))
     dtype = np.uint32 if bound <= 2**32 else np.int64 if bound <= 2**63 else object
-    table = [[math.comb(e, i + 1) for e in range(n)] for i in range(j)]
-    out = np.array(table, dtype=dtype).reshape(j, n)
+    table = [[math.comb(e, i + 1) for e in values] for i in range(j)]
+    out = np.array(table, dtype=dtype).reshape(j, len(values))
     out.setflags(write=False)
     return out
 
@@ -118,20 +132,22 @@ def _position_combinations(k: int, j: int) -> np.ndarray:
     return out
 
 
-def rank_to_mask(rank: int, j: int) -> int:
-    """The j-set whose colex rank is ``rank``, as a mask."""
-    rank = int(rank)
-    mask = 0
-    e = j - 1
-    while math.comb(e + 1, j) <= rank:
-        e += 1
+def rank_to_elements(rank: int, j: int) -> tuple[int, ...]:
+    """The ascending elements of the j-set whose colex rank is ``rank``.
+
+    From the top down, each element is the largest e with C(e, i) within
+    what is left of the rank, found by doubling then bisection, so the cost
+    grows with log n rather than n.
+    """
+    rank, out = int(rank), []
     for i in range(j, 0, -1):
-        while math.comb(e, i) > rank:
-            e -= 1
+        high = i
+        while math.comb(high, i) <= rank:
+            high *= 2
+        e = bisect.bisect_right(range(high), rank, key=lambda x: math.comb(x, i)) - 1
         rank -= math.comb(e, i)
-        mask |= 1 << e
-        e -= 1
-    return mask
+        out.append(e)
+    return tuple(reversed(out))
 
 
 def spread_witness(family: SetFamily, r: float, worst: bool = False) -> SpreadReport:
@@ -162,12 +178,12 @@ def spread_witness(family: SetFamily, r: float, worst: bool = False) -> SpreadRe
             count = int(counts[i])
             if count > threshold and count / threshold > best_ratio:
                 best_ratio = count / threshold
-                best = SpreadViolation(t=rank_to_mask(ranks[i], j), count=count)
+                best = SpreadViolation(rank_to_elements(ranks[i], j), count)
             continue
         over = np.flatnonzero(counts > threshold)
         if over.size:
             i = int(over[0])
-            violation = SpreadViolation(t=rank_to_mask(ranks[i], j), count=int(counts[i]))
+            violation = SpreadViolation(rank_to_elements(ranks[i], j), int(counts[i]))
             return SpreadReport(r=r, violation=violation)
     return SpreadReport(r=r, violation=best)
 

@@ -29,7 +29,7 @@ def test_construct_erdos_rado_matches_block_product(tmp_path, block22):
 def test_construct_over_cap_is_refused(capsys):
     rc = main(["construct", "block-product", "--k", "30", "--r", "3"])
     assert rc == 2
-    assert "stream" in capsys.readouterr().err
+    assert "exceeds the family-size cap" in capsys.readouterr().err
 
 
 def test_check_spread_exit_codes(block22, capsys):

@@ -1,6 +1,8 @@
 import math
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from sunflowers.bitset import mask_from_elements
@@ -11,7 +13,6 @@ from sunflowers.constructions import (
     erdos_rado_family,
     exact_block_hit_probability,
     in_tightness_regime,
-    iter_block_product_masks,
 )
 from sunflowers.spread import superset_count
 from sunflowers.sunvalues import contains_sunflower
@@ -19,6 +20,11 @@ from sunflowers.sunvalues import contains_sunflower
 
 def m(*elements):
     return mask_from_elements(elements)
+
+
+def _product_oracle(k, r):
+    # every choice of one element per block, as masks, ascending
+    return sorted(sum(1 << (i * r + c) for i, c in enumerate(choices)) for choices in product(range(r), repeat=k))
 
 
 def test_block_layout_is_fixed():
@@ -54,17 +60,38 @@ def test_family_size_is_r_to_the_k(k, r):
     fam, _ = block_product_family(k, r)
     assert len(fam) == r**k
     assert fam.ground_size == r * k
-    assert sorted(iter_block_product_masks(k, r)) == list(fam.sets)
+    assert _product_oracle(k, r) == list(fam.sets)
+
+
+@pytest.mark.parametrize("k,r", [(1, 1), (1, 7), (3, 1), (2, 5), (3, 4), (4, 3), (5, 2), (2, 40), (2, 130)])
+def test_block_product_matches_product_oracle(k, r):
+    fam, _ = block_product_family(k, r)
+    expected = _product_oracle(k, r)
+    rows = [[e for e in range(k * r) if s >> e & 1] for s in expected]
+    assert fam.elements().tolist() == rows
+    assert fam.elements().dtype == (np.uint8 if k * r <= 256 else np.uint16)
+    assert fam.elements().flags.c_contiguous and not fam.elements().flags.writeable
+    assert fam.sets == tuple(expected)
+
+
+def test_block_6_10_is_built_without_masks():
+    # a million members: the matrix is 6 MB of uint8; masks alone would take about 60 MB
+    tracemalloc.start()
+    try:
+        fam, _ = block_product_family(6, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert fam._sets is None and len(fam) == 10**6
+    assert fam.elements()[[0, 1, -1]].tolist() == [[0, 10, 20, 30, 40, 50], [1, 10, 20, 30, 40, 50],
+                                                    [9, 19, 29, 39, 49, 59]]
 
 
 def test_size_cap_refused():
     assert 3**30 > FAMILY_SIZE_CAP
-    with pytest.raises(ValueError, match="stream"):
+    with pytest.raises(ValueError, match="exceeds the family-size cap"):
         block_product_family(30, 3)
-    # the streaming iterator has no cap
-    stream = iter_block_product_masks(30, 3)
-    first = next(stream)
-    assert first.bit_count() == 30
 
 
 def test_every_member_is_a_transversal():

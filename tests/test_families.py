@@ -125,6 +125,81 @@ def test_link_cardinality_and_roundtrip(sets, data):
         assert (stripped | t) in fam.sets
 
 
+def _oracle_link(family, t):
+    # the mask comprehension that the row selection replaced
+    return SetFamily(family.ground_size, family.k - t.bit_count(), [s & ~t for s in family.sets if s & t == t])
+
+
+def _random_rows(rng, n, k, size):
+    rows = {tuple(sorted(rng.sample(range(n), k))) for _ in range(size)}
+    return [list(row) for row in sorted(rows)]
+
+
+def _both_forms(rng, n, k, rows):
+    built = SetFamily(n, k, [m(*row) for row in rows])
+    loaded = family_from_dict({"ground_set_size": n, "k": k, "sets": [rng.sample(row, k) for row in rows]})
+    return built, loaded
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 65, 127, 128, 129])
+def test_link_matches_mask_oracle(n):
+    rng = random.Random(n)
+    for _ in range(12):
+        k = rng.randint(1, 5)
+        rows = _random_rows(rng, n, k, rng.randint(1, 60))
+        # a popular element, so that some links are large
+        rows += [sorted({n - 1} | set(rng.sample(range(n - 1), k - 1))) for _ in range(rng.randint(0, 20))]
+        rows = [list(row) for row in sorted({tuple(row) for row in rows})]
+        used = {e for row in rows for e in row}
+        absent = [e for e in range(n) if e not in used]
+        ts = [m(*rng.sample(row, rng.randint(1, k))) for row in rng.sample(rows, min(8, len(rows)))]
+        ts += [m(*rng.sample(row, k - 1)) for row in rows[:3] if k > 1]  # |T| = k - 1
+        ts += [m(n - 1), m(0, n - 1)] if k > 1 else [m(n - 1)]
+        ts += [m(absent[0])] if absent else []  # in no member
+        ts += [1 << n, m(rows[0][0]) | 1 << (n + 5)]  # an element past the ground set
+        built, loaded = _both_forms(rng, n, k, rows)
+        for parent in (built, loaded):
+            links = [(t, link(parent, t)) for t in ts if t.bit_count() <= k]
+            assert loaded._sets is None  # a loaded parent's links read only its matrix
+            for t, got in links:
+                expected = _oracle_link(parent, t)
+                assert got.k == expected.k == k - t.bit_count() and got.ground_size == n
+                assert got.elements().dtype == expected.elements().dtype
+                assert got.elements().tolist() == expected.elements().tolist(), hex(t)
+                assert not got.elements().flags.writeable
+                assert got.sets == expected.sets
+
+
+# --- one stored form ------------------------------------------------------------------
+
+
+def test_mask_built_and_loaded_families_are_one_form(tmp_path):
+    from sunflowers.probability import hit_counts_by_size
+    from sunflowers.spread import level_counts
+
+    rng = random.Random(15)
+    for case in range(120):
+        n = rng.choice([1, 2, 5, 8, 9, 16, 24, 40, 63, 64, 65, 130, 300])
+        k = rng.randint(0, min(n, 5))
+        rows = _random_rows(rng, n, k, rng.randint(0, 30))
+        built, loaded = _both_forms(rng, n, k, rows)
+        assert len(built) == len(loaded) == len(rows) and built == loaded
+        assert built.elements().dtype == loaded.elements().dtype
+        assert built.elements().tolist() == loaded.elements().tolist() == sorted(rows, key=lambda r: m(*r))
+        assert not built.elements().flags.writeable and built.elements().flags.c_contiguous
+        assert built.holders().tobytes() == loaded.holders().tobytes()
+        for j in range(1, k + 1):
+            for got, expected in zip(level_counts(loaded, j), level_counts(built, j)):
+                assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+        if n <= 24:
+            assert hit_counts_by_size(built).tolist() == hit_counts_by_size(loaded).tolist()
+        save_family(built, tmp_path / "built.json")
+        save_family(loaded, tmp_path / "loaded.json")
+        assert (tmp_path / "built.json").read_bytes() == (tmp_path / "loaded.json").read_bytes()
+        assert loaded._sets is None  # nothing above needed the masks
+        assert built.sets == loaded.sets == tuple(sorted(m(*row) for row in rows))
+
+
 # --- find_disjoint_sets -----------------------------------------------------------
 
 

@@ -10,11 +10,11 @@ import pytest
 from sunflowers import cli, spread
 from sunflowers.bitset import elements_of, mask_from_elements
 from sunflowers.constructions import block_product_family
-from sunflowers.families import SetFamily, family_to_dict
+from sunflowers.families import SetFamily, family_from_dict, family_to_dict
 from sunflowers.spread import (
     SpreadViolation,
     level_counts,
-    rank_to_mask,
+    rank_to_elements,
     spread_witness,
     spreadness,
     superset_count,
@@ -23,6 +23,10 @@ from sunflowers.spread import (
 
 def m(*elements):
     return mask_from_elements(elements)
+
+
+def rank_to_mask(rank, j):
+    return mask_from_elements(rank_to_elements(rank, j))
 
 
 def star(leaves):
@@ -63,6 +67,20 @@ def test_superset_count_matches_python_oracle_across_word_boundary(n, size):
     assert superset_count(fam, 1 << n) == 0  # outside the ground set
 
 
+def test_superset_count_reads_the_rows_not_the_holders():
+    # holders() would take n bits for every element: 128 MiB at n = 10^7
+    fam = family_from_dict({"ground_set_size": 10**7, "k": 1, "sets": [[9_999_999], [9], [4_000_000], [77]]})
+    tracemalloc.start()
+    try:
+        counts = [superset_count(fam, 1 << 9), superset_count(fam, 1 << 8), superset_count(fam, (1 << 9) | 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [1, 0, 0]
+    assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert fam._holders is None and fam._sets is None
+
+
 def _naive_counts(family):
     # oracle: scan every non-empty subset of the whole ground set
     counts = {}
@@ -92,6 +110,50 @@ def test_level_counts_match_naive_enumeration():
                           min(size, len(list(combinations(range(n), k)))))
         fam = SetFamily(n, k, sets)
         assert _level_dict(fam) == _naive_counts(fam)
+
+
+def _linear_rank_to_mask(rank, j):
+    # the element-by-element search that the bisection replaced
+    mask, e = 0, j - 1
+    while math.comb(e + 1, j) <= rank:
+        e += 1
+    for i in range(j, 0, -1):
+        while math.comb(e, i) > rank:
+            e -= 1
+        rank -= math.comb(e, i)
+        mask |= 1 << e
+        e -= 1
+    return mask
+
+
+def test_rank_to_elements_inverts_the_colex_rank():
+    rng = random.Random(5)
+    for _ in range(300):
+        j = rng.randint(1, 6)
+        n = rng.choice([j, j + 1, 10, 64, 1000, 10**8])
+        elements = tuple(sorted(rng.sample(range(n), j)))
+        rank = sum(math.comb(e, i + 1) for i, e in enumerate(elements))
+        assert rank_to_elements(rank, j) == elements
+        if n <= 1000:
+            assert _linear_rank_to_mask(rank, j) == m(*elements)
+    assert rank_to_elements(0, 3) == (0, 1, 2) and rank_to_elements(np.int64(10**8 - 1), 1) == (10**8 - 1,)
+
+
+def test_check_spread_on_a_wide_ground_set_stays_small(tmp_path, capsys):
+    # three pairs sharing element n - 1 at n = 10^8: a table over the ground set would hold 10^8 entries,
+    # and the violation's mask 12.5 MB
+    path = tmp_path / "wide.json"
+    path.write_text('{"ground_set_size": 100000000, "k": 2, "sets": [[99999999, 10], [99999999, 70], [99999999, 50]]}')
+    assert len(path.read_bytes()) == 96
+    tracemalloc.start()
+    try:
+        code = cli.main(["check-spread", str(path), "--r", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["violation"] == {"t": [99999999], "count": 3} and payload["spreadness"] == 3.0
+    assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_level_ranks_ascend_in_mask_order():
@@ -124,10 +186,10 @@ def _dict_witness(counts, k, r, worst):
         threshold = r ** (k - t.bit_count())
         if count > threshold:
             if not worst:
-                return SpreadViolation(t=t, count=count)
+                return SpreadViolation(elements_of(t), count)
             if count / threshold > best_ratio:
                 best_ratio = count / threshold
-                best = SpreadViolation(t=t, count=count)
+                best = SpreadViolation(elements_of(t), count)
     return best
 
 
@@ -211,7 +273,7 @@ def test_check_spread_counts_each_level_once(monkeypatch, tmp_path, capsys, extr
 def test_singleton_violation_counts_only_level_one(monkeypatch):
     fam = SetFamily(8, 4, [m(0, 1, 2, 3), m(0, 4, 5, 6), m(0, 5, 6, 7), m(0, 1, 6, 7)])
     counted = _record_levels(monkeypatch)
-    assert spread_witness(fam, 1.5).violation == SpreadViolation(t=m(0), count=4)
+    assert spread_witness(fam, 1.5).violation == SpreadViolation((0,), 4)
     assert counted == [1]
 
 
@@ -236,7 +298,7 @@ def test_block_family_certified_at_its_width():
 
 def test_star_violates_at_r3():
     report = spread_witness(star(4), 3.0)
-    assert report.violation == SpreadViolation(t=m(0), count=4)
+    assert report.violation == SpreadViolation((0,), 4)
     # the certificate self-verifies
     assert superset_count(star(4), m(0)) == 4
 
@@ -259,7 +321,7 @@ def test_violation_tie_break_prefers_small_then_lexicographic():
     # smaller mask
     fam = SetFamily(6, 2, [m(0, 1), m(0, 2), m(5, 3), m(5, 4)])
     report = spread_witness(fam, 1.5)
-    assert report.violation == SpreadViolation(t=m(0), count=2)
+    assert report.violation == SpreadViolation((0,), 2)
 
 
 def test_worst_flag_returns_maximal_ratio():
