@@ -58,7 +58,8 @@ class SetFamily:
                 raise ValueError(f"mask {m:#x} does not fit ground set of size {ground_size}")
             if m.bit_count() != k:
                 raise ValueError(f"mask {m:#x} has {m.bit_count()} elements, expected k={k}")
-        self._hold(ground_size, k, _rows_of_masks(masks, k, np.min_scalar_type(ground_size - 1)))
+        rows = np.array(list(map(elements_of, masks)), dtype=np.min_scalar_type(ground_size - 1))
+        self._hold(ground_size, k, rows.reshape(len(masks), k))
         self._sets = tuple(masks)
 
     @classmethod
@@ -138,15 +139,6 @@ def _check_sizes(ground_size: int, k: int) -> None:
         raise ValueError(f"ground-set size must be >= 1, got {ground_size}")
     if k < 0:
         raise ValueError(f"set size k must be >= 0, got {k}")
-
-
-def _rows_of_masks(masks: Sequence[int], k: int, dtype: np.dtype) -> np.ndarray:
-    """Each mask's elements, ascending: the set bits of its non-zero little-endian bytes."""
-    nbytes = -(-masks[-1].bit_length() // 8) if masks else 1
-    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), dtype=np.uint8)
-    byte = np.flatnonzero(raw)
-    which, bit = np.nonzero(np.unpackbits(raw[byte, None], axis=1, bitorder="little"))
-    return (byte[which] % nbytes * 8 + bit).astype(dtype).reshape(len(masks), k)
 
 
 def is_sunflower(sets: Sequence[int]) -> Optional[Sunflower]:

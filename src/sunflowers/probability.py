@@ -244,8 +244,9 @@ def _contains_member(family: SetFamily, rows: np.ndarray) -> np.ndarray:
     nbytes = -(-n // 8)
     tile = max(1, _KERNEL_TILE_BYTES // (8 * max(1, words)))
     lanes = np.zeros((nbytes + 1, min(tile, len(rows))), dtype=np.uint16)  # lane i: byte i of each sample
-    alive = np.empty((lanes.shape[1], words), dtype=np.uint64)
-    row = np.empty_like(alive)
+    # one allocation for both tile buffers: freed as one block, it lifts glibc's heap-trim
+    # threshold past a call's temporaries, so later calls reuse pages instead of faulting
+    alive, row = np.empty((2, lanes.shape[1], words), dtype=np.uint64)
     row_starts = np.arange(0, alive.size, words)
     hits = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), tile):
