@@ -24,6 +24,8 @@ def mask_from_elements(elements: Iterable[int]) -> int:
 def elements_of(mask: int) -> tuple[int, ...]:
     """The elements of a mask in ascending order, in time linear in its bit
     length plus its popcount: one binary string, scanned by ``str.find``."""
+    if mask < 0:
+        raise ValueError(f"a mask must be non-negative, got {mask}")
     bits = bin(mask)[:1:-1]  # bit i at index i
     out = []
     i = bits.find("1")

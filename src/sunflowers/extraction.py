@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bitset import elements_of
+from .bitset import elements_of, mask_from_elements
 from . import probability
 from .families import SetFamily, Sunflower, check_budget, find_disjoint_sets, is_sunflower, link
 from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
@@ -157,7 +157,7 @@ def _spread_case_search(
         return None, 0
     positions = family.elements().T  # row q: the q-th smallest element of every member
     if positions.size == 0:  # no member, or only the empty one, which lies in every class
-        petals = list(family.sets) * classes
+        petals = [0] * (len(family) * classes)
         return (petals, 1) if len(petals) >= need else (None, trials)
     n, dtype = family.ground_size, np.min_scalar_type(classes - 1)
     tile = max(1, probability._KERNEL_TILE_BYTES // max(dtype.itemsize * positions.size, 8 * n))
@@ -173,7 +173,7 @@ def _spread_case_search(
             first = int(won[0])
             members = member[trial == first]  # ascending, so unique keeps each class's smallest
             picks = members[np.unique(ids[first, 0, members], return_index=True)[1]]
-            return [family.sets[j] for j in picks.tolist()], start + first + 1
+            return list(map(mask_from_elements, family.elements()[picks].tolist())), start + first + 1
     return None, trials
 
 
@@ -267,7 +267,7 @@ def extract_sunflower(family: SetFamily, params: ExtractionParams) -> Extraction
             return None
         if fam.k == 1:
             if len(fam) >= p:
-                return Sunflower(core=0, petals=fam.sets[:p])
+                return Sunflower(core=0, petals=tuple(map(mask_from_elements, fam.elements()[:p].tolist())))
             return None
         r = params.r_override if params.r_override is not None else r_threshold(p, fam.k, params.C)
         report = spread_witness(fam, r)

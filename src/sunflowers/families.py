@@ -1,11 +1,12 @@
-"""k-uniform set families over an integer ground set, with bitmask members.
+"""k-uniform set families over an integer ground set, held as element matrices.
 
 Members are sets of ground elements {0, ..., n-1}.  A :class:`SetFamily`
 holds distinct k-element sets as one ``(|F|, k)`` matrix of their elements,
 rows ascending and in colex (ascending-mask) order, whether it was built from
-Python-int bitmasks or loaded from JSON; the masks are a view of it, built on
-first use.  All types here are immutable after construction (their caches
-aside) and safe to share across threads.
+Python-int bitmasks or loaded from JSON.  The matrix alone decides equality,
+hashing and membership; the masks are a view of it, built for the callers
+that work on masks.  All types here are immutable after construction (their
+caches aside) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ class SetFamily:
 
     The family is stored as one matrix, :meth:`elements`: each member's
     elements in ascending order, one row per member in ascending-mask order.
-    Duplicate masks passed to the constructor are merged (identity is by
-    value); the JSON loader, by contrast, rejects duplicate rows outright.
+    It alone decides ``==``, ``hash`` and ``mask in family`` (a bisection
+    over the rows).  Duplicate masks passed to the constructor are merged;
+    the JSON loader, by contrast, rejects duplicate rows outright.
     Everything else is read from the matrix on first use and cached: the
-    masks (:attr:`sets`), and :meth:`holders`, a packed per-element member
-    bitset for the Monte Carlo kernel.  The spread layer caches its
+    masks (:attr:`sets`), built only by iteration, ``brute_force_sunflower``
+    and ``verify_sunflower_free``, and :meth:`holders`, a packed per-element
+    member bitset for the Monte Carlo kernel.  The spread layer caches its
     per-level superset counts in ``_levels``
     (:func:`sunflowers.spread.level_counts`).
     """
@@ -116,8 +119,11 @@ class SetFamily:
         return iter(self.sets)
 
     def __contains__(self, mask: int) -> bool:
-        i = bisect.bisect_left(self.sets, mask)
-        return i < len(self) and self.sets[i] == mask
+        if mask < 0 or mask.bit_length() > self.ground_size or mask.bit_count() != self.k:
+            return False
+        key = list(elements_of(mask))[::-1]  # colex rows ascend as their elements read backwards
+        i = bisect.bisect_left(self._elements, key, key=lambda row: row.tolist()[::-1])
+        return i < len(self) and self._elements[i].tolist()[::-1] == key
 
     def __eq__(self, other) -> bool:
         return (
@@ -128,7 +134,7 @@ class SetFamily:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground_size, self.k, self.sets))
+        return hash((self.ground_size, self.k, self._elements.tobytes()))
 
     def __repr__(self) -> str:
         return f"SetFamily(ground_size={self.ground_size}, k={self.k}, size={len(self)})"
@@ -169,8 +175,8 @@ def link(family: SetFamily, t: int) -> SetFamily:
     columns deleted: distinct supersets of T yield distinct differences, in
     the same colex order, so no members merge and nothing is sorted.
     """
-    if t == 0:
-        raise ValueError("link requires a non-empty set T")
+    if t <= 0:
+        raise ValueError(f"link requires a non-empty set T as a non-negative mask, got {t}")
     size_t = t.bit_count()
     if size_t > family.k:
         raise ValueError(f"|T|={size_t} exceeds family k={family.k}")

@@ -58,8 +58,8 @@ class SpreadReport:
 def superset_count(family: SetFamily, t: int) -> int:
     """Exact number of members containing the non-empty set t: the size of
     its link, a selection of the rows of the element matrix."""
-    if t == 0:
-        raise ValueError("superset_count requires a non-empty set")
+    if t <= 0:
+        raise ValueError(f"superset_count requires a non-empty set as a non-negative mask, got {t}")
     return len(link(family, t)) if t.bit_count() <= family.k else 0
 
 

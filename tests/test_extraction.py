@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -18,7 +19,7 @@ from sunflowers.extraction import (
     r_threshold,
     _spread_case_search,
 )
-from sunflowers.families import SetFamily, is_sunflower
+from sunflowers.families import SetFamily, family_from_dict, family_to_dict, is_sunflower
 from sunflowers.rng import STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
 from sunflowers.spread import superset_count
 from sunflowers.sunvalues import contains_sunflower
@@ -427,3 +428,62 @@ def test_brute_force_cap_matches_budgeted_oracle():
             outcomes.add(found is None)
         decided += len(outcomes) == 2
     assert decided > 40  # on most families a larger cap finds a sunflower that a smaller one misses
+
+
+# --- pinned outputs ------------------------------------------------------------------------
+
+
+def _fuzz_shape(rng):
+    n = rng.randint(2, 16)
+    k = rng.randint(1, min(4, n))
+    sets = {m(*rng.sample(range(n), k)) for _ in range(rng.randint(1, 12))}
+    return SetFamily(n, k, sets), rng.randint(2, 4)
+
+
+def _planted_shape(rng):
+    """A family with a planted (k-2)-set in more members than r = 4 p ln k
+    allows, so the extraction strips it by a link step.  In one shape the
+    members through it carry disjoint pairs, a spread link past 64 elements."""
+    p, k, disjoint = rng.choice((2, 3)), rng.choice((3, 4)), rng.random() < 0.4
+    need = math.floor((4.0 * p * math.log(k)) ** 2) + 1
+    k = 3 if disjoint else k
+    n = 2 * need + 2 if disjoint else rng.randint(28, 32)  # C(n - 2, 2) > 277
+    core = rng.sample(range(n), k - 2)
+    rest = [e for e in range(n) if e not in core]
+    sets = {m(*core, *rest[2 * i : 2 * i + 2]) for i in range(need)} if disjoint else set()
+    while len(sets) < need:
+        sets.add(m(*core, *rng.sample(rest, 2)))
+    while len(sets) < need + 60:
+        sets.add(m(*rng.sample(range(n), k)))
+    return SetFamily(n, k, sets), p
+
+
+def test_extraction_outputs_are_pinned():
+    # a change to any seeded trace or partition search must update this digest knowingly
+    rng = random.Random(16)
+    digest = hashlib.sha256()
+    links = 0
+    for shape in [_fuzz_shape] * 40 + [_planted_shape] * 10:
+        fam, p = shape(rng)
+        trace = extract_sunflower(fam, ExtractionParams(p=p, seed=rng.randrange(2**63)))
+        links += any(isinstance(step, LinkCase) for step in trace.steps)
+        digest.update(json.dumps(trace.to_dict(), sort_keys=True).encode())
+    block, _ = block_product_family(3, 8)
+    for delta, seed in ((0.5, 0), (0.25, 1), (0.125, 2), (1 / 3, 3)):
+        result = generalized_disjoint_search(block, delta, 0.5, seed=seed)
+        digest.update(json.dumps([result.classes, result.hit_classes, list(result.sets)]).encode())
+    assert links >= 10
+    assert digest.hexdigest() == "973179e7ead17c4353297051426dbc86af03280f4ed385b72f29d0660aa0f2e4"
+
+
+@pytest.mark.parametrize("k, r, kinds", [(5, 10, ["spread"]), (4, 12, ["link"] * 3)])
+def test_extraction_leaves_the_masks_unbuilt(k, r, kinds):
+    family = family_from_dict(family_to_dict(block_product_family(k, r)[0]))
+    params = ExtractionParams(p=2, seed=5)
+    first = extract_sunflower(family, params)
+    assert [step["kind"] for step in first.to_dict()["steps"]] == kinds
+    assert first.succeeded
+    assert family._sets is None
+    second = extract_sunflower(family, params)
+    assert json.dumps(second.to_dict(), sort_keys=True) == json.dumps(first.to_dict(), sort_keys=True)
+    assert family._sets is None

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sunflowers.bitset import mask_from_elements
+from sunflowers.constructions import block_product_family
 from sunflowers.families import (
     SetFamily,
     Sunflower,
@@ -20,6 +21,7 @@ from sunflowers.families import (
     load_family,
     save_family,
 )
+from sunflowers.spread import superset_count
 
 
 def m(*elements):
@@ -112,6 +114,16 @@ def test_link_validates_t():
         link(fam, 0)
     with pytest.raises(ValueError):
         link(fam, m(0, 1, 2))
+
+
+def test_negative_masks_are_refused():
+    # bin() keeps the sign, so -1 and -6 once read as {0} and {1, 2}
+    fam = SetFamily(4, 2, [0b0011, 0b0101, 0b1100])
+    for t in (-1, -6, -m(0, 1, 2)):
+        with pytest.raises(ValueError, match="non-negative"):
+            link(fam, t)
+        with pytest.raises(ValueError, match="non-negative"):
+            superset_count(fam, t)
 
 
 @given(distinct_ksets(min_sets=1, max_sets=6), st.data())
@@ -273,6 +285,48 @@ def test_family_validates_members():
 def test_membership():
     fam = SetFamily(4, 2, [m(0, 1), m(2, 3)])
     assert m(0, 1) in fam and m(0, 2) not in fam
+
+
+def _loaded(fam):
+    return family_from_dict(family_to_dict(fam))
+
+
+def test_membership_edge_cases():
+    fam = _loaded(SetFamily(4, 2, [m(0, 1), m(2, 3)]))
+    assert m(0, 4) not in fam and m(4, 5) not in fam  # wider than n
+    assert m(0) not in fam and m(0, 1, 2) not in fam and 0 not in fam  # wrong popcount
+    assert -1 not in fam and -m(0, 1) not in fam and -6 not in fam
+    assert 0 in SetFamily(4, 0, [0]) and 0 in _loaded(SetFamily(4, 0, [0]))
+    assert m(1) not in SetFamily(4, 0, [0])
+    assert 0 not in SetFamily(4, 0, []) and m(0, 1) not in _loaded(SetFamily(4, 2, []))
+    assert fam._sets is None
+
+
+@pytest.mark.parametrize("n", [5, 9, 64, 65, 130])
+def test_membership_matches_mask_oracle(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        k = rng.randint(0, min(4, n))
+        masks = {m(*rng.sample(range(n), k)) for _ in range(rng.randint(0, 30))}
+        probes = list(masks) + [m(*rng.sample(range(n), k)) for _ in range(30)]
+        for fam in (SetFamily(n, k, masks), _loaded(SetFamily(n, k, masks))):
+            assert [x in fam for x in probes] == [x in masks for x in probes]
+
+
+def test_identity_reads_the_element_matrix():
+    # {0, 1, 2} x {3, 4, 5}: over n = 6 as a block family, over n = 9 as a link of one
+    masks = [m(a, b) for a in range(3) for b in range(3, 6)]
+    block3 = block_product_family(3, 3)[0]
+    for n, made in ((6, block_product_family(2, 3)[0]), (9, link(block3, m(6)))):
+        ways = [SetFamily(n, 2, masks), _loaded(SetFamily(n, 2, masks)), made, _loaded(made)]
+        assert all(fam == ways[0] for fam in ways)
+        assert len({hash(fam) for fam in ways}) == 1
+    assert SetFamily(6, 2, masks) != SetFamily(9, 2, masks)
+    fam = _loaded(block3)
+    assert hash(fam) == hash(block3) and m(0, 3, 6) in fam and m(0, 1, 6) not in fam
+    assert fam._sets is None and block3._sets is None
+    single = _loaded(SetFamily(4, 1, [1]))
+    assert (-1 in single) is False and single._sets is None
 
 
 @pytest.mark.parametrize("n,size", [(3, 0), (65, 70), (130, 64)])
