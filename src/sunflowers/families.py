@@ -121,9 +121,10 @@ class SetFamily:
     def __contains__(self, mask: int) -> bool:
         if mask < 0 or mask.bit_length() > self.ground_size or mask.bit_count() != self.k:
             return False
-        key = list(elements_of(mask))[::-1]  # colex rows ascend as their elements read backwards
-        i = bisect.bisect_left(self._elements, key, key=lambda row: row.tolist()[::-1])
-        return i < len(self) and self._elements[i].tolist()[::-1] == key
+        key = list(elements_of(mask))[::-1]
+        rows = self._elements[:, ::-1]  # colex rows ascend as their elements read backwards
+        i = bisect.bisect_left(rows, key, key=np.ndarray.tolist)
+        return i < len(self) and rows[i].tolist() == key
 
     def __eq__(self, other) -> bool:
         return (
