@@ -131,7 +131,6 @@ def cmd_find_sunflower(args) -> int:
         seed=args.seed,
         fallback_bruteforce_cap=args.fallback_cap,
         r_override=args.r_override,
-        use_fallback=not args.no_fallback,
     )
     trace = extract_sunflower(family, params)
     _emit_json(trace.to_dict(), _out_path(args.out))
@@ -353,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--C", type=float, default=4.0, help="spread-threshold constant (default 4)")
     p.add_argument("--r-override", type=float, default=None, help="pin the spread threshold directly")
-    p.add_argument("--no-fallback", action="store_true", help="disable the exhaustive fallback")
-    p.add_argument("--fallback-cap", type=int, default=10**6)
+    p.add_argument("--fallback-cap", type=int, default=10**6, help="fallback node budget; 0 turns it off")
     p.add_argument("--trials", type=int, default=None, help="partition trials (default 64*p)")
     add_common(p)
     p.set_defaults(func=cmd_find_sunflower)

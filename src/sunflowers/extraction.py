@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .bitset import elements_of, mask_from_elements
 from . import probability
 from .families import SetFamily, Sunflower, check_budget, find_disjoint_sets, is_sunflower, link
 from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
-from .spread import spread_witness
+from .spread import level_counts, rank_to_elements, spread_witness
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,8 @@ class ExtractionParams:
 
     The spread threshold uses the supplied C (the provable constant is not
     numerically pinned anywhere, so 4 is a default, not a truth); r_override
-    pins the threshold directly for experiments.
+    pins the threshold directly for experiments.  The exhaustive fallback
+    runs iff fallback_bruteforce_cap, its node budget, is positive.
     """
 
     p: int
@@ -47,7 +48,6 @@ class ExtractionParams:
     seed: int = DEFAULT_SEED
     fallback_bruteforce_cap: int = 10**6
     r_override: Optional[float] = None
-    use_fallback: bool = True
 
     def __post_init__(self):
         if self.p < 2:
@@ -213,12 +213,13 @@ def generalized_disjoint_search(
 def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) -> Optional[Sunflower]:
     """Exhaustive p-petal sunflower search, grouped by candidate cores.
 
-    A sunflower's core is the intersection of any two of its petals, so the
-    candidate cores are the empty set and all pairwise member intersections.
-    For a fixed core X, members containing X form a sunflower with core X
-    iff their X-stripped remainders are pairwise disjoint, so each group
-    reduces to a disjoint-sets search.  ``cap`` bounds the number of search
-    nodes (None: no bound); when exhausted the search gives up (returns None).
+    A p-petal core is empty or a set of 1..k-1 elements in at least p members,
+    so the candidates are the empty set, then those sets read lazily from the
+    cached level counts (:func:`~sunflowers.spread.level_counts`), ascending by
+    (size, mask).  Members containing a core X form a sunflower with core X iff
+    their X-stripped remainders are pairwise disjoint, a disjoint-sets search.
+    ``cap`` bounds the search nodes (None: no bound); every candidate spends at
+    least one, so the cap bounds all the work.  When exhausted: None.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -229,7 +230,6 @@ def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) 
         return None
     if p == 1:
         return Sunflower(core=sets[0], petals=(sets[0],))
-    cores = {sets[i] & sets[j] for i in range(len(sets)) for j in range(i + 1, len(sets))}
     budget = cap
 
     def spend() -> bool:
@@ -239,7 +239,7 @@ def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) 
         budget -= 1
         return True
 
-    for core in sorted(cores, key=lambda m: (m.bit_count(), m)):
+    for core in _candidate_cores(family, p):
         stripped = [m & ~core for m in sets if m & core == core]
         chosen = find_disjoint_sets(stripped, p, None if cap is None else spend)
         if chosen is not None:
@@ -249,14 +249,23 @@ def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) 
     return None
 
 
+def _candidate_cores(family: SetFamily, p: int) -> Iterator[int]:
+    """The empty set, then each j-set (0 < j < k) in >= p members, by (j, mask)."""
+    yield 0
+    for j in range(1, family.k):
+        ranks, counts = level_counts(family, j)
+        for rank in ranks[counts >= p]:
+            yield mask_from_elements(rank_to_elements(rank, j))
+
+
 def extract_sunflower(family: SetFamily, params: ExtractionParams) -> ExtractionTrace:
     """Find a p-petal sunflower by the spread/link recursion.
 
     Every returned sunflower is verified before the trace is built: exactly
     p petals, all members of the input family, pairwise intersections equal
     to the core.  A None result means the recursion, the randomized search,
-    and (when enabled) the exhaustive fallback all came up empty within
-    their budgets.
+    and the exhaustive fallback (run iff its cap is positive) all came up
+    empty within their budgets.
     """
     p = params.p
     steps: list[Step] = []
@@ -286,7 +295,7 @@ def extract_sunflower(family: SetFamily, params: ExtractionParams) -> Extraction
         steps.append(SpreadCase(r=r, trials_used=used, found_disjoint=petals is not None))
         if petals is not None:
             return Sunflower(core=0, petals=tuple(petals[:p]))
-        if params.use_fallback:
+        if params.fallback_bruteforce_cap > 0:
             fallback_used[0] = True
             return brute_force_sunflower(fam, p, cap=params.fallback_bruteforce_cap)
         return None

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -55,7 +56,7 @@ class SetFamily:
 
     def __init__(self, ground_size: int, k: int, sets: Iterable[int]):
         _check_sizes(ground_size, k)
-        masks = sorted(set(sets))
+        masks = sorted(set(map(operator.index, sets)))
         for m in masks:
             if m < 0 or m.bit_length() > ground_size:
                 raise ValueError(f"mask {m:#x} does not fit ground set of size {ground_size}")
@@ -119,6 +120,7 @@ class SetFamily:
         return iter(self.sets)
 
     def __contains__(self, mask: int) -> bool:
+        mask = operator.index(mask)
         if mask < 0 or mask.bit_length() > self.ground_size or mask.bit_count() != self.k:
             return False
         key = list(elements_of(mask))[::-1]
@@ -176,6 +178,7 @@ def link(family: SetFamily, t: int) -> SetFamily:
     columns deleted: distinct supersets of T yield distinct differences, in
     the same colex order, so no members merge and nothing is sorted.
     """
+    t = operator.index(t)
     if t <= 0:
         raise ValueError(f"link requires a non-empty set T as a non-negative mask, got {t}")
     size_t = t.bit_count()

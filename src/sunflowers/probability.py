@@ -560,7 +560,8 @@ def mc_block_hit_probability(
 
 @dataclass(frozen=True)
 class ThresholdPoint:
-    """Smallest block width whose measured hit probability reaches the target."""
+    """r_star: the first block width whose exact hit probability reaches the
+    target (None if no width up to r_max does); p_hat: the probability there, or at r_max."""
 
     k: int
     r_star: Optional[int]
@@ -568,31 +569,25 @@ class ThresholdPoint:
     tightness_floor: float
 
 
-def hit_threshold_sweep(
-    ks,
-    delta: float,
-    target: float = 0.5,
-    trials: int = 50_000,
-    r_max: int = 64,
-    seed: int = DEFAULT_SEED,
-) -> list[ThresholdPoint]:
-    """For each k, scan r = 1..r_max for the first measured hit >= target.
-
-    The true hit probability (1-(1-delta)^r)^k is increasing in r, so a
-    linear scan with early exit finds the crossing.  The reported floor is
-    0.25/delta * ln(2k), the largest width that provably keeps the hit
-    probability below 1/2.
+def hit_threshold_sweep(ks, delta: float, target: float = 0.5, r_max: int = 64) -> list[ThresholdPoint]:
+    """For each k, the first r in 1..r_max whose hit probability
+    (1-(1-delta)^r)^k, increasing in r, reaches the target, compared exactly
+    as the rational (b^r - (b-a)^r)^k / b^(rk) for the double delta = a/b.
+    The reported floor is 0.25/delta * ln(2k), the largest width that
+    provably keeps the hit probability below 1/2.
     """
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0,1), got {delta}")
+    a, b = Fraction(delta).as_integer_ratio()
     points = []
     for k in ks:
         floor = 0.25 / delta * math.log(2 * k)
         r_star = None
-        p_at_star = 0.0
+        hit = Fraction(0)
         for r in range(1, r_max + 1):
-            est = mc_block_hit_probability(k, r, delta, trials, seed=seed)
-            p_at_star = est.p_hat
-            if est.p_hat >= target:
+            hit = Fraction(b**r - (b - a) ** r, b**r) ** k
+            if hit >= target:
                 r_star = r
                 break
-        points.append(ThresholdPoint(k=k, r_star=r_star, p_hat=p_at_star, tightness_floor=floor))
+        points.append(ThresholdPoint(k=k, r_star=r_star, p_hat=float(hit), tightness_floor=floor))
     return points

@@ -6,7 +6,7 @@ import pytest
 
 from sunflowers.cli import main
 from sunflowers.constructions import block_product_family
-from sunflowers.families import load_family
+from sunflowers.families import SetFamily, load_family, save_family
 
 
 @pytest.fixture
@@ -176,6 +176,18 @@ def test_find_sunflower_failure_exit(tmp_path, capsys):
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["sunflower"] is None and payload["steps"]
+
+
+def test_find_sunflower_fallback_cap_zero_turns_the_fallback_off(tmp_path, capsys):
+    path = tmp_path / "star.json"  # {0,1}, ..., {0,5}: the 3-sunflower's core {0} is only found by the fallback
+    save_family(SetFamily(6, 2, [1 | 1 << i for i in range(1, 6)]), path)
+    for cap, rc, found in (("0", 1, False), ("1000", 0, True)):
+        assert main(["find-sunflower", str(path), "--p", "3", "--fallback-cap", cap]) == rc
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fallback_used"] is found and (payload["sunflower"] is not None) is found
+    with pytest.raises(SystemExit) as exc:
+        main(["find-sunflower", str(path), "--p", "3", "--no-fallback"])
+    assert exc.value.code == 2 and "--no-fallback" in capsys.readouterr().err
 
 
 def test_exact_sun_csv(capsys):

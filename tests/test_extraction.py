@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from sunflowers import probability
+from sunflowers import extraction, probability
 from sunflowers.bitset import elements_of, mask_from_elements
 from sunflowers.constructions import block_product_family, erdos_rado_family
 from sunflowers.extraction import (
@@ -19,7 +19,7 @@ from sunflowers.extraction import (
     r_threshold,
     _spread_case_search,
 )
-from sunflowers.families import SetFamily, family_from_dict, family_to_dict, is_sunflower
+from sunflowers.families import SetFamily, family_from_dict, family_to_dict, find_disjoint_sets, is_sunflower
 from sunflowers.rng import STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
 from sunflowers.spread import superset_count
 from sunflowers.sunvalues import contains_sunflower
@@ -94,7 +94,7 @@ def test_extract_erdos_rado_fails_honestly():
 
 
 def test_extract_without_fallback_on_star():
-    trace = extract_sunflower(star(5), ExtractionParams(p=3, use_fallback=False))
+    trace = extract_sunflower(star(5), ExtractionParams(p=3, fallback_bruteforce_cap=0))
     assert not trace.succeeded and not trace.fallback_used
 
 
@@ -342,6 +342,46 @@ def test_brute_force_matches_exhaustive_oracle():
             assert is_sunflower(found.petals).core == found.core
 
 
+def _pairwise_core_search(sets, p):
+    """The fallback as it searched before its cores came from the level
+    counts: every pairwise member intersection, by (size, mask)."""
+    cores = {sets[i] & sets[j] for i in range(len(sets)) for j in range(i + 1, len(sets))}
+    for core in sorted(cores, key=lambda x: (x.bit_count(), x)):
+        chosen = find_disjoint_sets([x & ~core for x in sets if x & core == core], p)
+        if chosen is not None:
+            return core, tuple(s | core for s in chosen)
+    return None
+
+
+def _flower(found):
+    return None if found is None else (found.core, found.petals)
+
+
+def test_brute_force_matches_pairwise_core_oracle():
+    rng = random.Random(77)
+    for _ in range(120):
+        n = rng.randint(2, 10)
+        k = rng.randint(1, min(3, n))
+        all_ksets = [m(*c) for c in combinations(range(n), k)]
+        fam = SetFamily(n, k, rng.sample(all_ksets, min(rng.randint(1, 9), len(all_ksets))))
+        p = rng.randint(2, 4)
+        assert _flower(brute_force_sunflower(fam, p)) == _pairwise_core_search(fam.sets, p), (fam.sets, p)
+    for r in (8, 12):
+        fam, _ = block_product_family(3, r)
+        assert _flower(brute_force_sunflower(fam, 2)) == _pairwise_core_search(fam.sets, 2)
+
+
+def test_fallback_cores_come_lazily_from_the_level_counts(monkeypatch):
+    real, levels = extraction.level_counts, []
+    monkeypatch.setattr(extraction, "level_counts", lambda fam, j: levels.append(j) or real(fam, j))
+    fam, _ = block_product_family(3, 16)
+    assert brute_force_sunflower(fam, 2, cap=10) is None  # the empty core alone spends the cap
+    assert levels == []
+    hub = SetFamily(7, 3, [m(0, 1, 2), m(0, 3, 4), m(0, 5, 6)])
+    assert _flower(brute_force_sunflower(hub, 3)) == (m(0), tuple(hub.sets))
+    assert levels == [1]  # the core {0} is found before level 2 is counted
+
+
 def test_brute_force_respects_cap():
     fam, _ = block_product_family(2, 4)
     assert brute_force_sunflower(fam, 2, cap=0) is None
@@ -375,7 +415,13 @@ def _budgeted_search_oracle(sets, p, cap):
     in the same order, one budget step per candidate tried."""
     if len(sets) < p:
         return None
-    cores = {sets[i] & sets[j] for i in range(len(sets)) for j in range(i + 1, len(sets))}
+    cores = {0} | {
+        c
+        for s in sets
+        for j in range(1, s.bit_count())
+        for c in (m(*e) for e in combinations(elements_of(s), j))
+        if sum(x & c == c for x in sets) >= p
+    }
     budget = [cap if cap is not None else -1]
 
     def spend():

@@ -287,6 +287,26 @@ def test_membership():
     assert m(0, 1) in fam and m(0, 2) not in fam
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.uint8, np.uint64])
+def test_numpy_integer_masks_work_at_every_entry_point(kind):
+    fam = SetFamily(4, 2, [kind(3), kind(12)])
+    assert fam == SetFamily(4, 2, [3, 12]) and all(type(s) is int for s in fam.sets)
+    assert kind(3) in fam and kind(5) not in fam
+    assert kind(3) in _loaded(fam) and kind(5) not in _loaded(fam)
+    assert link(fam, kind(1)) == link(fam, 1)
+
+
+@pytest.mark.parametrize("bad", [3.0, "3", None])
+def test_non_integer_masks_raise_type_error(bad):
+    fam = SetFamily(4, 2, [3])
+    with pytest.raises(TypeError):
+        SetFamily(4, 2, [bad])
+    with pytest.raises(TypeError):
+        bad in fam
+    with pytest.raises(TypeError):
+        link(fam, bad)
+
+
 def _loaded(fam):
     return family_from_dict(family_to_dict(fam))
 

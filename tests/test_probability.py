@@ -649,8 +649,27 @@ def test_chernoff_validates():
 
 
 def test_threshold_sweep_small():
-    points = hit_threshold_sweep([2], delta=0.25, trials=20_000, seed=1)
+    points = hit_threshold_sweep([2], delta=0.25)
     (pt,) = points
     # closed form: first r with (1-(3/4)^r)^2 >= 1/2 is r = 5
-    assert pt.r_star in (5, 6)
+    assert pt.r_star == 5
     assert pt.tightness_floor == pytest.approx(math.log(4))
+
+
+def _exact_block_hit(k, r, delta):
+    return (1 - (1 - Fraction(delta)) ** r) ** k
+
+
+def test_threshold_sweep_is_exact():
+    points = hit_threshold_sweep([2, 4, 8, 16], delta=0.25)
+    assert [pt.r_star for pt in points] == [5, 7, 9, 11]
+    # k = 16 sits 0.0014 above 1/2 at r = 11, within Monte Carlo error at 50,000 trials
+    cases = [(pt, 0.25, 0.5) for pt in points] + [(*hit_threshold_sweep([4], delta=0.1, target=0.9), 0.1, 0.9)]
+    for pt, delta, target in cases:
+        below, at = (_exact_block_hit(pt.k, r, delta) for r in (pt.r_star - 1, pt.r_star))
+        assert below < Fraction(target) <= at and pt.p_hat == float(at)
+    (short,) = hit_threshold_sweep([16], delta=0.25, r_max=10)
+    assert short.r_star is None and short.p_hat == float(_exact_block_hit(16, 10, 0.25))
+    for delta in (0.0, 1.0, -0.5):
+        with pytest.raises(ValueError, match="delta"):
+            hit_threshold_sweep([2], delta=delta)
