@@ -219,7 +219,7 @@ def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) 
     (size, mask).  Members containing a core X form a sunflower with core X iff
     their X-stripped remainders are pairwise disjoint, a disjoint-sets search.
     ``cap`` bounds the search nodes (None: no bound); every candidate spends at
-    least one, so the cap bounds all the work.  When exhausted: None.
+    least one, so the work grows with the cap, not with |F|^2.  When spent: None.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
