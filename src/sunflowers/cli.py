@@ -99,7 +99,7 @@ def cmd_construct(args) -> int:
         family = erdos_rado_family(args.p, args.k)
     out = _out_path(args.out)
     if out is None:
-        _emit_json(family_to_dict(family), None)
+        _write(json.dumps(family_to_dict(family), sort_keys=True, indent=2), None)
     else:
         _save(family, out)
         print(f"wrote {len(family)} sets over ground {family.ground_size} to {out}")

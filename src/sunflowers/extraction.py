@@ -20,6 +20,7 @@ fall through to the exhaustive fallback or fail honestly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -50,6 +51,7 @@ class ExtractionParams:
     r_override: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "p", operator.index(self.p))
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if not (self.C >= 1 and math.isfinite(self.C)):
@@ -221,7 +223,7 @@ def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) 
     ``cap`` bounds the search nodes (None: no bound); every candidate spends at
     least one, so the work grows with the cap, not with |F|^2.  When spent: None.
     """
-    if p < 1:
+    if operator.index(p) < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if cap is not None:
         check_budget("cap", cap)

@@ -55,6 +55,7 @@ class SetFamily:
     __slots__ = ("ground_size", "k", "_sets", "_holders", "_elements", "_levels")
 
     def __init__(self, ground_size: int, k: int, sets: Iterable[int]):
+        ground_size, k = operator.index(ground_size), operator.index(k)
         _check_sizes(ground_size, k)
         masks = sorted(set(map(operator.index, sets)))
         for m in masks:
@@ -205,7 +206,7 @@ def find_disjoint_sets(
     return gives up the current branch, so a budget that stays spent ends
     the whole search (with None).
     """
-    if p < 1:
+    if operator.index(p) < 1:
         raise ValueError(f"p must be >= 1, got {p}")
 
     def search(start: int, used: int, need: int) -> Optional[list[int]]:

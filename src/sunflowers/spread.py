@@ -10,18 +10,21 @@ mask-value order, so ascending rank is ascending mask.  A level's ranks are
 gathered from the family's element matrix
 (:meth:`~sunflowers.families.SetFamily.elements`, one row of ascending
 elements per member), the family's stored form, so certifying never builds
-masks; binomials are tabulated over the ground set, or over the elements
-present when n is wider than the matrix.  Ranks are summed and sorted in
-``uint32`` when C(n, j) allows it, the narrowest width that keeps numpy's
-sort fast.  Levels are counted on demand and cached on the family, so a
-caller that stops at the first violating level pays only for the levels
-below it, and a later call reuses them.
+masks.  Each binomial is computed from the element values themselves, by
+C(e, i+1) = C(e, i)·(e - i) / (i + 1), and added into the ranks as soon as
+it is computed, so no table over the ground set is built and the work does
+not grow with n.  Ranks are summed and sorted in ``uint32`` when C(n, j)
+allows it, the narrowest width that keeps numpy's sort fast.  Levels are
+counted on demand and cached on the family, so a caller that stops at the
+first violating level pays only for the levels below it, and a later call
+reuses them.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -58,6 +61,7 @@ class SpreadReport:
 def superset_count(family: SetFamily, t: int) -> int:
     """Exact number of members containing the non-empty set t: the size of
     its link, a selection of the rows of the element matrix."""
+    t = operator.index(t)
     if t <= 0:
         raise ValueError(f"superset_count requires a non-empty set as a non-negative mask, got {t}")
     return len(link(family, t)) if t.bit_count() <= family.k else 0
@@ -69,9 +73,11 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(ranks, counts)``: the distinct colex ranks in ascending order
     (``int64``, or Python ints in an object array when some C(n, i), i <= k,
     reaches 2^63) and, for each, the number of members containing that set.
-    The ranks are summed and sorted in ``uint32`` when they fit it, and only
-    the distinct ones are widened.  :func:`rank_to_elements` turns a rank
-    back into its set.  Cached on the family.
+    Each binomial C(e, i) of a rank is computed from the element e of the
+    member by the exact recurrence in i, with no binomial table.  The ranks
+    are summed and sorted in ``uint32`` when they fit it, and only the
+    distinct ones are widened.  :func:`rank_to_elements` turns a rank back
+    into its set.  Cached on the family.
     """
     if not 1 <= j <= family.k:
         raise ValueError(f"level j={j} outside 1..{family.k}")
@@ -83,45 +89,26 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _count_level(n: int, elements: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     k = elements.shape[1]
-    if n <= elements.size:
-        table, index = _binomial_columns(n, j), elements
-    else:  # a ground set wider than the matrix: tabulate only the elements present
-        present, index = np.unique(elements, return_inverse=True)
-        table, index = _binomial_table(n, j, present.tolist()), index.reshape(elements.shape)
-    # terms[i, s, q] = C(q-th element of sets[s], i+1)
-    terms = np.take(table, index, axis=1)
+    # Each C(e, i), e < n and i <= j, and so each colex rank of a j-set, is below
+    # C(n, min(j, n // 2)): ranks are summed and sorted in the narrowest dtype
+    # that holds this bound.  C(e, i+1) = C(e, i)·(e - i) / (i + 1) is computed
+    # from the elements, and its product (i+1)·C(e, i+1) is below j times the
+    # bound: the steps run in the narrowest dtype that holds that.  Where e < i,
+    # e - i wraps in uint32, but there C(e, i) is already 0.
+    bound = math.comb(n, min(j, n // 2))
+    rank_dtype, step_dtype = (np.uint32 if b <= 2**32 else np.int64 if b <= 2**63 else object for b in (bound, j * bound))
+    binomials = elements.astype(step_dtype)  # C(e, 1) = e
     positions = _position_combinations(k, j)
-    ranks = terms[0][:, positions[:, 0]]
+    ranks = binomials[:, positions[:, 0]].astype(rank_dtype, copy=False)
     for i in range(1, j):
-        ranks += terms[i][:, positions[:, i]]
+        binomials *= np.subtract(elements, i, dtype=step_dtype)
+        binomials //= i + 1
+        ranks += binomials[:, positions[:, i]].astype(rank_dtype, copy=False)
     ranks, counts = np.unique(ranks, return_counts=True)
     ranks = ranks.astype(object if math.comb(n, min(k, n // 2)) >= 2**63 else np.int64, copy=False)
     ranks.setflags(write=False)
     counts.setflags(write=False)
     return ranks, counts
-
-
-@lru_cache(maxsize=64)
-def _binomial_columns(n: int, j: int) -> np.ndarray:
-    """:func:`_binomial_table` over the whole ground set, cached by (n, j)."""
-    return _binomial_table(n, j, range(n))
-
-
-def _binomial_table(n: int, j: int, values) -> np.ndarray:
-    """Read-only ``(j, len(values))`` table whose entry (i, q) is
-    C(values[q], i+1), for elements of a ground set of size n.
-
-    Its entries and the colex ranks of j-subsets summed from them are all
-    below C(n, min(j, n // 2)), so the table is ``uint32`` when that bound
-    is at most 2^32 (C(n, j) itself for j <= n/2), ``int64`` when it is at
-    most 2^63, and object (Python ints) otherwise.
-    """
-    bound = math.comb(n, min(j, n // 2))
-    dtype = np.uint32 if bound <= 2**32 else np.int64 if bound <= 2**63 else object
-    table = [[math.comb(e, i + 1) for e in values] for i in range(j)]
-    out = np.array(table, dtype=dtype).reshape(j, len(values))
-    out.setflags(write=False)
-    return out
 
 
 @lru_cache(maxsize=64)

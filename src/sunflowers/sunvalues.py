@@ -32,6 +32,7 @@ the tiny parameter range this is meant for (p <= 4, k <= 3).
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
@@ -116,6 +117,7 @@ def max_sunflower_free(
     search nodes; a search that needs more stops there and returns its
     best-so-far with exhaustive=False, the same on every machine.
     """
+    p = operator.index(p)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if k < 1:

@@ -26,6 +26,17 @@ def test_construct_erdos_rado_matches_block_product(tmp_path, block22):
     assert load_family(path) == load_family(block22)
 
 
+@pytest.mark.parametrize(
+    "argv", [["block-product", "--k", "3", "--r", "2"], ["erdos-rado", "--p", "3", "--k", "2"]]
+)
+def test_construct_stdout_is_the_family_file(tmp_path, capsysbinary, argv):
+    path = tmp_path / "fam.json"
+    assert main(["construct", *argv]) == 0
+    printed = capsysbinary.readouterr().out
+    assert main(["construct", *argv, "--out", str(path)]) == 0
+    assert printed == path.read_bytes() and b"schema_version" not in printed
+
+
 def test_construct_over_cap_is_refused(capsys):
     rc = main(["construct", "block-product", "--k", "30", "--r", "3"])
     assert rc == 2

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from sunflowers import extraction, probability
@@ -22,7 +23,7 @@ from sunflowers.extraction import (
 from sunflowers.families import SetFamily, family_from_dict, family_to_dict, find_disjoint_sets, is_sunflower
 from sunflowers.rng import STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
 from sunflowers.spread import superset_count
-from sunflowers.sunvalues import contains_sunflower
+from sunflowers.sunvalues import contains_sunflower, max_sunflower_free
 
 
 def m(*elements):
@@ -127,6 +128,29 @@ def test_extract_respects_r_override():
     kinds = [type(s) for s in trace.steps]
     assert LinkCase in kinds
     assert trace.succeeded
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, "3"])
+def test_non_integer_petal_counts_raise_type_error(p):
+    fam = SetFamily(6, 2, [m(0, 1), m(2, 3), m(4, 5)])
+    for call in (
+        lambda: find_disjoint_sets([1, 2, 4], p),
+        lambda: brute_force_sunflower(fam, p),
+        lambda: max_sunflower_free(p, 2),
+        lambda: ExtractionParams(p=p),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_numpy_integer_petal_counts_work():
+    fam = SetFamily(6, 2, [m(0, 1), m(2, 3), m(4, 5)])
+    assert find_disjoint_sets([1, 2, 4], np.int64(3)) == [1, 2, 4]
+    assert brute_force_sunflower(fam, np.int64(3)) == brute_force_sunflower(fam, 3)
+    params = ExtractionParams(p=np.int64(3))
+    assert params == ExtractionParams(p=3) and type(params.p) is int
+    search = max_sunflower_free(np.int64(3), 2, ground_cap=4)
+    assert type(search.p) is int and search.max_size == max_sunflower_free(3, 2, ground_cap=4).max_size
 
 
 def test_params_validate():

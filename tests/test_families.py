@@ -305,6 +305,24 @@ def test_non_integer_masks_raise_type_error(bad):
         bad in fam
     with pytest.raises(TypeError):
         link(fam, bad)
+    with pytest.raises(TypeError):
+        superset_count(fam, bad)
+
+
+@pytest.mark.parametrize("n, k, masks", [(5000.0, 2, [m(4097, 4099)]), (4, 2.0, [3])])
+def test_non_integer_sizes_raise_type_error(n, k, masks):
+    # a float n once chose a float16 element matrix that lost its own member
+    with pytest.raises(TypeError):
+        SetFamily(n, k, masks)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint16])
+def test_numpy_integer_sizes_build_the_same_family(kind):
+    masks = [m(4097, 4099), m(0, 4999)]
+    fam = SetFamily(kind(5000), kind(2), masks)
+    assert fam == SetFamily(5000, 2, masks) and hash(fam) == hash(SetFamily(5000, 2, masks))
+    assert type(fam.ground_size) is int and type(fam.k) is int and fam.elements().dtype == np.uint16
+    assert all(mask in fam for mask in masks)
 
 
 def _loaded(fam):

@@ -1,7 +1,9 @@
+import bisect
 import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -236,7 +238,6 @@ def test_level_counter_matches_dict_count_with_object_ranks():
 @pytest.mark.parametrize("n", [568, 569])
 def test_level_counter_on_each_side_of_uint32_ranks(n):
     # C(568, 4) <= 2^32 < C(569, 4): level 4 is summed in uint32 at n = 568, in int64 at n = 569
-    assert spread._binomial_columns(n, 4).dtype == (np.uint32 if math.comb(n, 4) <= 2**32 else np.int64)
     top = m(*range(n - 5, n))  # holds {n-4, ..., n-1}, whose rank C(n, 4) - 1 is the largest
     fam = SetFamily(n, 5, set(_random_family(random.Random(n), n, 5, 40, pool_size=12).sets) | {top})
     ranks, counts = level_counts(fam, 4)
@@ -244,6 +245,31 @@ def test_level_counter_on_each_side_of_uint32_ranks(n):
     expected = {t: c for t, c in _dict_counts(fam).items() if t.bit_count() == 4}
     assert {rank_to_mask(rank, 4): int(c) for rank, c in zip(ranks, counts)} == expected
     _assert_matches_dict_count(fam)
+
+
+def _largest_n(j, limit):
+    """The largest n with j·C(n, j) <= limit."""
+    return bisect.bisect_right(range(1 << 32), limit, key=lambda n: j * math.comb(n, j)) - 1
+
+
+@pytest.mark.parametrize("limit", [2**32, 2**63])
+@pytest.mark.parametrize("j", [2, 3, 4, 5])
+def test_level_counter_on_each_side_of_its_step_dtypes(j, limit):
+    # The binomial steps of level j run in uint32 while j·C(n, j) <= 2^32, in int64 while it is
+    # <= 2^63.  At n = base they take the narrow dtype; at base + 1 the top member's last product,
+    # j·C(base, j), still fits it; at base + 2 its product j·C(base + 1, j) does not.
+    base, k = _largest_n(j, limit), j + 1
+    rng = random.Random(j * limit)
+    for n in (base, base + 1, base + 2):
+        pool = list(range(n - 2 * k, n)) + rng.sample(range(n - 2 * k), 6)
+        rows = {tuple(range(n - k, n))} | {tuple(sorted(rng.sample(pool, k))) for _ in range(30)}
+        fam = family_from_dict({"ground_set_size": n, "k": k, "sets": [list(row) for row in rows]})
+        expected = Counter(
+            sum(math.comb(e, i + 1) for i, e in enumerate(t)) for row in rows for t in combinations(row, j)
+        )
+        ranks, counts = level_counts(fam, j)
+        assert ranks.dtype == (object if math.comb(n, min(k, n // 2)) >= 2**63 else np.int64)
+        assert [int(r) for r in ranks] == sorted(expected) and counts.tolist() == [expected[r] for r in sorted(expected)]
 
 
 def _record_levels(monkeypatch):
