@@ -20,6 +20,7 @@ block, and blocks are disjoint, so the exact hit probability factorizes as
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class BlockPartition:
     r: int
 
     def __post_init__(self):
+        object.__setattr__(self, "k", operator.index(self.k))
+        object.__setattr__(self, "r", operator.index(self.r))
         if self.k < 1 or self.r < 1:
             raise ValueError(f"need k >= 1 and r >= 1, got k={self.k}, r={self.r}")
 
@@ -54,7 +57,7 @@ class BlockPartition:
 def block_product_family(k: int, r: int) -> tuple[SetFamily, BlockPartition]:
     """The family of all r^k transversals of the k-by-r block partition."""
     partition = BlockPartition(k, r)
-    size = r**k
+    size = partition.r**partition.k
     if size > FAMILY_SIZE_CAP:
         raise ValueError(f"r^k = {size} exceeds the family-size cap {FAMILY_SIZE_CAP}")
     dtype = np.min_scalar_type(partition.ground_size - 1)
@@ -87,6 +90,7 @@ def in_tightness_regime(k: int, r: int, delta: float, eps: float) -> bool:
     below 1 - eps even though it is exactly r-spread with r^k members.
     Natural logarithm throughout.
     """
+    k, r = operator.index(k), operator.index(r)
     if k < 1 or r < 1:
         raise ValueError(f"need k >= 1 and r >= 1, got k={k}, r={r}")
     if not 0.0 < delta <= 0.5:

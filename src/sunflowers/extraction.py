@@ -29,7 +29,7 @@ import numpy as np
 from .bitset import elements_of, mask_from_elements
 from . import probability
 from .families import SetFamily, Sunflower, check_budget, find_disjoint_sets, is_sunflower, link
-from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
+from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH
 from .spread import level_counts, rank_to_elements, spread_witness
 
 
@@ -148,12 +148,13 @@ def _spread_case_search(
 
     Returns (petals, trials_used): petals are the smallest member of every
     hit class of the first such trial, in class order, so they are pairwise
-    disjoint by construction; None when no trial succeeds.  Every trial is
-    tested at once: the class ids of each member's elements are gathered
-    from the family's element matrix, and a member lies in a class when all
-    its ids are equal.  A tile of trials draws its own uniforms and holds at
-    most ``_KERNEL_TILE_BYTES`` of them or of gathered ids; the tiles stop at
-    the first success, and the first succeeding trial wins, whatever the tile size.
+    disjoint by construction; None when no trial succeeds.  A tile of
+    :func:`.probability._class_ids` is tested at once: the class ids of each
+    member's elements are gathered from the family's element matrix, a member
+    lies in a class when all its ids are equal, and the hit (trial, class)
+    pairs, sorted, give each trial's count of distinct classes.  The tiles
+    stop at the first success, and the first succeeding trial wins, whatever
+    the tile size.
     """
     if trials < 1:
         return None, 0
@@ -161,21 +162,19 @@ def _spread_case_search(
     if positions.size == 0:  # no member, or only the empty one, which lies in every class
         petals = [0] * (len(family) * classes)
         return (petals, 1) if len(petals) >= need else (None, trials)
-    n, dtype = family.ground_size, np.min_scalar_type(classes - 1)
-    tile = max(1, probability._KERNEL_TILE_BYTES // max(dtype.itemsize * positions.size, 8 * n))
-    for start in range(0, trials, tile):
-        uniforms = uniform_block(seed, stream, start, min(tile, trials - start), n)
-        ids = np.take((uniforms * classes).astype(dtype), positions, axis=1)  # (trials, k, |F|)
+    for start, class_ids in probability._class_ids(seed, stream, trials, family.ground_size, classes, positions.size):
+        ids = np.take(class_ids, positions, axis=1)  # (trials, k, |F|)
         hit_pairs = np.flatnonzero((ids[:, 1:] == ids[:, :1]).all(axis=1))  # trial * |F| + member
         trial, member = np.divmod(hit_pairs, positions.shape[1])
-        hit = np.zeros((len(ids), classes), dtype=bool)
-        hit[trial, ids[trial, 0, member]] = True
-        won = np.flatnonzero(np.count_nonzero(hit, axis=1) >= need)
+        cls = ids[trial, 0, member]
+        order = np.lexsort((cls, trial))  # stable: members stay ascending within a (trial, class)
+        trial, member, cls = trial[order], member[order], cls[order]
+        first = np.ones(len(order), dtype=bool)  # the smallest hit member of its (trial, class)
+        first[1:] = (trial[1:] != trial[:-1]) | (cls[1:] != cls[:-1])
+        won = np.flatnonzero(np.bincount(trial[first], minlength=len(ids)) >= need)
         if won.size:
-            first = int(won[0])
-            members = member[trial == first]  # ascending, so unique keeps each class's smallest
-            picks = members[np.unique(ids[first, 0, members], return_index=True)[1]]
-            return list(map(mask_from_elements, family.elements()[picks].tolist())), start + first + 1
+            picks = member[first & (trial == won[0])]
+            return list(map(mask_from_elements, family.elements()[picks].tolist())), start + int(won[0]) + 1
     return None, trials
 
 

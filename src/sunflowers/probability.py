@@ -10,9 +10,11 @@ Philox streams in :mod:`.rng`, so every estimate is a pure function of
 
 Monte Carlo samples come packed from :func:`.rng.bernoulli_block`: one
 ``uint8`` row of ceil(n/8) bytes per trial, bit j of byte i standing for
-element 8i + j.  The partition experiment packs each class's rows the same
-way.  Both share one containment kernel (:func:`_contains_member`) over
-those rows.  It is bit-sliced over members: ground element e's row of
+element 8i + j.  The partition experiment packs each class the same way,
+all t classes of a tile of trials into one matrix, from the class ids of
+:func:`_class_ids`, which the extraction's spread-case search also reads.
+Both share one containment kernel (:func:`_contains_member`) over those
+rows.  It is bit-sliced over members: ground element e's row of
 ``SetFamily.holders()`` is the bitset of the members containing e.  The
 ground set splits into groups of up to 8 consecutive elements, each with a
 lookup table indexed by the sample's bits in that group, so a trial's
@@ -27,10 +29,11 @@ available behind the ``interval`` flag of :func:`mc_hit_probability`.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.special import betaincinv
@@ -335,31 +338,47 @@ def clopper_pearson(successes: int, trials: int, coverage: float = _THREE_SIGMA_
 # --- partition experiments ------------------------------------------------------
 
 
+def _class_ids(
+    seed: int, stream: int, trials: int, n: int, classes: int, ids_per_trial: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Uniform ``classes``-way partitions of the ground set, one per trial, in tiles.
+
+    Yields (start, ids): ``ids[i, e]`` is element e's class in trial start + i,
+    floor(u * classes) of its uniform u from (seed, stream), in the narrowest
+    dtype that holds classes - 1.  A tile holds at least one trial and at most
+    ``_KERNEL_TILE_BYTES`` of uniforms, or of the ``ids_per_trial`` values per
+    trial, none wider than an id, that the caller derives from them.
+    """
+    dtype = np.min_scalar_type(classes - 1)
+    tile = max(1, _KERNEL_TILE_BYTES // max(dtype.itemsize * ids_per_trial, 8 * n))
+    for start in range(0, trials, tile):
+        uniforms = uniform_block(seed, stream, start, min(tile, trials - start), n)
+        yield start, (uniforms * classes).astype(dtype)
+
+
 def partition_experiment(
     family: SetFamily, classes: int, trials: int, seed: int = DEFAULT_SEED
 ) -> PartitionStats:
     """Assign each element uniformly to one of ``classes`` classes, repeatedly.
 
     Per trial, counts how many classes contain a member of the family; the
-    returned statistics carry the full histogram of that count.
+    returned statistics carry the full histogram of that count.  A tile of
+    :func:`_class_ids` becomes t packed rows per trial and one
+    :func:`_contains_member` call, so the histogram does not depend on the tiling.
     """
-    if classes < 2:
-        raise ValueError(f"classes must be >= 2, got {classes}")
+    t, trials = operator.index(classes), operator.index(trials)
+    if t < 2:
+        raise ValueError(f"classes must be >= 2, got {t}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = family.ground_size
     nbytes = -(-n // 8)
-    t = classes
     histogram = np.zeros(t + 1, dtype=np.int64)
-    for start in range(0, trials, _CHUNK_TRIALS):
-        count = min(_CHUNK_TRIALS, trials - start)
-        assign = (uniform_block(seed, STREAM_PARTITION, start, count, n) * t).astype(np.int32)
-        padded = np.zeros((count, 8 * nbytes), dtype=bool)  # padding columns stay clear
-        hit_classes = np.zeros(count, dtype=np.int64)
-        for c in range(t):
-            np.equal(assign, c, out=padded[:, :n])
-            rows = np.packbits(padded.reshape(-1), bitorder="little").reshape(count, nbytes)
-            hit_classes += _contains_member(family, rows)
+    for _, ids in _class_ids(seed, STREAM_PARTITION, trials, n, t, t * 8 * nbytes):
+        in_class = np.zeros((t, len(ids), 8 * nbytes), dtype=bool)  # padding columns stay clear
+        np.equal(ids, np.arange(t, dtype=ids.dtype)[:, None, None], out=in_class[..., :n])
+        rows = np.packbits(in_class.reshape(-1), bitorder="little").reshape(-1, nbytes)
+        hit_classes = _contains_member(family, rows).reshape(t, len(ids)).sum(axis=0)
         histogram += np.bincount(hit_classes, minlength=t + 1)
     mean = float(np.dot(np.arange(t + 1), histogram)) / trials
     frac_at_least = {
@@ -570,7 +589,7 @@ class ThresholdPoint:
 
 
 def hit_threshold_sweep(ks, delta: float, target: float = 0.5, r_max: int = 64) -> list[ThresholdPoint]:
-    """For each k, the first r in 1..r_max whose hit probability
+    """For each integer k >= 1, the first r in 1..r_max whose hit probability
     (1-(1-delta)^r)^k, increasing in r, reaches the target, compared exactly
     as the rational (b^r - (b-a)^r)^k / b^(rk) for the double delta = a/b.
     The reported floor is 0.25/delta * ln(2k), the largest width that
@@ -580,7 +599,9 @@ def hit_threshold_sweep(ks, delta: float, target: float = 0.5, r_max: int = 64) 
         raise ValueError(f"delta must be in (0,1), got {delta}")
     a, b = Fraction(delta).as_integer_ratio()
     points = []
-    for k in ks:
+    for k in map(operator.index, ks):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         floor = 0.25 / delta * math.log(2 * k)
         r_star = None
         hit = Fraction(0)

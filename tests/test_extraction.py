@@ -21,7 +21,8 @@ from sunflowers.extraction import (
     _spread_case_search,
 )
 from sunflowers.families import SetFamily, family_from_dict, family_to_dict, find_disjoint_sets, is_sunflower
-from sunflowers.rng import STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, uniform_block
+from sunflowers.probability import partition_experiment
+from sunflowers.rng import STREAM_GENERALIZED, STREAM_PARTITION, STREAM_SPREAD_SEARCH, uniform_block
 from sunflowers.spread import superset_count
 from sunflowers.sunvalues import contains_sunflower, max_sunflower_free
 
@@ -312,6 +313,38 @@ def test_spread_case_search_draws_its_uniforms_per_tile():
         tracemalloc.stop()
     assert petals is not None and used == 1
     assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_search_agrees_with_the_partition_experiment_on_one_stream():
+    # the search decides containment by gathering class ids, the experiment by the
+    # containment kernel: on one stream, every trial before the search's last hits
+    # fewer than ``need`` classes, and the last hits exactly as many as it has petals
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(2, 70)
+        k = rng.randint(0, min(4, n))
+        fam = SetFamily(n, k, {m(*rng.sample(range(n), k)) for _ in range(rng.randint(0, 30))})
+        t = rng.randint(2, 8)
+        need, seed = rng.randint(1, t), rng.randrange(2**32)
+        petals, used = _spread_case_search(fam, t, need, rng.randint(1, 64), seed, STREAM_PARTITION)
+        histogram = partition_experiment(fam, t, used, seed=seed).hit_class_histogram
+        expected = [0] * (t + 1)
+        if petals is not None:
+            expected[len(petals)] = 1
+        assert list(histogram[need:]) == expected[need:], (fam.sets, t, need, seed)
+
+
+def test_generalized_search_memory_does_not_grow_with_the_classes():
+    # 10^8 classes: a (trials, classes) table of hit classes peaked at 95 MiB
+    fam, _ = block_product_family(3, 8)
+    tracemalloc.start()
+    try:
+        result = generalized_disjoint_search(fam, 1e-8, 0.5, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.classes == 10**8 and result.hit_classes == len(result.sets)
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # --- generalized partition search --------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sunflowers import probability
 from sunflowers.bitset import mask_from_elements
-from sunflowers.constructions import block_product_family
+from sunflowers.constructions import BlockPartition, block_product_family, exact_block_hit_probability, in_tightness_regime
 from sunflowers.families import SetFamily
 from sunflowers.probability import (
     CHERNOFF_TAIL_N_CAP,
@@ -509,6 +511,78 @@ def test_partition_mean_identity_refuses_before_sampling(monkeypatch):
 def test_partition_mean_identity_rejects_fewer_than_two_classes(classes):
     with pytest.raises(ValueError, match="classes must be >= 2"):
         check_partition_mean_identity(SetFamily(4, 1, [m(0)]), classes, trials=10)
+
+
+def _pinned_partition_cases():
+    """(family, classes, seed, {trials: SHA-256 of the histogram as JSON}), computed
+    while each class still had its own kernel call per 8,192-trial chunk; the
+    smaller trial count is the one run under tiny tiles."""
+    rng = random.Random(130)
+    members = set()
+    while len(members) < 65:
+        members.add(m(*rng.sample(range(130), 3)))
+    return [
+        (block_product_family(2, 8)[0], 4, 1729, {  # the benchmark's partition op
+            20_000: "4d9277ba90f3a5bc22c3f53d9d73505689342481e408ae5d9882362ffcc24b39",
+            2_000: "4b3b1ef6f451ed113eaac19aaebcd30261829c1c4bfca74dd0b14eab956eb334"}),
+        (block_product_family(2, 4)[0], 4, 11, {  # demo 04's histogram
+            50_000: "ed55dd306ffda7f65fffb3f9d6ff5efeab459d622bf628b2a33e8a19a982c340",
+            2_000: "f78f6e2264aa227beb4ad4ddc200959f65efbf2a9be5daf71fe570457f09f565"}),
+        (SetFamily(130, 3, members), 3, 5, {
+            20_000: "b49cfc8e7bb26617e6621142ec1d04dedeb39c74fc02a0db315f7a7b1dd624bb",
+            300: "d4f83b05a346afb4d6d53e182932e3d5ff7538b460170f50004ec66b9a00db75"}),
+        (SetFamily(1024, 2, [m(0, 1023), m(7, 8), m(500, 777)]), 3, 7, {
+            8_192: "98556a649a2092fb8c01bfc8de4f658647bed8b58e3428411953a53fbeafa674",
+            30: "5756bbab69f39d0988c99872a77132e97d5af12f9651497a940ec8d8fa68a3e3"}),
+    ]
+
+
+# a budget of 1 byte gives one-trial tiles, 3,000 bytes ragged tiles of up to 46 trials
+@pytest.mark.parametrize("tile_bytes", [None, 1, 3000])
+def test_partition_histograms_are_pinned(tile_bytes, monkeypatch):
+    if tile_bytes is not None:
+        monkeypatch.setattr(probability, "_KERNEL_TILE_BYTES", tile_bytes)
+    for family, classes, seed, digests in _pinned_partition_cases():
+        for trials, digest in digests.items() if tile_bytes is None else [min(digests.items())]:
+            histogram = partition_experiment(family, classes, trials, seed=seed).hit_class_histogram
+            assert hashlib.sha256(json.dumps(histogram).encode()).hexdigest() == digest, (family, trials)
+
+
+def test_partition_memory_is_bounded_at_n_1024():
+    # one 8,192-trial chunk of float64 uniforms and their product peaked at 128 MiB
+    fam = SetFamily(1024, 2, [m(0, 1023), m(7, 8), m(500, 777)])
+    fam.holders()
+    tracemalloc.start()
+    try:
+        partition_experiment(fam, 3, 8192, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_counts_go_through_operator_index():
+    fam = SetFamily(4, 2, [m(0, 1), m(2, 3)])
+    for call in (
+        lambda: BlockPartition(2.5, 3),
+        lambda: BlockPartition(2, 3.0),
+        lambda: exact_block_hit_probability(2.5, 3, 0.5),
+        lambda: in_tightness_regime(2.5, 3, 0.1, 0.1),
+        lambda: in_tightness_regime(2, 3.0, 0.1, 0.1),
+        lambda: hit_threshold_sweep([2.5], 0.25),
+        lambda: partition_experiment(fam, 2.0, 10),
+        lambda: partition_experiment(fam, 2, 10.0),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        hit_threshold_sweep([0], 0.25)
+    stats = partition_experiment(fam, np.int64(2), True)
+    assert stats == partition_experiment(fam, 2, 1) and type(stats.classes) is type(stats.trials) is int
+    part = BlockPartition(np.int64(2), np.uint8(3))
+    assert part == BlockPartition(2, 3) and type(part.k) is type(part.r) is int
+    assert hit_threshold_sweep([np.int64(2)], 0.25) == hit_threshold_sweep([2], 0.25)
+    assert in_tightness_regime(np.int64(16), np.uint8(1), 0.5, 0.5)
 
 
 # --- fixed-size decomposition -----------------------------------------------------------
