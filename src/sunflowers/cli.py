@@ -300,6 +300,7 @@ def cmd_exact_sun(args) -> int:
             "upper": result.upper,
             "exhaustive": result.search.exhaustive,
             "nodes": result.search.nodes,
+            "nodes_by_depth": list(result.search.nodes_by_depth),
             "witness": family_to_dict(result.search.witness),
         }
         _emit_json(payload, out)

@@ -24,9 +24,24 @@ F + c; no member of F holds an element of c at or above u, so relabelling
 those elements maps it one-to-one onto a sunflower of F + twin(c) through
 twin(c).
 
-Symmetry reduction stops there deliberately: no graph-canonization style
-isomorph rejection, which keeps the search simple and obviously sound for
-the tiny parameter range this is meant for (p <= 4, k <= 3).
+A search with ``ground_cap`` n also bounds what a subtree can add.  Each
+element's link {S - e : e in S} in a sunflower-free family is a
+sunflower-free (k-1)-family on the other n - 1 elements (a sunflower there
+plus e is one in the family), so every element has degree at most
+D = _size_bound(p, k-1, n-1).  Members come in ascending mask order, so
+every later member of a node's subtree holds its own top element, which is
+at or above the top element t of the node's newest member, and spends one
+unit of that element's slack D - deg.  The subtree's families therefore
+exceed the node's size by at most room = sum over e >= t of (D - deg(e)),
+and by at most the node's candidate count once its members span all n
+elements, since no later member can then introduce one.  A node whose size
+plus room does not exceed the best size found so far is counted, but its
+subtree is not entered: it holds no strictly larger family, so the maximum,
+the witness (the first family of that size found) and exhaustiveness stay
+what the full canonical tree gives; only the node count drops.  Without a
+cap, elements beyond the span are unlimited, room is unbounded, and the
+search enters every node.  There is no graph-canonization style isomorph
+rejection.
 """
 
 from __future__ import annotations
@@ -52,6 +67,7 @@ class SunflowerFreeSearch:
     witness: SetFamily
     exhaustive: bool
     nodes: int
+    nodes_by_depth: tuple[int, ...]  # index: family size at the node; sums to nodes
 
 
 @dataclass(frozen=True)
@@ -102,6 +118,27 @@ def _closes_sunflower(members: list[int], newest: int, candidate: int, p: int) -
     return p == 2 or (len(petals) >= p - 2 and find_disjoint_sets(petals, p - 2) is not None)
 
 
+def _add_at_elements(values: list[int], mask: int, amount: int) -> None:
+    """Add ``amount`` to values[e] for every element e of ``mask``."""
+    while mask:
+        low = mask & -mask
+        values[low.bit_length() - 1] += amount
+        mask ^= low
+
+
+def _size_bound(p: int, k: int, n: int) -> int:
+    """An upper bound on a p-sunflower-free k-family on n elements.
+
+    The least of C(n, k), the Erdos-Rado bound (p-1)^k k!, and
+    floor(n * _size_bound(p, k-1, n-1) / k): each element's link is a
+    sunflower-free (k-1)-family on the other n-1 elements, and the degrees
+    sum to k times the family size.
+    """
+    if k == 0:
+        return 1
+    return min(math.comb(n, k), (p - 1) ** k * math.factorial(k), n * _size_bound(p, k - 1, n - 1) // k)
+
+
 def max_sunflower_free(
     p: int,
     k: int,
@@ -113,23 +150,35 @@ def max_sunflower_free(
     Terminates without any cap: a sunflower-free family never holds p
     pairwise-disjoint members, which bounds its size, and each member adds
     at most k ground elements.  ``ground_cap`` restricts the search to
-    families spanning at most that many elements.  ``max_nodes`` bounds the
-    search nodes; a search that needs more stops there and returns its
-    best-so-far with exhaustive=False, the same on every machine.
+    families spanning at most that many elements, and then skips the
+    subtree of every node that the degree bound shows cannot beat the best
+    family found so far.  ``nodes`` counts the families visited, skipped
+    subtrees' roots included, and ``nodes_by_depth`` splits them by family
+    size.  ``max_nodes`` bounds that count; a search that needs more stops
+    there and returns its best-so-far with exhaustive=False, the same on
+    every machine.
     """
     p = operator.index(p)
+    k = operator.index(k)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if ground_cap is not None and ground_cap < k:
-        raise ValueError(f"ground_cap {ground_cap} cannot hold a single {k}-set")
+    if ground_cap is not None:
+        ground_cap = operator.index(ground_cap)
+        if ground_cap < k:
+            raise ValueError(f"ground_cap {ground_cap} cannot hold a single {k}-set")
     if max_nodes is not None:
         check_budget("max_nodes", max_nodes)
+    budget = math.inf if max_nodes is None else max_nodes
     best_members: tuple[int, ...] = ()
     best_ground = k
     nodes = 0
+    by_depth: list[int] = []
     exhaustive = True
+    # slack[e]: how many more members may hold element e; every element's
+    # link is a sunflower-free (k-1)-family on the other ground_cap - 1
+    slack = [_size_bound(p, k - 1, ground_cap - 1)] * ground_cap if ground_cap is not None else []
 
     tables: dict[int, list[int]] = {}
     fresh_tables: dict[tuple[int, int], list[int]] = {}
@@ -159,31 +208,53 @@ def max_sunflower_free(
         return fresh_tables[key]
 
     def extend(members: list[int], used: int, accepted: list[int]) -> None:
-        """``accepted``: the node's candidates c with members + c
-        sunflower-free, ascending."""
+        """Count and visit the children of a counted node; ``accepted``: the
+        node's candidates c with members + c sunflower-free, ascending."""
         nonlocal nodes, exhaustive, best_members, best_ground
-        if max_nodes is not None and nodes >= max_nodes:
-            exhaustive = False
-            return
-        nodes += 1
-        if len(members) > len(best_members):
-            best_members = tuple(members)
-            best_ground = max(used, k)
-        free = set(accepted)
+        size = len(members) + 1
+        free = None
         for i, mask in enumerate(accepted):
-            if not exhaustive:
+            if nodes >= budget:
+                exhaustive = False
                 return
+            nodes += 1
+            if size == len(by_depth):
+                by_depth.append(0)
+            by_depth[size] += 1
             child_used = max(used, mask.bit_length())
+            if size > len(best_members):
+                best_members = (*members, mask)
+                best_ground = max(child_used, k)
             later = accepted[i + 1 :]
             if child_used > used:
+                if free is None:
+                    free = set(accepted)
                 fresh = fresh_table(used, child_used)
                 later = sorted(later + [c for c in fresh[bisect_right(fresh, mask) :] if _twin(c, used, k) in free])
             kept = [c for c in later if not _closes_sunflower(members, mask, c, p)]
-            members.append(mask)
-            extend(members, child_used, kept)
-            members.pop()
+            if not kept:
+                continue  # a leaf
+            if ground_cap is None:
+                room = math.inf
+            else:
+                _add_at_elements(slack, mask, -1)
+                # every later member holds its top element at or above mask's
+                room = sum(slack[mask.bit_length() - 1 :])
+                if child_used == ground_cap:  # no element left to introduce
+                    room = min(room, len(kept))
+            if size + room > len(best_members):
+                members.append(mask)
+                extend(members, child_used, kept)
+                members.pop()
+            if ground_cap is not None:
+                _add_at_elements(slack, mask, 1)
 
-    extend([], 0, table(0))  # a single set is sunflower-free
+    if budget > 0:
+        nodes += 1  # the empty family
+        by_depth.append(1)
+        extend([], 0, table(0))  # a single set is sunflower-free
+    else:
+        exhaustive = False
     witness = SetFamily(best_ground, k, best_members)
     return SunflowerFreeSearch(
         p=p,
@@ -192,6 +263,7 @@ def max_sunflower_free(
         witness=witness,
         exhaustive=exhaustive,
         nodes=nodes,
+        nodes_by_depth=tuple(by_depth),
     )
 
 

@@ -210,6 +210,13 @@ def test_exact_sun_csv(capsys):
     assert fields[1:4] == ["3", "2", "7"] and fields[4] == "True"
 
 
+def test_exact_sun_json_reports_nodes_by_depth(capsys):
+    assert main(["exact-sun", "--p", "3", "--k", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["exact"] == 7 and payload["nodes"] == 64
+    assert payload["nodes_by_depth"] == [1, 1, 3, 11, 29, 16, 3]
+
+
 def test_exact_sun_csv_is_byte_reproducible(capsys):
     argv = ["exact-sun", "--p", "3", "--k", "3", "--max-nodes", "2000", "--format", "csv"]
     outputs = []

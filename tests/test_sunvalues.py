@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from sunflowers.bitset import mask_from_elements
@@ -8,6 +9,7 @@ from sunflowers.constructions import erdos_rado_family
 from sunflowers.families import SetFamily, find_disjoint_sets
 from sunflowers.sunvalues import (
     _closes_sunflower,
+    _size_bound,
     _twin,
     contains_sunflower,
     erdos_rado_upper_bound,
@@ -104,38 +106,95 @@ def _outcome(search):
     return search.max_size, search.nodes, search.exhaustive, search.witness.sets, search.witness.ground_size
 
 
+def _assert_matches_oracle(search, oracle):
+    """A capped search skips subtrees the degree bound rules out, so it may
+    visit fewer nodes than the oracle; everything else is identical."""
+    size, nodes, exhaustive, sets, ground = oracle
+    assert (search.max_size, search.exhaustive, search.witness.sets, search.witness.ground_size) == (
+        size, exhaustive, sets, ground)
+    assert search.nodes <= nodes
+    assert sum(search.nodes_by_depth) == search.nodes
+
+
 # the benchmark's canonical-search grid points (p, k, ground_cap), cheapest first
 SMALL_GRID = [(2, 2, 4), (3, 1, 3), (3, 2, 6), (3, 2, 7), (3, 2, 8), (3, 2, 10),
               (3, 3, 5), (4, 2, 5), (4, 3, 5), (4, 2, 6), (3, 3, 6)]
+# the degree bound _size_bound(p, k - 1, ground_cap - 1) on every benchmark grid point
+GRID_DEGREE_BOUNDS = {(2, 2, 4): 1, (3, 1, 3): 1, (3, 2, 6): 2, (3, 2, 7): 2, (3, 2, 8): 2, (3, 2, 10): 2,
+                      (3, 3, 5): 4, (4, 2, 5): 3, (4, 3, 5): 6, (4, 2, 6): 3, (3, 3, 6): 5,
+                      (4, 2, 7): 3, (4, 2, 8): 3, (4, 3, 6): 7}
+# small caps on which the oracle takes milliseconds
+SWEEP_CAPS = {1: range(1, 7), 2: range(2, 7), 3: range(3, 6)}
 
 
 @pytest.mark.parametrize("p,k,cap", SMALL_GRID)
 def test_search_matches_rebuilding_search(p, k, cap):
-    assert _outcome(max_sunflower_free(p, k, ground_cap=cap)) == _rebuilding_search(p, k, ground_cap=cap)
+    _assert_matches_oracle(max_sunflower_free(p, k, ground_cap=cap), _rebuilding_search(p, k, ground_cap=cap))
+
+
+@pytest.mark.parametrize("p", range(2, 6))
+@pytest.mark.parametrize("k", range(1, 4))
+def test_capped_sweep_matches_rebuilding_search(p, k):
+    for cap in SWEEP_CAPS[k]:
+        oracle = _rebuilding_search(p, k, ground_cap=cap)
+        _assert_matches_oracle(max_sunflower_free(p, k, ground_cap=cap), oracle)
+        assert _size_bound(p, k, cap) >= oracle[0], cap
 
 
 @pytest.mark.parametrize("p,k,cap,budgets", [
-    (4, 2, 6, (0, 1, 2, 7, 50, 200, 1000, 2095)),
-    (3, 3, 6, (3, 9, 100, 2000, 5950)),
-    (4, 3, 6, (40, 5000)),
     (3, 3, None, (200, 800)),
     (4, 2, None, (5000,)),
     (5, 2, None, (3000,)),
 ])
 def test_budgeted_search_matches_rebuilding_search(p, k, cap, budgets):
+    # the unbounded search skips no subtree, so it matches the oracle node for node
     for budget in budgets:
         expected = _rebuilding_search(p, k, max_nodes=budget, ground_cap=cap)
         assert not expected[2]  # stops mid-tree
         assert _outcome(max_sunflower_free(p, k, max_nodes=budget, ground_cap=cap)) == expected, budget
 
 
+def test_capped_node_budget_is_deterministic():
+    full = max_sunflower_free(4, 2, ground_cap=7)
+    assert full.exhaustive
+    assert _outcome(max_sunflower_free(4, 2, max_nodes=full.nodes, ground_cap=7)) == _outcome(full)
+    short = max_sunflower_free(4, 2, max_nodes=full.nodes - 1, ground_cap=7)
+    assert not short.exhaustive and short.nodes == sum(short.nodes_by_depth) == full.nodes - 1
+    assert _outcome(max_sunflower_free(4, 2, max_nodes=full.nodes - 1, ground_cap=7)) == _outcome(short)
+    assert verify_sunflower_free(short.witness, 4)
+
+
 def test_larger_grid_points_keep_their_node_counts():
-    # node counts of the rebuilding search, which takes several seconds here
-    for (p, k, cap), (size, nodes) in {(4, 2, 7): (10, 27_236), (4, 2, 8): (10, 70_201),
-                                       (4, 3, 6): (14, 163_997)}.items():
+    # the rebuilding search visits 27,236, 70,201 and 163,997 nodes on these
+    # points in several seconds; the witnesses are its witnesses
+    pinned = {
+        (4, 2, 7): (10, 5_073, (3, 5, 6, 9, 10, 20, 40, 48, 80, 96)),
+        (4, 2, 8): (10, 43_627, (3, 5, 6, 9, 10, 20, 24, 48, 96, 160)),
+        (4, 3, 6): (14, 4_570, (7, 11, 13, 19, 21, 26, 28, 38, 41, 42, 44, 49, 50, 52)),
+    }
+    for (p, k, cap), (size, nodes, sets) in pinned.items():
         search = max_sunflower_free(p, k, ground_cap=cap)
-        assert (search.max_size, search.nodes, search.exhaustive) == (size, nodes, True), (p, k, cap)
+        assert (search.max_size, search.nodes, search.exhaustive, search.witness.sets) == (size, nodes, True, sets)
+        assert search.witness.ground_size == cap and sum(search.nodes_by_depth) == nodes
+        assert len(search.nodes_by_depth) == size + 1 and search.nodes_by_depth[:2] == (1, 1)
         assert verify_sunflower_free(search.witness, p)
+
+
+def test_degree_bound_on_the_grid():
+    assert {point: _size_bound(point[0], point[1] - 1, point[2] - 1) for point in GRID_DEGREE_BOUNDS} == (
+        GRID_DEGREE_BOUNDS)
+    # exact wherever k >= 2: the bound is the largest link the cap allows
+    for (p, k, cap), degree in GRID_DEGREE_BOUNDS.items():
+        if k >= 2:
+            assert _rebuilding_search(p, k - 1, ground_cap=cap - 1)[0] == degree, (p, k, cap)
+    assert _size_bound(4, 0, 5) == 1 and _size_bound(4, 3, 2) == 0
+
+
+def test_nodes_by_depth_splits_the_unbounded_search():
+    search = max_sunflower_free(3, 2)
+    assert search.nodes_by_depth == (1, 1, 3, 11, 29, 16, 3)
+    assert sum(search.nodes_by_depth) == search.nodes == 64
+    assert max_sunflower_free(3, 2, max_nodes=0).nodes_by_depth == ()
 
 
 def test_pair_rule_agrees_with_full_extension_test():
@@ -322,6 +381,18 @@ def test_ground_cap_disables_exactness_claim():
     value = sun_value(3, 2, ground_cap=4)
     assert value.exact is None
     assert value.lower >= 4  # C4 is sunflower-free on 4 vertices
+
+
+@pytest.mark.parametrize("kwargs", [{"k": 2.0}, {"k": 2, "ground_cap": 6.5}, {"k": "2"}])
+def test_non_int_sizes_are_rejected(kwargs):
+    with pytest.raises(TypeError):
+        max_sunflower_free(3, **kwargs)
+
+
+def test_numpy_int_sizes_are_accepted():
+    search = max_sunflower_free(3, np.int64(2), ground_cap=np.int32(6))
+    assert type(search.k) is int and type(search.witness.ground_size) is int
+    assert _outcome(search) == _outcome(max_sunflower_free(3, 2, ground_cap=6))
 
 
 def test_validation():
