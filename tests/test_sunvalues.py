@@ -132,8 +132,7 @@ def test_search_matches_rebuilding_search(p, k, cap):
     _assert_matches_oracle(max_sunflower_free(p, k, ground_cap=cap), _rebuilding_search(p, k, ground_cap=cap))
 
 
-@pytest.mark.parametrize("p", range(2, 6))
-@pytest.mark.parametrize("k", range(1, 4))
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(2, 6) for k in range(1, 4)])
 def test_capped_sweep_matches_rebuilding_search(p, k):
     for cap in SWEEP_CAPS[k]:
         oracle = _rebuilding_search(p, k, ground_cap=cap)
