@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -342,11 +343,43 @@ def test_group_width_rule():
         assert w == 1 or -(-n // w) * (words << w) * 8 <= probability._KERNEL_TILE_BYTES
 
 
-def test_mc_thread_count_is_invisible_at_n64():
-    fam = wide_family(64, 70)
-    a = mc_hit_probability(fam, 0.3, trials=20_001, seed=5, threads=1)
-    b = mc_hit_probability(fam, 0.3, trials=20_001, seed=5, threads=4)
-    assert a == b
+def _pinned_mc_cases():
+    """(estimator, {trials: SHA-256 of the estimate as JSON}), computed while each
+    8,192-trial chunk still rebuilt the kernel tables; the smaller trial count
+    is the one run under one-trial chunks."""
+    cases = [
+        (lambda trials, n=n: mc_hit_probability(wide_family(n, 70), 0.3, trials, seed=5), digests)
+        for n, digests in [
+            (63, {20_001: "596359fdeff1b7abe757a5dd052770b88908966d000124700a7faddaa67b6e39",
+                  300: "18f091c3d84299888024cb87ea7dbe66449aca3d03ddd4f7ccbde930326d4f51"}),
+            (64, {20_001: "44671c2d3b88d8225f2d5c4cf74e907c1ac082d1a6ed64adcd1806098d9e6393",
+                  300: "b2e81047d7d562626a85d1e5fc008a33da48e8e905f2016330434c81da6b6610"}),
+            (65, {20_001: "b5672aaa76c1861565f4bae6fa5ddc963fb71218290b58358301a3359824989a",
+                  300: "da4f4f91bf6d5714a72fa5b2312e28ea7b1b221a3cbe19e71820e26b93471318"}),
+            (130, {20_001: "98e93a2c916abc3cd2d6a5c426e9a8ca82abacfa1076b57332551429eaf37a3f",
+                   300: "27dab07033808c2dcc13e646118509ac8eee71b3f3a8e9c3a2f0b1b6703835ef"}),
+        ]
+    ]
+    block_5_6 = block_product_family(5, 6)[0]
+    return cases + [
+        (lambda trials: mc_hit_probability(block_5_6, 0.25, trials, seed=1), {
+            16_384: "fc8fec0e8f2621a15f9561cd4ef23bb437025e74e2958fc39e90f11b243f5b29",
+            300: "d3b13b3116f033828d8ca54504793313bad6eafab225dca594e39ba10de1ecea"}),
+        (lambda trials: mc_block_hit_probability(3, 8, 0.25, trials, seed=1729), {
+            20_000: "5115cdbeb9c5d3212250c4642a07504bd2299291c9191d7a9967870fbfe6e289",
+            300: "afbe02609bda1f2711d44f730c170bab55fe302e62767aeafb7d5c69ea659bc2"}),
+    ]
+
+
+# one-trial chunks run only the smaller count; 3,000-trial chunks leave a ragged last chunk
+@pytest.mark.parametrize("chunk_trials", [None, 1, 3000])
+def test_mc_estimates_are_pinned(chunk_trials, monkeypatch):
+    if chunk_trials is not None:
+        monkeypatch.setattr(probability, "_CHUNK_TRIALS", chunk_trials)
+    for estimate, digests in _pinned_mc_cases():
+        for trials, digest in digests.items() if chunk_trials != 1 else [min(digests.items())]:
+            payload = json.dumps(dataclasses.asdict(estimate(trials)))
+            assert hashlib.sha256(payload.encode()).hexdigest() == digest, trials
 
 
 def test_mc_memory_is_bounded_on_block_5_6():
