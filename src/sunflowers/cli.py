@@ -138,8 +138,6 @@ def cmd_find_sunflower(args) -> int:
 
 
 def cmd_estimate_hit(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {args.threads}")
     if args.clopper_pearson and args.format == "csv":
         raise ValueError("--clopper-pearson has no column in --format csv; use --format json")
     family = load_family(args.family)
@@ -149,7 +147,6 @@ def cmd_estimate_hit(args) -> int:
             args.delta,
             trials=args.trials,
             seed=args.seed,
-            threads=args.threads,
             interval="clopper-pearson" if args.clopper_pearson else "normal",
         )
     else:
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True, trials=None, out=True, fmt=False, threads=False):
+    def add_common(p, seed=True, trials=None, out=True, fmt=False):
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
         if trials is not None:
@@ -330,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help=f"output path (relative paths honor ${OUT_DIR_ENV})")
         if fmt:
             p.add_argument("--format", choices=["json", "csv"], default="json")
-        if threads:
-            p.add_argument("--threads", type=int, default=1, help="worker threads; results identical at any value")
 
     p = sub.add_parser("construct", help="materialize a family and write it as JSON")
     p.add_argument("kind", choices=["block-product", "erdos-rado"])
@@ -367,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--clopper-pearson", action="store_true", help="exact interval instead of 3-sigma")
-    add_common(p, trials=DEFAULT_TRIALS, fmt=True, threads=True)
+    add_common(p, trials=DEFAULT_TRIALS, fmt=True)
     p.set_defaults(func=cmd_estimate_hit)
 
     p = sub.add_parser("partition", help="random t-way partition experiment")

@@ -6,7 +6,7 @@ rows ascending and in colex (ascending-mask) order, whether it was built from
 Python-int bitmasks or loaded from JSON.  The matrix alone decides equality,
 hashing and membership; the masks are a view of it, built for the callers
 that work on masks.  All types here are immutable after construction (their
-caches aside) and safe to share across threads.
+caches aside) and thread-safe.
 """
 
 from __future__ import annotations

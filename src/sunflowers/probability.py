@@ -6,20 +6,21 @@ of one bit per subset (ground size <= 24, 2 MiB at n = 24) or from the
 inclusion-exclusion polynomial (family size <= 20), both summed exactly by
 :func:`_exact_sum` and rounded once; Monte Carlo estimates draw from the keyed
 Philox streams in :mod:`.rng`, so every estimate is a pure function of
-(seed, trials) no matter how trials are chunked or threaded.
+(seed, trials) no matter how trials are chunked.
 
 Monte Carlo samples come packed from :func:`.rng.bernoulli_block`: one
 ``uint8`` row of ceil(n/8) bytes per trial, bit j of byte i standing for
 element 8i + j.  The partition experiment packs each class the same way,
 all t classes of a tile of trials into one matrix, from the class ids of
 :func:`_class_ids`, which the extraction's spread-case search also reads.
-Both share one containment kernel (:func:`_contains_member`) over those
-rows.  It is bit-sliced over members: ground element e's row of
+Both share one containment kernel: :func:`_member_tables` builds its tables
+once per call and :func:`_contains_member` applies them to each tile of rows.
+It is bit-sliced over members: ground element e's row of
 ``SetFamily.holders()`` is the bitset of the members containing e.  The
 ground set splits into groups of up to 8 consecutive elements, each with a
 lookup table indexed by the sample's bits in that group, so a trial's
 surviving members are the AND of one table row per group.  The group width
-depends only on (n, |F|, trials) and never changes a result.
+depends only on (n, |F|, the call's row count) and never changes a result.
 
 Uncertainty is reported as a 3-sigma normal half-width, which is optimistic
 when p_hat is very close to 0 or 1; an exact Clopper-Pearson interval is
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -190,63 +190,69 @@ def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto")
 # --- Monte Carlo hit probability ----------------------------------------------
 
 
-def _group_width(n: int, words: int, trials: int) -> int:
-    """Elements per lookup group of the containment kernel.
+def _group_width(n: int, words: int, rows: int) -> int:
+    """Elements per lookup group of tables that serve a whole call's ``rows``.
 
-    The w in 1..8 minimizing ceil(n/w) * (2^w + trials), the rows built plus
+    The w in 1..8 minimizing ceil(n/w) * (2^w + rows), the rows built plus
     the rows gathered, among the widths whose tables fit in
     ``_KERNEL_TILE_BYTES``; w = 1 always qualifies.
     """
     def fits(w):
         return w == 1 or -(-n // w) * (8 * words << w) <= _KERNEL_TILE_BYTES
 
-    return min((w for w in range(1, 9) if fits(w)), key=lambda w: -(-n // w) * ((1 << w) + trials))
+    return min((w for w in range(1, 9) if fits(w)), key=lambda w: -(-n // w) * ((1 << w) + rows))
 
 
-def _contains_member(family: SetFamily, rows: np.ndarray) -> np.ndarray:
-    """Row-wise: does the sample packed in ``rows[i]`` contain a member?
+def _member_tables(family: SetFamily, rows: int) -> np.ndarray:
+    """``uint64 (groups, 2^w, ceil(|F|/64))`` lookup tables of the containment kernel.
 
-    ``rows`` is ``uint8 (trials, ceil(n/8))`` in the layout of
-    :func:`.rng.bernoulli_block`: bit j of byte i is element 8i + j, padding
-    bits clear.
-
-    Bit-sliced over members with grouped lookup tables.  The ground set splits
-    into groups of w consecutive elements (the last may be shorter, w from
-    :func:`_group_width`).  Row b of a group's table is the set of members
-    that avoid every element of the group absent from b (bit j of b is
-    element j of the group), built by doubling over the group's elements.  A
-    trial's alive set is the AND of one table row per group, indexed by the
-    trial's bits there; the trial hits iff a member survives.  The tables
-    start from all of F with padding bits clear, so no padding bit is ever
-    alive.  Trials go in tiles of ``_KERNEL_TILE_BYTES``.  A tile's hits
-    are the OR of each alive row: folded down the columns into the first
-    when a row has at most 8 words (a few long passes), and one segmented
-    reduction over the rows otherwise (short passes would cost more than the
-    per-row step).
+    The ground set splits into groups of w consecutive elements (the last may
+    be shorter), w from :func:`_group_width` on the call's total ``rows``:
+    every trial of :func:`mc_hit_probability`, t per trial of
+    :func:`partition_experiment`.  Row b of a group's table is the set of
+    members that avoid every element of the group absent from b (bit j of b
+    is element j of the group), built by doubling over the group's elements.
+    The tables start from all of F with padding bits clear, so no padding bit
+    is ever alive.
     """
-    if not len(family):
-        return np.zeros(len(rows), dtype=bool)
     n = family.ground_size
     words = -(-len(family) // 64)
     full = np.full(words, ~np.uint64(0))
-    full[-1] >>= np.uint64(-len(family) % 64)  # every member, padding bits clear
-    w = _group_width(n, words, len(rows))
-    groups = -(-n // w)
-    holders = family.holders()
-    tables = np.empty((groups, 1 << w, words), dtype=np.uint64)
+    full[-1:] >>= np.uint64(-len(family) % 64)  # every member, padding bits clear
+    w = _group_width(n, words, rows)
+    tables = np.empty((-(-n // w), 1 << w, words), dtype=np.uint64)
     tables[:, :1] = full
     for j in range(w):
         half = 1 << j
         tables[:, half : 2 * half] = tables[:, :half]
-        absent = ~holders[j::w, None]  # element j of every group; a short last group may lack it
+        absent = ~family.holders()[j::w, None]  # element j of every group; a short last group may lack it
         tables[: len(absent), :half] &= absent
+    return tables
+
+
+def _contains_member(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row-wise: does the sample packed in ``rows[i]`` contain a member?
+
+    ``tables`` come from :func:`_member_tables`.  ``rows`` is ``uint8
+    (trials, ceil(n/8))`` in the layout of :func:`.rng.bernoulli_block`: bit j
+    of byte i is element 8i + j, padding bits clear.
+
+    A trial's alive set is the AND of one table row per group, indexed by the
+    trial's bits there; the trial hits iff a member survives.  Trials go in
+    tiles of ``_KERNEL_TILE_BYTES``.  A tile's hits are the OR of each alive
+    row: folded down the columns into the first when a row has at most 8
+    words (a few long passes), and one segmented reduction over the rows
+    otherwise (short passes would cost more than the per-row step).
+    """
+    groups, size, words = tables.shape
+    if not words:
+        return np.zeros(len(rows), dtype=bool)
     # group g's code: w bits from bit g*w % 8 on of the sample's bytes g*w // 8 and g*w // 8 + 1
-    first = np.arange(groups) * w
+    first = np.arange(groups) * (size.bit_length() - 1)
     low, shift = first // 8, (first % 8).astype(np.uint16)[:, None]
-    code_mask = np.uint16((1 << w) - 1)
-    nbytes = -(-n // 8)
-    tile = max(1, _KERNEL_TILE_BYTES // (8 * max(1, words)))
-    lanes = np.zeros((nbytes + 1, min(tile, len(rows))), dtype=np.uint16)  # lane i: byte i of each sample
+    code_mask = np.uint16(size - 1)
+    tile = max(1, _KERNEL_TILE_BYTES // (8 * words))
+    lanes = np.zeros((rows.shape[1] + 1, min(tile, len(rows))), dtype=np.uint16)  # lane i: byte i of each sample
     # one allocation for both tile buffers: freed as one block, it lifts glibc's heap-trim
     # threshold past a call's temporaries, so later calls reuse pages instead of faulting
     alive, row = np.empty((2, lanes.shape[1], words), dtype=np.uint64)
@@ -254,7 +260,7 @@ def _contains_member(family: SetFamily, rows: np.ndarray) -> np.ndarray:
     hits = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), tile):
         count = min(tile, len(rows) - start)
-        lanes[:nbytes, :count] = rows[start : start + count].T
+        lanes[:-1, :count] = rows[start : start + count].T
         pairs = lanes[:-1, :count] | (lanes[1:, :count] << 8)
         codes = (pairs[low] >> shift) & code_mask
         # codes are below 2^w, so "clip" never clips; it spares the checked copy of "raise"
@@ -272,9 +278,10 @@ def _contains_member(family: SetFamily, rows: np.ndarray) -> np.ndarray:
     return hits
 
 
-def _mc_hits_chunk(family: SetFamily, delta: float, seed: int, start: int, count: int) -> int:
-    rows = bernoulli_block(seed, STREAM_BERNOULLI, start, count, family.ground_size, delta)
-    return int(_contains_member(family, rows).sum())
+def _bernoulli_chunks(seed: int, n: int, delta: float, trials: int) -> Iterator[np.ndarray]:
+    """Packed Bernoulli rows of trials 0..trials-1, ``_CHUNK_TRIALS`` rows at a time."""
+    for start in range(0, trials, _CHUNK_TRIALS):
+        yield bernoulli_block(seed, STREAM_BERNOULLI, start, min(_CHUNK_TRIALS, trials - start), n, delta)
 
 
 def mc_hit_probability(
@@ -282,29 +289,22 @@ def mc_hit_probability(
     delta: float,
     trials: int,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
     interval: str = "normal",
 ) -> HitEstimate:
     """Monte Carlo hit probability; bit-reproducible for fixed (seed, trials).
 
-    Trials are independent chunks of the keyed stream reduced by summation,
-    so any ``threads`` value yields the identical estimate.
+    The kernel tables are built once for all trials, and the hits of each
+    chunk of the keyed stream are summed, so chunking never shows.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
     if interval not in ("normal", "clopper-pearson"):
         raise ValueError(f"unknown interval kind {interval!r}")
-    chunks = [(start, min(_CHUNK_TRIALS, trials - start)) for start in range(0, trials, _CHUNK_TRIALS)]
-    family.holders()  # build the cached matrix before threads share the family
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(lambda c: _mc_hits_chunk(family, delta, seed, *c), chunks))
-    else:
-        hits = sum(_mc_hits_chunk(family, delta, seed, start, count) for start, count in chunks)
+    tables = _member_tables(family, trials)
+    chunks = _bernoulli_chunks(seed, family.ground_size, delta, trials)
+    hits = sum(int(_contains_member(tables, rows).sum()) for rows in chunks)
     return _mc_estimate(hits, trials, interval)
 
 
@@ -362,7 +362,8 @@ def partition_experiment(
     """Assign each element uniformly to one of ``classes`` classes, repeatedly.
 
     Per trial, counts how many classes contain a member of the family; the
-    returned statistics carry the full histogram of that count.  A tile of
+    returned statistics carry the full histogram of that count.  The kernel
+    tables are built once, for all t * trials rows; a tile of
     :func:`_class_ids` becomes t packed rows per trial and one
     :func:`_contains_member` call, so the histogram does not depend on the tiling.
     """
@@ -373,12 +374,13 @@ def partition_experiment(
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = family.ground_size
     nbytes = -(-n // 8)
+    tables = _member_tables(family, t * trials)
     histogram = np.zeros(t + 1, dtype=np.int64)
     for _, ids in _class_ids(seed, STREAM_PARTITION, trials, n, t, t * 8 * nbytes):
         in_class = np.zeros((t, len(ids), 8 * nbytes), dtype=bool)  # padding columns stay clear
         np.equal(ids, np.arange(t, dtype=ids.dtype)[:, None, None], out=in_class[..., :n])
         rows = np.packbits(in_class.reshape(-1), bitorder="little").reshape(-1, nbytes)
-        hit_classes = _contains_member(family, rows).reshape(t, len(ids)).sum(axis=0)
+        hit_classes = _contains_member(tables, rows).reshape(t, len(ids)).sum(axis=0)
         histogram += np.bincount(hit_classes, minlength=t + 1)
     mean = float(np.dot(np.arange(t + 1), histogram)) / trials
     frac_at_least = {
@@ -569,11 +571,9 @@ def mc_block_hit_probability(
         raise ValueError(f"delta must be in (0,1), got {delta}")
     n = partition.ground_size
     hits = 0
-    for start in range(0, trials, _CHUNK_TRIALS):
-        count = min(_CHUNK_TRIALS, trials - start)
-        rows = bernoulli_block(seed, STREAM_BERNOULLI, start, count, n, delta)
-        bits = np.unpackbits(rows.reshape(-1), bitorder="little").reshape(count, -1)[:, :n]
-        hits += int(bits.reshape(count, k, r).any(axis=2).all(axis=1).sum())
+    for rows in _bernoulli_chunks(seed, n, delta, trials):
+        bits = np.unpackbits(rows.reshape(-1), bitorder="little").reshape(len(rows), -1)[:, :n]
+        hits += int(bits.reshape(len(rows), k, r).any(axis=2).all(axis=1).sum())
     return _mc_estimate(hits, trials)
 
 

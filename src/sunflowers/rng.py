@@ -15,6 +15,7 @@ delta's binary digits and returns the rows packed, 8 elements per byte.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 
 import numpy as np
@@ -50,8 +51,11 @@ def uniform_block(seed: int, stream: int, first_trial: int, trials: int, width: 
     """Uniform [0,1) draws for ``trials`` consecutive trials, one row each.
 
     Row i equals the row for trial ``first_trial + i`` in any other chunking
-    of the same (seed, stream).
+    of the same (seed, stream).  The seed, a 64-bit key word, lies in [0, 2^64).
     """
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if trials < 0 or width < 0 or first_trial < 0:
         raise ValueError("first_trial, trials and width must be non-negative")
     position = int(first_trial) * int(width)
@@ -64,7 +68,7 @@ def uniform_block(seed: int, stream: int, first_trial: int, trials: int, width: 
         "bit_generator": "Philox",
         "state": {
             "counter": np.array([block >> s & _MASK64 for s in (0, 64, 128, 192)], dtype=np.uint64),
-            "key": np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64),
+            "key": np.array([seed, stream & _MASK64], dtype=np.uint64),
         },
         "buffer": np.zeros(_WORDS_PER_BLOCK, dtype=np.uint64),
         "buffer_pos": _WORDS_PER_BLOCK,

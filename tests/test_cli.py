@@ -243,13 +243,12 @@ def test_negative_budgets_exit_2(block22, capsys):
     (["check-spread", "FAMILY", "--r", "inf"], "r"),
     (["find-sunflower", "FAMILY", "--p", "2", "--C", "inf"], "C"),
     (["find-sunflower", "FAMILY", "--p", "2", "--r-override", "inf"], "r_override"),
-    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--threads", "0"],
-     "threads"),
-    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--threads", "-3"],
-     "threads"),
-    (["estimate-hit", "FAMILY", "--delta", "0.5", "--threads", "0"], "threads"),
-    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "enumeration", "--threads", "-3"], "threads"),
-    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "inclusion-exclusion", "--threads", "0"], "threads"),
+    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--seed", "-1"],
+     "seed"),
+    (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--seed", str(2**64)], "seed"),
+    (["partition", "FAMILY", "--classes", "2", "--trials", "10", "--seed", "-1"], "seed"),
+    (["partition", "FAMILY", "--classes", "2", "--trials", "10", "--seed", str(2**64)], "seed"),
+    (["verify", "partition-mean", "--family", "FAMILY", "--classes", "2", "--trials", "10", "--seed", "-1"], "seed"),
     (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "nan", "--eps", "0.5"], "r"),
     (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "inf", "--eps", "0.5"], "r"),
     (["verify", "chernoff", "--n", "100000", "--delta", "0.3"], "n"),
@@ -258,6 +257,12 @@ def test_non_finite_values_and_thread_counts_exit_2(block22, capsys, command, na
     assert main([str(block22) if arg == "FAMILY" else arg for arg in command]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {name} must be") and captured.out == ""
+
+
+def test_threads_flag_is_rejected(block22, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate-hit", str(block22), "--delta", "0.5", "--method", "monte-carlo", "--threads", "2"])
+    assert exc.value.code == 2 and "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_exact_sun_witness_out(tmp_path, capsys):

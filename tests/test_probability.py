@@ -209,13 +209,6 @@ def test_mc_lands_within_3_sigma_of_exact():
     assert est.method == "monte-carlo" and est.trials == 100_000
 
 
-def test_mc_thread_count_is_invisible():
-    fam, _ = block_product_family(2, 3)
-    a = mc_hit_probability(fam, 0.3, trials=20_001, seed=5, threads=1)
-    b = mc_hit_probability(fam, 0.3, trials=20_001, seed=5, threads=4)
-    assert a == b
-
-
 def test_mc_block_form_matches_materialized_family():
     fam, _ = block_product_family(3, 2)
     a = mc_hit_probability(fam, 0.4, trials=9_999, seed=11)
@@ -253,6 +246,11 @@ def wide_family(n, size, k=3):
 def _unpacked(rows, n):
     # packed sampler rows (bit j of byte i is element 8i + j) as boolean rows
     return np.unpackbits(rows, axis=1, count=n, bitorder="little").astype(bool)
+
+
+def _contains_member(family, rows):
+    # the kernel as its callers use it: tables built for all the rows, then applied
+    return probability._contains_member(probability._member_tables(family, len(rows)), rows)
 
 
 def _oracle_contains(family, row):
@@ -320,7 +318,7 @@ def test_contains_member_matches_python_oracle_row_by_row(fam, data):
     bits = np.tile(np.array(rows, dtype=bool).reshape(len(rows), n), (repeat, 1))
     expected = [_oracle_contains(fam, row) for row in rows] * repeat
     packed = np.packbits(bits, axis=1, bitorder="little")
-    assert probability._contains_member(fam, packed).tolist() == expected
+    assert _contains_member(fam, packed).tolist() == expected
 
 
 @pytest.mark.parametrize("size", [512, 513], ids=["8-words", "9-words"])
@@ -330,7 +328,7 @@ def test_kernel_or_rules_match_python_oracle(size, kernel_tiles):
     rows = bernoulli_block(5, STREAM_BERNOULLI, 0, 300, 30, 0.1)
     expected = [_oracle_contains(fam, row) for row in _unpacked(rows, 30)]
     assert 0 < sum(expected) < 300
-    assert probability._contains_member(fam, rows).tolist() == expected
+    assert _contains_member(fam, rows).tolist() == expected
 
 
 def test_group_width_rule():
@@ -404,7 +402,7 @@ def test_kernel_tables_stay_within_the_tile_budget_on_block_4_16():
     bits = _unpacked(rows, 64)
     tracemalloc.start()
     try:
-        hits = probability._contains_member(fam, rows)
+        hits = _contains_member(fam, rows)
         _, kernel_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         mc_hit_probability(fam, 0.125, trials=8192, seed=1)
@@ -444,15 +442,40 @@ def test_unknown_interval_is_rejected_before_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled before checking the interval")
 
-    monkeypatch.setattr(probability, "_mc_hits_chunk", no_sampling)
+    monkeypatch.setattr(probability, "bernoulli_block", no_sampling)
     with pytest.raises(ValueError, match="interval"):
         mc_hit_probability(block_product_family(3, 8)[0], 0.5, trials=200_000, interval="bogus")
 
 
-@pytest.mark.parametrize("threads", [0, -3])
-def test_mc_rejects_thread_counts_below_one(threads):
-    with pytest.raises(ValueError, match="threads"):
-        mc_hit_probability(block_product_family(2, 2)[0], 0.5, trials=100, threads=threads)
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_mc_rejects_seeds_outside_64_bits(seed):
+    # they used to alias the streams of seeds 2**64 - 1 and 0
+    with pytest.raises(ValueError, match="seed must be in"):
+        mc_hit_probability(block_product_family(2, 2)[0], 0.5, trials=100, seed=seed)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = {"_member_tables": 0, "_contains_member": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(probability, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(probability, name, counted)
+    return calls
+
+
+def test_mc_builds_the_kernel_tables_once(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    mc_hit_probability(block_product_family(2, 3)[0], 0.3, trials=20_001, seed=5)
+    assert calls == {"_member_tables": 1, "_contains_member": 3}  # one per chunk of 8,192
+
+
+def test_partition_builds_the_kernel_tables_once(monkeypatch):
+    # n = 4,096 gives tiles of 32 trials, so 8,192 trials take 256 tiles
+    calls = _count_kernel_calls(monkeypatch)
+    partition_experiment(SetFamily(4096, 2, [m(0, 4095), m(7, 8)]), 2, 8192, seed=7)
+    assert calls == {"_member_tables": 1, "_contains_member": 256}
 
 
 # --- partition experiment -------------------------------------------------------------

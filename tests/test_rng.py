@@ -57,6 +57,16 @@ def test_concurrent_threads_read_their_own_rows():
     assert all(np.array_equal(got, want) for got, want in zip(results, expected * 20))
 
 
+def test_seeds_must_be_64_bit_integers():
+    # -1 and 2**64 used to wrap onto the streams of 2**64 - 1 and 0
+    for seed in (-1, 2**64, -(2**64)):
+        with pytest.raises(ValueError, match="seed must be in"):
+            uniform_block(seed, 1, 0, 1, 4)
+    with pytest.raises(TypeError):
+        uniform_block(1.0, 1, 0, 1, 4)
+    assert np.array_equal(uniform_block(np.uint64(2**64 - 1), 1, 0, 2, 4), uniform_block(2**64 - 1, 1, 0, 2, 4))
+
+
 def test_streams_and_seeds_decorrelate():
     a = uniform_block(5, 1, 0, 4, 8)
     assert not np.array_equal(a, uniform_block(5, 2, 0, 4, 8))
