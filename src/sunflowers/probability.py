@@ -190,24 +190,24 @@ def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto")
 # --- Monte Carlo hit probability ----------------------------------------------
 
 
-def _group_width(n: int, words: int, rows: int) -> int:
-    """Elements per lookup group of tables that serve a whole call's ``rows``.
+def _group_width(n: int, words: int, total_rows: int) -> int:
+    """Elements per lookup group of tables that serve a whole call's ``total_rows``.
 
-    The w in 1..8 minimizing ceil(n/w) * (2^w + rows), the rows built plus
-    the rows gathered, among the widths whose tables fit in
+    The w in 1..8 minimizing ceil(n/w) * (2^w + total_rows), the rows built
+    plus the rows gathered, among the widths whose tables fit in
     ``_KERNEL_TILE_BYTES``; w = 1 always qualifies.
     """
     def fits(w):
         return w == 1 or -(-n // w) * (8 * words << w) <= _KERNEL_TILE_BYTES
 
-    return min((w for w in range(1, 9) if fits(w)), key=lambda w: -(-n // w) * ((1 << w) + rows))
+    return min((w for w in range(1, 9) if fits(w)), key=lambda w: -(-n // w) * ((1 << w) + total_rows))
 
 
-def _member_tables(family: SetFamily, rows: int) -> np.ndarray:
+def _member_tables(family: SetFamily, total_rows: int) -> np.ndarray:
     """``uint64 (groups, 2^w, ceil(|F|/64))`` lookup tables of the containment kernel.
 
     The ground set splits into groups of w consecutive elements (the last may
-    be shorter), w from :func:`_group_width` on the call's total ``rows``:
+    be shorter), w from :func:`_group_width` on the call's ``total_rows``:
     every trial of :func:`mc_hit_probability`, t per trial of
     :func:`partition_experiment`.  Row b of a group's table is the set of
     members that avoid every element of the group absent from b (bit j of b
@@ -219,7 +219,7 @@ def _member_tables(family: SetFamily, rows: int) -> np.ndarray:
     words = -(-len(family) // 64)
     full = np.full(words, ~np.uint64(0))
     full[-1:] >>= np.uint64(-len(family) % 64)  # every member, padding bits clear
-    w = _group_width(n, words, rows)
+    w = _group_width(n, words, total_rows)
     tables = np.empty((-(-n // w), 1 << w, words), dtype=np.uint64)
     tables[:, :1] = full
     for j in range(w):
