@@ -37,7 +37,7 @@ from .probability import (
     mc_hit_probability,
     partition_experiment,
 )
-from .rng import DEFAULT_SEED
+from .rng import DEFAULT_SEED, check_seed
 from .spread import spread_witness, spreadness
 from .sunvalues import sun_value
 
@@ -140,6 +140,7 @@ def cmd_find_sunflower(args) -> int:
 def cmd_estimate_hit(args) -> int:
     if args.clopper_pearson and args.format == "csv":
         raise ValueError("--clopper-pearson has no column in --format csv; use --format json")
+    check_seed(args.seed)  # exact paths read no seed, but echo it in the CSV
     family = load_family(args.family)
     if args.method == "monte-carlo":
         estimate = mc_hit_probability(

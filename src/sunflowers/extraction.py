@@ -29,7 +29,7 @@ import numpy as np
 from .bitset import elements_of, mask_from_elements
 from . import probability
 from .families import SetFamily, Sunflower, check_budget, find_disjoint_sets, is_sunflower, link
-from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH
+from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, check_seed
 from .spread import level_counts, rank_to_elements, spread_witness
 
 
@@ -56,6 +56,7 @@ class ExtractionParams:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if not (self.C >= 1 and math.isfinite(self.C)):
             raise ValueError(f"C must be finite and >= 1, got {self.C}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         check_budget("fallback_bruteforce_cap", self.fallback_bruteforce_cap)
         if self.max_partition_trials is not None:
             check_budget("max_partition_trials", self.max_partition_trials)

@@ -47,15 +47,21 @@ _GRID = 2.0**53  # a uniform is an integer multiple of 1/_GRID
 _local = threading.local()  # one reusable Philox generator per thread, re-keyed per call
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` as an int, refused outside [0, 2^64): it is a 64-bit key word."""
+    seed = operator.index(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def uniform_block(seed: int, stream: int, first_trial: int, trials: int, width: int) -> np.ndarray:
     """Uniform [0,1) draws for ``trials`` consecutive trials, one row each.
 
     Row i equals the row for trial ``first_trial + i`` in any other chunking
-    of the same (seed, stream).  The seed, a 64-bit key word, lies in [0, 2^64).
+    of the same (seed, stream).  The seed lies in [0, 2^64) (:func:`check_seed`).
     """
-    seed = operator.index(seed)
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    seed = check_seed(seed)
     if trials < 0 or width < 0 or first_trial < 0:
         raise ValueError("first_trial, trials and width must be non-negative")
     position = int(first_trial) * int(width)

@@ -110,12 +110,27 @@ def _closes_sunflower(members: list[int], newest: int, candidate: int, p: int) -
 
     Its core is X = newest & candidate; a further petal f meets both in
     exactly X, that is f & (newest | candidate) == X, and the further
-    petals' X-stripped remainders are pairwise disjoint.
+    petals' X-stripped remainders are pairwise disjoint.  One further petal
+    (p = 3) needs no disjointness test.  Every further petal holds X, so two
+    of them (p = 4) qualify together exactly when their intersection is X.
     """
+    if p == 2:
+        return True
     core = newest & candidate
     span = newest | candidate
-    petals = [f & ~core for f in members if f & span == core]
-    return p == 2 or (len(petals) >= p - 2 and find_disjoint_sets(petals, p - 2) is not None)
+    if p > 4:
+        petals = [f & ~core for f in members if f & span == core]
+        return len(petals) >= p - 2 and find_disjoint_sets(petals, p - 2) is not None
+    petals = []
+    for f in members:
+        if f & span == core:
+            if p == 3:
+                return True
+            for g in petals:
+                if f & g == core:
+                    return True
+            petals.append(f)
+    return False
 
 
 def _add_at_elements(values: list[int], mask: int, amount: int) -> None:
@@ -179,6 +194,8 @@ def max_sunflower_free(
     # slack[e]: how many more members may hold element e; every element's
     # link is a sunflower-free (k-1)-family on the other ground_cap - 1
     slack = [_size_bound(p, k - 1, ground_cap - 1)] * ground_cap if ground_cap is not None else []
+    # no sunflower-free family within the cap is larger
+    ceiling = math.inf if ground_cap is None else _size_bound(p, k, ground_cap)
 
     tables: dict[int, list[int]] = {}
     fresh_tables: dict[tuple[int, int], list[int]] = {}
@@ -225,6 +242,16 @@ def max_sunflower_free(
             if size > len(best_members):
                 best_members = (*members, mask)
                 best_ground = max(child_used, k)
+                if size == ceiling:  # no larger family exists
+                    return
+            if ground_cap is None:
+                room = math.inf
+            else:
+                # every later member holds its top element at or above mask's,
+                # which mask itself spends one unit of
+                room = sum(slack[mask.bit_length() - 1 :]) - 1
+                if size + room <= len(best_members):
+                    continue
             later = accepted[i + 1 :]
             if child_used > used:
                 if free is None:
@@ -234,20 +261,20 @@ def max_sunflower_free(
             kept = [c for c in later if not _closes_sunflower(members, mask, c, p)]
             if not kept:
                 continue  # a leaf
+            if child_used == ground_cap:  # no element left to introduce
+                room = min(room, len(kept))
+            if size + room <= len(best_members):
+                continue
+            members.append(mask)
             if ground_cap is None:
-                room = math.inf
+                extend(members, child_used, kept)
             else:
                 _add_at_elements(slack, mask, -1)
-                # every later member holds its top element at or above mask's
-                room = sum(slack[mask.bit_length() - 1 :])
-                if child_used == ground_cap:  # no element left to introduce
-                    room = min(room, len(kept))
-            if size + room > len(best_members):
-                members.append(mask)
                 extend(members, child_used, kept)
-                members.pop()
-            if ground_cap is not None:
                 _add_at_elements(slack, mask, 1)
+            members.pop()
+            if len(best_members) == ceiling:
+                return
 
     if budget > 0:
         nodes += 1  # the empty family

@@ -252,6 +252,9 @@ def test_negative_budgets_exit_2(block22, capsys):
     (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "nan", "--eps", "0.5"], "r"),
     (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "inf", "--eps", "0.5"], "r"),
     (["verify", "chernoff", "--n", "100000", "--delta", "0.3"], "n"),
+    # seeds that no sampler reads are refused too
+    (["estimate-hit", "FAMILY", "--delta", "0.5", "--format", "csv", "--seed", "-1"], "seed"),
+    (["find-sunflower", "FAMILY", "--p", "2", "--trials", "0", "--seed", "-5"], "seed"),
 ])
 def test_non_finite_values_and_thread_counts_exit_2(block22, capsys, command, name):
     assert main([str(block22) if arg == "FAMILY" else arg for arg in command]) == 2

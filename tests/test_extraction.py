@@ -165,6 +165,9 @@ def test_params_validate():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"{knob} must be finite"):
                 ExtractionParams(p=2, **{knob: value})
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be in"):
+            ExtractionParams(p=2, seed=seed)
     assert ExtractionParams(p=3).partition_trials == 192
 
 

@@ -167,9 +167,9 @@ def test_larger_grid_points_keep_their_node_counts():
     # the rebuilding search visits 27,236, 70,201 and 163,997 nodes on these
     # points in several seconds; the witnesses are its witnesses
     pinned = {
-        (4, 2, 7): (10, 5_073, (3, 5, 6, 9, 10, 20, 40, 48, 80, 96)),
+        (4, 2, 7): (10, 20, (3, 5, 6, 9, 10, 20, 40, 48, 80, 96)),
         (4, 2, 8): (10, 43_627, (3, 5, 6, 9, 10, 20, 24, 48, 96, 160)),
-        (4, 3, 6): (14, 4_570, (7, 11, 13, 19, 21, 26, 28, 38, 41, 42, 44, 49, 50, 52)),
+        (4, 3, 6): (14, 952, (7, 11, 13, 19, 21, 26, 28, 38, 41, 42, 44, 49, 50, 52)),
     }
     for (p, k, cap), (size, nodes, sets) in pinned.items():
         search = max_sunflower_free(p, k, ground_cap=cap)
@@ -177,6 +177,21 @@ def test_larger_grid_points_keep_their_node_counts():
         assert search.witness.ground_size == cap and sum(search.nodes_by_depth) == nodes
         assert len(search.nodes_by_depth) == size + 1 and search.nodes_by_depth[:2] == (1, 1)
         assert verify_sunflower_free(search.witness, p)
+
+
+def test_search_stops_at_the_size_bound():
+    # a family of _size_bound(p, k, cap) members proves the maximum, so the
+    # node that finds it is the last one counted
+    points = SMALL_GRID + [(p, k, cap) for p in range(2, 6) for k in SWEEP_CAPS for cap in SWEEP_CAPS[k]]
+    stopped = 0
+    for p, k, cap in points:
+        if _rebuilding_search(p, k, ground_cap=cap)[0] != _size_bound(p, k, cap):
+            continue
+        search = max_sunflower_free(p, k, ground_cap=cap)
+        short = max_sunflower_free(p, k, max_nodes=search.nodes - 1, ground_cap=cap)
+        assert search.exhaustive and short.max_size < search.max_size, (p, k, cap)
+        stopped += 1
+    assert stopped >= 20
 
 
 def test_degree_bound_on_the_grid():
@@ -199,15 +214,16 @@ def test_nodes_by_depth_splits_the_unbounded_search():
 def test_pair_rule_agrees_with_full_extension_test():
     rng = random.Random(5)
     cases = closing = 0
+    verdicts = set()
     while cases < 300:
-        n, k, p = rng.randint(3, 7), rng.randint(1, 3), rng.randint(2, 4)
+        n, k, p = rng.randint(3, 7), rng.randint(1, 3), rng.randint(2, 6)
         ksets = [m(*c) for c in combinations(range(n), k)]
         rng.shuffle(ksets)
         members = []
         for s in ksets[: rng.randint(0, len(ksets))]:
-            if not contains_sunflower(members + [s], p):
+            if _extends_sunflower_free(members, s, p):
                 members.append(s)
-        free = [s for s in ksets if s not in members and not contains_sunflower(members + [s], p)]
+        free = [s for s in ksets if s not in members and _extends_sunflower_free(members, s, p)]
         if len(free) < 2:
             continue
         newest, candidate = rng.sample(free, 2)
@@ -216,7 +232,10 @@ def test_pair_rule_agrees_with_full_extension_test():
         assert closes == contains_sunflower(members + [newest, candidate], p)
         cases += 1
         closing += closes
+        verdicts.add((min(p, 5), closes))
     assert 30 < closing < 270  # both verdicts are exercised
+    # ... by each branch: one further petal (p = 3), two (p = 4), more (p >= 5)
+    assert verdicts >= {(p, closes) for p in (3, 4, 5) for closes in (False, True)}
 
 
 def _canonical_table(used, k):
