@@ -1,12 +1,13 @@
+import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 from sunflowers.bitset import mask_from_elements
 from sunflowers.constructions import erdos_rado_family
-from sunflowers.families import SetFamily, find_disjoint_sets
+from sunflowers.families import SetFamily, find_disjoint_sets, is_sunflower
 from sunflowers.sunvalues import (
     _closes_sunflower,
     _size_bound,
@@ -226,16 +227,41 @@ def test_pair_rule_agrees_with_full_extension_test():
         free = [s for s in ksets if s not in members and _extends_sunflower_free(members, s, p)]
         if len(free) < 2:
             continue
-        newest, candidate = rng.sample(free, 2)
+        pairs = list(permutations(free, 2))
+        # members that could be further petals of a pair's sunflower
+        petals = {(a, b): sum(f & (a | b) == a & b for f in members) for a, b in pairs}
+        crowded = [pair for pair in pairs if petals[pair] >= p - 2]
+        # half the time take a pair with enough of them, so that their disjointness decides
+        newest, candidate = rng.choice(crowded if crowded and rng.random() < 0.5 else pairs)
         closes = _closes_sunflower(members, newest, candidate, p)
         assert closes == (not _extends_sunflower_free(members + [newest], candidate, p)), (members, newest, candidate)
         assert closes == contains_sunflower(members + [newest, candidate], p)
         cases += 1
         closing += closes
-        verdicts.add((min(p, 5), closes))
+        verdicts.add((min(p, 5), closes, petals[newest, candidate] >= p - 2))
     assert 30 < closing < 270  # both verdicts are exercised
-    # ... by each branch: one further petal (p = 3), two (p = 4), more (p >= 5)
-    assert verdicts >= {(p, closes) for p in (3, 4, 5) for closes in (False, True)}
+    # ... by each branch: one further petal (p = 3), two (p = 4) and more (p >= 5),
+    # where p = 4 and p >= 5 also refuse pairs with enough but overlapping petals
+    assert verdicts >= {(3, False, False), (3, True, True), (4, False, True), (4, True, True), (5, False, True),
+                        (5, True, True)}
+
+
+def test_pair_rule_matches_its_definition_on_larger_grounds():
+    # grounds of up to 10 elements leave room for further petals that overlap
+    # outside the core, which the sunflower-free cases above rarely reach
+    rng = random.Random(13)
+    verdicts = set()
+    for _ in range(400):
+        n, k, p = rng.randint(6, 10), rng.randint(1, 3), rng.randint(2, 7)
+        ksets = rng.sample([m(*c) for c in combinations(range(n), k)], min(math.comb(n, k), 16))
+        newest, candidate, members = ksets[0], ksets[1], ksets[2 : rng.randint(2, len(ksets))]
+        closes = _closes_sunflower(members, newest, candidate, p)
+        assert closes == any(
+            is_sunflower([newest, candidate, *rest]) is not None for rest in combinations(members, p - 2)
+        ), (members, newest, candidate, p)
+        petals = sum(f & (newest | candidate) == newest & candidate for f in members)
+        verdicts.add((min(p, 5), closes, petals >= p - 2))
+    assert verdicts >= {(4, False, True), (4, True, True), (5, False, True), (5, True, True)}
 
 
 def _canonical_table(used, k):
