@@ -38,9 +38,16 @@ elements, since no later member can then introduce one.  A node whose size
 plus room does not exceed the best size found so far is counted, but its
 subtree is not entered: it holds no strictly larger family, so the maximum,
 the witness (the first family of that size found) and exhaustiveness stay
-what the full canonical tree gives; only the node count drops.  Without a
-cap, elements beyond the span are unlimited, room is unbounded, and the
-search enters every node.  There is no graph-canonization style isomorph
+what the full canonical tree gives; only the node count drops.  The slack
+room comes first and needs no pair test; a node's candidates are tested
+only if it passes, and the candidate cap then applies to the ones kept.
+
+The same bound one level up, _size_bound(p, k, n), holds every
+sunflower-free family within the cap, so once the best family reaches it
+no larger one exists and the search returns at once: the maximum is proven,
+and the witness is still the first family of that size.  Without a cap,
+elements beyond the span are unlimited, room is unbounded, and the search
+enters every node.  There is no graph-canonization style isomorph
 rejection.
 """
 
@@ -167,11 +174,13 @@ def max_sunflower_free(
     at most k ground elements.  ``ground_cap`` restricts the search to
     families spanning at most that many elements, and then skips the
     subtree of every node that the degree bound shows cannot beat the best
-    family found so far.  ``nodes`` counts the families visited, skipped
-    subtrees' roots included, and ``nodes_by_depth`` splits them by family
-    size.  ``max_nodes`` bounds that count; a search that needs more stops
-    there and returns its best-so-far with exhaustive=False, the same on
-    every machine.
+    family found so far, and stops once the best family reaches the size
+    bound for the cap.  ``exhaustive`` means the maximum is proven.
+    ``nodes`` counts the families visited, skipped subtrees' roots
+    included, and ``nodes_by_depth`` splits them by family size.
+    ``max_nodes`` bounds that count; a search that needs more stops there
+    and returns its best-so-far with exhaustive=False, the same on every
+    machine.
     """
     p = operator.index(p)
     k = operator.index(k)
