@@ -28,7 +28,7 @@ from .constructions import (
     in_tightness_regime,
 )
 from .extraction import ExtractionParams, extract_sunflower
-from .families import family_to_dict, load_family, save_family
+from .families import family_json, family_to_dict, load_family
 from .probability import (
     check_chernoff_tail,
     check_fixed_size_decomposition,
@@ -66,11 +66,6 @@ def _write(text: str, out: Path | None) -> None:
         out.write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _save(family, out: Path) -> None:
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_family(family, out)
-
-
 def _emit_json(payload: dict, out: Path | None) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     _write(json.dumps(payload, sort_keys=True, indent=2), out)
@@ -98,10 +93,8 @@ def cmd_construct(args) -> int:
     else:
         family = erdos_rado_family(args.p, args.k)
     out = _out_path(args.out)
-    if out is None:
-        _write(json.dumps(family_to_dict(family), sort_keys=True, indent=2), None)
-    else:
-        _save(family, out)
+    _write(family_json(family), out)
+    if out is not None:
         print(f"wrote {len(family)} sets over ground {family.ground_size} to {out}")
     return 0
 
@@ -303,7 +296,7 @@ def cmd_exact_sun(args) -> int:
         }
         _emit_json(payload, out)
     if args.witness_out:
-        _save(result.search.witness, _out_path(args.witness_out))
+        _write(family_json(result.search.witness), _out_path(args.witness_out))
     return 0
 
 
@@ -427,7 +420,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -253,11 +253,15 @@ def family_to_dict(family: SetFamily) -> dict:
 def family_from_dict(data: dict) -> SetFamily:
     """Strict loader: rejects non-integer values, out-of-range elements,
     wrong-cardinality rows (a repeated element counts as one) and duplicate
-    rows, naming the first offending row in file order.
+    rows.
 
-    After the exact-type pass the rows are checked and sorted in numpy,
-    straight into the family's element matrix, so loading costs |F|·k
-    elements whatever the ground size; masks are built only on demand.
+    After the exact-type pass one numpy pass decides validity (every row has
+    k elements, each in [0, n) and within int64, none repeated in its sorted
+    row) and leaves the rows sorted straight into the family's element
+    matrix, so loading costs |F|·k elements whatever the ground size; masks
+    are built only on demand.  An invalid file is refused with its first
+    offending row in file order; a row with both faults leaves the ground
+    set before it has the wrong cardinality.
     """
     try:
         ground_size = data["ground_set_size"]
@@ -269,28 +273,21 @@ def family_from_dict(data: dict) -> SetFamily:
     if types - {int}:  # bool is a subclass of int, so test the exact type
         raise ValueError(f"family data must be integers, got {sorted(t.__name__ for t in types - {int})}")
     width = max(k, 0)
-    wrong = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) != k)
-    head = int(wrong[0]) if wrong.size else len(rows)  # rows before the first of the wrong length
-    try:
-        flat = np.fromiter(chain.from_iterable(rows[:head]), dtype=np.int64, count=head * width)
-    except OverflowError:  # an element past int64 is out of range: check the rows before it
-        head = next(i for i, row in enumerate(rows) if not all(-(2**63) <= e < 2**63 for e in row))
-        flat = np.fromiter(chain.from_iterable(rows[:head]), dtype=np.int64, count=head * width)
-    elements = flat.reshape(head, width)
-    outside = ((elements < 0) | (elements >= ground_size)).any(axis=1)
-    elements = elements.astype(np.min_scalar_type(ground_size - 1))
-    elements.sort(axis=1)
-    bad = np.flatnonzero(outside | (elements[:, 1:] == elements[:, :-1]).any(axis=1))
-    if bad.size:
-        head = int(bad[0])
-        leaves = outside[head]
-    elif head < len(rows):  # the first row of the wrong length, or with an element past int64
-        row = rows[head]
-        leaves = bool(row) and not 0 <= min(row) <= max(row) < min(ground_size, 2**63)
-    if head < len(rows):
-        if leaves:
-            raise ValueError(f"row {rows[head]} leaves the ground set of size {ground_size}")
-        raise ValueError(f"row {rows[head]} does not have cardinality k={k}")
+    try:  # one numpy pass decides validity; only an invalid file is scanned row by row
+        elements = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width).reshape(len(rows), width)
+        valid = set(map(len, rows)) <= {k} and bool(((elements >= 0) & (elements < ground_size)).all())
+    except (OverflowError, ValueError):  # an element past int64, or fewer than |F|·k elements
+        valid = False
+    if valid:
+        elements = elements.astype(np.min_scalar_type(ground_size - 1))
+        elements.sort(axis=1)
+        valid = not (elements[:, 1:] == elements[:, :-1]).any()
+    if not valid:
+        for row in rows:
+            if row and not 0 <= min(row) <= max(row) < min(ground_size, 2**63):
+                raise ValueError(f"row {row} leaves the ground set of size {ground_size}")
+            if len(row) != k or len(set(row)) != k:
+                raise ValueError(f"row {row} does not have cardinality k={k}")
     if width:
         elements = elements[np.lexsort(elements.T)]  # colex order: ascending masks
     if (elements[1:] == elements[:-1]).all(axis=1).any():
@@ -298,8 +295,13 @@ def family_from_dict(data: dict) -> SetFamily:
     return SetFamily._from_elements(ground_size, k, elements)
 
 
+def family_json(family: SetFamily) -> str:
+    """The family file text: :func:`family_to_dict` as sorted, indented JSON."""
+    return json.dumps(family_to_dict(family), sort_keys=True, indent=2) + "\n"
+
+
 def save_family(family: SetFamily, path) -> None:
-    Path(path).write_text(json.dumps(family_to_dict(family), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(family_json(family))
 
 
 def load_family(path) -> SetFamily:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +39,31 @@ def test_construct_stdout_is_the_family_file(tmp_path, capsysbinary, argv):
     printed = capsysbinary.readouterr().out
     assert main(["construct", *argv, "--out", str(path)]) == 0
     assert printed == path.read_bytes() and b"schema_version" not in printed
+
+
+def test_construct_writes_the_save_family_bytes(tmp_path, capsysbinary):
+    saved, out = tmp_path / "saved.json", tmp_path / "out.json"
+    save_family(block_product_family(3, 2)[0], saved)
+    assert main(["construct", "block-product", "--k", "3", "--r", "2"]) == 0
+    assert capsysbinary.readouterr().out == saved.read_bytes()
+    assert main(["construct", "block-product", "--k", "3", "--r", "2", "--out", str(out)]) == 0
+    assert out.read_bytes() == saved.read_bytes()
+
+
+def test_module_entry_point_runs_the_cli(capsysbinary):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    argv = ["construct", "block-product", "--k", "2", "--r", "2"]
+    version = subprocess.run([sys.executable, "-m", "sunflowers", "--version"], env=env, capture_output=True)
+    construct = subprocess.run([sys.executable, "-m", "sunflowers", *argv], env=env, capture_output=True)
+    assert version.returncode == 0 and b"sunflowers" in version.stdout
+    assert main(argv) == 0
+    assert construct.returncode == 0 and construct.stdout == capsysbinary.readouterr().out
+
+
+def test_construct_without_its_size_option_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "block-product", "--k", "2"])
+    assert exc.value.code == 2 and "requires --r" in capsys.readouterr().err
 
 
 def test_construct_over_cap_is_refused(capsys):
@@ -164,6 +193,11 @@ def test_verify_chernoff(capsys):
     assert "0.0384063720703125" in out and "PASS" in out
 
 
+def test_verify_chernoff_reports_the_rate_condition(capsys):
+    assert main(["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "100", "--eps", "0.5"]) == 0
+    assert "rate condition applies: True, ok: True" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("half", [["--r", "10"], ["--eps", "0.5"]])
 def test_verify_chernoff_half_rate_check_exits_2(half, capsys):
     assert main(["verify", "chernoff", "--n", "16", "--delta", "0.5", *half]) == 2
@@ -274,6 +308,9 @@ def test_exact_sun_witness_out(tmp_path, capsys):
     assert rc == 0
     fam = load_family(witness)
     assert len(fam) == 6
+    saved = tmp_path / "saved.json"
+    save_family(fam, saved)
+    assert witness.read_bytes() == saved.read_bytes()
 
 
 def test_exact_sun_witness_out_creates_directories(tmp_path, capsys):

@@ -196,3 +196,15 @@ def test_regime_validates_ranges():
         in_tightness_regime(2, 1, 0.5, 0.6)
     with pytest.raises(ValueError):
         in_tightness_regime(0, 1, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BlockPartition(0, 2), "need k >= 1 and r >= 1, got k=0, r=2"),
+        (lambda: erdos_rado_family(1, 2), "p must be >= 2, got 1"),
+    ],
+)
+def test_invalid_sizes_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

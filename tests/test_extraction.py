@@ -20,7 +20,7 @@ from sunflowers.extraction import (
     r_threshold,
     _spread_case_search,
 )
-from sunflowers.families import SetFamily, family_from_dict, family_to_dict, find_disjoint_sets, is_sunflower
+from sunflowers.families import SetFamily, Sunflower, family_from_dict, family_to_dict, find_disjoint_sets, is_sunflower
 from sunflowers.probability import partition_experiment
 from sunflowers.rng import STREAM_GENERALIZED, STREAM_PARTITION, STREAM_SPREAD_SEARCH, uniform_block
 from sunflowers.spread import superset_count
@@ -593,3 +593,22 @@ def test_extraction_leaves_the_masks_unbuilt(k, r, kinds):
     second = extract_sunflower(family, params)
     assert json.dumps(second.to_dict(), sort_keys=True) == json.dumps(first.to_dict(), sort_keys=True)
     assert family._sets is None
+
+
+def test_one_petal_search_returns_the_first_member():
+    fam = SetFamily(5, 2, [m(1, 2), m(0, 3), m(2, 4)])
+    assert brute_force_sunflower(fam, 1) == Sunflower(core=fam.sets[0], petals=(fam.sets[0],))
+
+
+@pytest.mark.parametrize("fam", [SetFamily(4, 2, []), SetFamily(4, 0, [0])])
+def test_empty_and_zero_uniform_families_take_no_steps(fam):
+    trace = extract_sunflower(fam, ExtractionParams(p=2))
+    assert trace.steps == () and not trace.succeeded
+
+
+def test_link_to_too_few_members_ends_the_recursion():
+    # element 0 lies in all 3 members (> r = 1.5); its link holds 3 singletons, fewer than p = 4
+    star = SetFamily(4, 2, [0b11, 0b101, 0b1001])
+    trace = extract_sunflower(star, ExtractionParams(p=4, r_override=1.5))
+    assert trace.steps == (LinkCase(t=1, count=3),)
+    assert not trace.succeeded and trace.fallback_used is False

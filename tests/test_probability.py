@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -803,3 +804,31 @@ def test_threshold_sweep_is_exact():
     for delta in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError, match="delta"):
             hit_threshold_sweep([2], delta=delta)
+
+
+BLOCK22 = block_product_family(2, 2)[0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: exact_hit_probability(BLOCK22, 1.0), "delta must be in (0,1), got 1.0"),
+        (lambda: exact_hit_probability(BLOCK22, 0.5, method="bogus"), "unknown exact method 'bogus'"),
+        (lambda: exact_hit_probability(SetFamily(21, 1, [1 << e for e in range(21)]), 0.5,
+                                       method="inclusion-exclusion"),
+         "family size 21 exceeds inclusion-exclusion cap 20"),
+        (lambda: mc_hit_probability(BLOCK22, 0.5, trials=0), "trials must be >= 1, got 0"),
+        (lambda: mc_hit_probability(BLOCK22, 1.0, trials=10), "delta must be in (0,1), got 1.0"),
+        (lambda: mc_block_hit_probability(2, 2, 0.5, trials=0), "trials must be >= 1, got 0"),
+        (lambda: mc_block_hit_probability(2, 2, 0.0, trials=10), "delta must be in (0,1), got 0.0"),
+        (lambda: partition_experiment(BLOCK22, 1, 10), "classes must be >= 2, got 1"),
+        (lambda: partition_experiment(BLOCK22, 2, 0), "trials must be >= 1, got 0"),
+        (lambda: check_partition_mean_identity(BLOCK22, 2, trials=1), "need trials >= 2"),
+        (lambda: check_fixed_size_decomposition(BLOCK22, 1.0), "delta must be in (0,1), got 1.0"),
+        (lambda: check_chernoff_tail(16, 0.5, r=10.0, eps=1.0), "eps must be in (0,1), got 1.0"),
+        (lambda: clopper_pearson(5, 4), "successes must lie in [0, trials]"),
+    ],
+)
+def test_invalid_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

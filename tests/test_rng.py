@@ -235,3 +235,8 @@ def test_tail_on_grid_rest_needs_no_tie():
     rng._settle_tail(eq, lt, 0.5, lambda level, start, count: uniforms[start : start + count])
     assert lt.ravel().tolist() == [0, 1]
 
+
+
+def test_negative_block_bounds_are_refused():
+    with pytest.raises(ValueError, match="first_trial, trials and width must be non-negative"):
+        uniform_block(1, 1, -1, 1, 4)

@@ -413,3 +413,8 @@ def test_certified_iff_spreadness_at_most_r():
 def test_block_family_spreadness_is_exactly_r(k, r):
     fam, _ = block_product_family(k, r)
     assert abs(spreadness(fam) - r) <= 1e-9
+
+
+def test_spreadness_of_the_empty_family_is_refused():
+    with pytest.raises(ValueError, match="spreadness requires a non-empty family"):
+        spreadness(SetFamily(4, 2, []))
