@@ -275,9 +275,10 @@ def family_from_dict(data: dict) -> SetFamily:
     width = max(k, 0)
     try:  # one numpy pass decides validity; only an invalid file is scanned row by row
         elements = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width).reshape(len(rows), width)
-        valid = set(map(len, rows)) <= {k} and bool(((elements >= 0) & (elements < ground_size)).all())
     except (OverflowError, ValueError):  # an element past int64, or fewer than |F|·k elements
-        valid = False
+        elements = None
+    valid = elements is not None and set(map(len, rows)) <= {k}
+    valid = valid and bool(((elements >= 0) & (elements < ground_size)).all())
     if valid:
         elements = elements.astype(np.min_scalar_type(ground_size - 1))
         elements.sort(axis=1)
