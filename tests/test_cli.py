@@ -53,8 +53,8 @@ def test_construct_writes_the_save_family_bytes(tmp_path, capsysbinary):
 def test_module_entry_point_runs_the_cli(capsysbinary):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     argv = ["construct", "block-product", "--k", "2", "--r", "2"]
-    version = subprocess.run([sys.executable, "-m", "sunflowers", "--version"], env=env, capture_output=True)
-    construct = subprocess.run([sys.executable, "-m", "sunflowers", *argv], env=env, capture_output=True)
+    version = subprocess.run([sys.executable, "-m", "sunflowers", "--version"], env=env, capture_output=True, timeout=120)
+    construct = subprocess.run([sys.executable, "-m", "sunflowers", *argv], env=env, capture_output=True, timeout=120)
     assert version.returncode == 0 and b"sunflowers" in version.stdout
     assert main(argv) == 0
     assert construct.returncode == 0 and construct.stdout == capsysbinary.readouterr().out
