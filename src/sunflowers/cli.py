@@ -337,12 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, seed=False)
     p.set_defaults(func=cmd_check_spread)
 
-    p = sub.add_parser("find-sunflower", help="run the extraction recursion, emit the trace")
+    p = sub.add_parser("find-sunflower", help="run the extraction loop, emit the trace")
     p.add_argument("family")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--C", type=float, default=4.0, help="spread-threshold constant (default 4)")
+    p.add_argument("--C", type=float, default=ExtractionParams.C, help="spread-threshold constant (default %(default)g)")
     p.add_argument("--r-override", type=float, default=None, help="pin the spread threshold directly")
-    p.add_argument("--fallback-cap", type=int, default=10**6, help="fallback node budget; 0 turns it off")
+    p.add_argument(
+        "--fallback-cap",
+        type=int,
+        default=ExtractionParams.fallback_bruteforce_cap,
+        help="fallback node budget (default %(default)d); 0 turns it off",
+    )
     p.add_argument("--trials", type=int, default=None, help="partition trials (default 64*p)")
     add_common(p)
     p.set_defaults(func=cmd_find_sunflower)

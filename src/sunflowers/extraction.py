@@ -1,9 +1,9 @@
-"""Recursive sunflower extraction.
+"""Sunflower extraction by the spread/link loop.
 
-The induction on k: a family that is r-spread at the threshold r(p, k) goes
-to a randomized partition search for p disjoint petals; otherwise some set T
-sits in more than r^(k-|T|) members, and the search recurses on those members
-with T stripped, re-attaching T to every petal afterwards.
+The induction on k, run as a loop: a family that is r-spread at the
+threshold r(p, k) goes to a randomized partition search for p disjoint
+petals; otherwise some set T sits in more than r^(k-|T|) members, T joins
+the core, and the loop goes on with those members, T stripped.
 
 The spread case and the floor(1/delta)-class step of the probabilistic part
 are one search, :func:`_spread_case_search`: split the ground set into
@@ -130,8 +130,8 @@ class ExtractionTrace:
         }
 
 
-def r_threshold(p: int, k: int, C: float = 4.0) -> float:
-    """Spread threshold for the recursion: C*p*ln(k) for k >= 2, p at k = 1."""
+def r_threshold(p: int, k: int, C: float = ExtractionParams.C) -> float:
+    """Spread threshold for the extraction loop: C*p*ln(k) for k >= 2, p at k = 1."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if k < 1:
@@ -261,57 +261,52 @@ def _candidate_cores(family: SetFamily, p: int) -> Iterator[int]:
 
 
 def extract_sunflower(family: SetFamily, params: ExtractionParams) -> ExtractionTrace:
-    """Find a p-petal sunflower by the spread/link recursion.
+    """Find a p-petal sunflower by the spread/link loop.
+
+    Each pass looks at the current family.  If it is not r-spread, the
+    violating set T is recorded as a :class:`LinkCase`, added to the core,
+    and the loop goes on with the link of T.  Otherwise the partition search
+    runs on stream ``STREAM_SPREAD_SEARCH + len(steps)``, the number of link
+    steps before it, then the exhaustive fallback (iff its cap is positive),
+    and the loop ends.  It also ends at an empty family, at k = 0, or at
+    k = 1, where any p members are disjoint petals.  The accumulated core is
+    added to the found core and every petal once, at the end.
 
     Every returned sunflower is verified before the trace is built: exactly
     p petals, all members of the input family, pairwise intersections equal
-    to the core.  A None result means the recursion, the randomized search,
-    and the exhaustive fallback (run iff its cap is positive) all came up
-    empty within their budgets.
+    to the core.  A None result means the links, the randomized search and
+    the fallback all came up empty within their budgets.
     """
     p = params.p
     steps: list[Step] = []
-    fallback_used = [False]
-
-    def recurse(fam: SetFamily, depth: int) -> Optional[Sunflower]:
-        if len(fam) == 0 or fam.k == 0:
-            return None
+    fallback_used = False
+    fam, core, flower = family, 0, None
+    while len(fam) and fam.k:
         if fam.k == 1:
             if len(fam) >= p:
-                return Sunflower(core=0, petals=tuple(map(mask_from_elements, fam.elements()[:p].tolist())))
-            return None
+                flower = Sunflower(core=0, petals=tuple(map(mask_from_elements, fam.elements()[:p].tolist())))
+            break
         r = params.r_override if params.r_override is not None else r_threshold(p, fam.k, params.C)
-        report = spread_witness(fam, r)
-        if report.violation is not None:
-            v = report.violation
-            steps.append(LinkCase(t=v.t, count=v.count))
-            inner = recurse(link(fam, v.t), depth + 1)
-            if inner is None:
-                return None
-            return Sunflower(
-                core=inner.core | v.t, petals=tuple(petal | v.t for petal in inner.petals)
-            )
+        violation = spread_witness(fam, r).violation
+        if violation is not None:
+            steps.append(LinkCase(t=violation.t, count=violation.count))
+            core |= violation.t
+            fam = link(fam, violation.t)
+            continue
         petals, used = _spread_case_search(
-            fam, 2 * p, p, params.partition_trials, params.seed, STREAM_SPREAD_SEARCH + depth
+            fam, 2 * p, p, params.partition_trials, params.seed, STREAM_SPREAD_SEARCH + len(steps)
         )
         steps.append(SpreadCase(r=r, trials_used=used, found_disjoint=petals is not None))
         if petals is not None:
-            return Sunflower(core=0, petals=tuple(petals[:p]))
-        if params.fallback_bruteforce_cap > 0:
-            fallback_used[0] = True
-            return brute_force_sunflower(fam, p, cap=params.fallback_bruteforce_cap)
-        return None
-
-    flower = recurse(family, 0)
+            flower = Sunflower(core=0, petals=tuple(petals[:p]))
+        elif params.fallback_bruteforce_cap > 0:
+            fallback_used = True
+            flower = brute_force_sunflower(fam, p, cap=params.fallback_bruteforce_cap)
+        break
     if flower is not None:
+        flower = Sunflower(core=flower.core | core, petals=tuple(petal | core for petal in flower.petals))
         _verify_result(family, flower, p)
-    return ExtractionTrace(
-        p=p,
-        seed=params.seed,
-        steps=tuple(steps),
-        sunflower=flower,
-        fallback_used=fallback_used[0],
-    )
+    return ExtractionTrace(p=p, seed=params.seed, steps=tuple(steps), sunflower=flower, fallback_used=fallback_used)
 
 
 def _verify_result(family: SetFamily, flower: Sunflower, p: int) -> None:

@@ -145,8 +145,8 @@ class SetFamily:
 
 
 def _check_sizes(ground_size: int, k: int) -> None:
-    if ground_size < 1:
-        raise ValueError(f"ground-set size must be >= 1, got {ground_size}")
+    if not 1 <= ground_size <= 2**63:  # every element fits int64, as the loader reads it
+        raise ValueError(f"ground-set size must be in [1, 2**63], got {ground_size}")
     if k < 0:
         raise ValueError(f"set size k must be >= 0, got {k}")
 
@@ -256,12 +256,13 @@ def family_from_dict(data: dict) -> SetFamily:
     rows.
 
     After the exact-type pass one numpy pass decides validity (every row has
-    k elements, each in [0, n) and within int64, none repeated in its sorted
-    row) and leaves the rows sorted straight into the family's element
-    matrix, so loading costs |F|·k elements whatever the ground size; masks
-    are built only on demand.  An invalid file is refused with its first
-    offending row in file order; a row with both faults leaves the ground
-    set before it has the wrong cardinality.
+    k elements, each in [0, n), none repeated in its sorted row) and leaves
+    the rows sorted straight into the family's element matrix, so loading
+    costs |F|·k elements whatever the ground size; masks are built only on
+    demand.  An invalid file is refused with its first offending row in file
+    order; a row with both faults leaves the ground set before it has the
+    wrong cardinality.  A valid file whose n is outside [1, 2^63] is refused
+    last, as :class:`SetFamily` refuses it.
     """
     try:
         ground_size = data["ground_set_size"]
@@ -285,10 +286,11 @@ def family_from_dict(data: dict) -> SetFamily:
         valid = not (elements[:, 1:] == elements[:, :-1]).any()
     if not valid:
         for row in rows:
-            if row and not 0 <= min(row) <= max(row) < min(ground_size, 2**63):
+            if row and not 0 <= min(row) <= max(row) < ground_size:
                 raise ValueError(f"row {row} leaves the ground set of size {ground_size}")
             if len(row) != k or len(set(row)) != k:
                 raise ValueError(f"row {row} does not have cardinality k={k}")
+    _check_sizes(ground_size, k)
     if width:
         elements = elements[np.lexsort(elements.T)]  # colex order: ascending masks
     if (elements[1:] == elements[:-1]).all(axis=1).any():

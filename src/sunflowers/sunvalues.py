@@ -303,17 +303,12 @@ def max_sunflower_free(
     )
 
 
-def sun_value(
-    p: int,
-    k: int,
-    max_nodes: Optional[int] = None,
-    ground_cap: Optional[int] = None,
-) -> SunValue:
+def sun_value(p: int, k: int, max_nodes: Optional[int] = None) -> SunValue:
     """Exact sun_value(p, k) when exhaustive, else [found+1, classical upper]."""
-    search = max_sunflower_free(p, k, max_nodes=max_nodes, ground_cap=ground_cap)
+    search = max_sunflower_free(p, k, max_nodes=max_nodes)
     upper = erdos_rado_upper_bound(p, k)
     lower = search.max_size + 1
-    exact = lower if search.exhaustive and ground_cap is None else None
+    exact = lower if search.exhaustive else None
     return SunValue(
         p=p,
         k=k,

@@ -14,13 +14,22 @@ from sunflowers.constructions import block_product_family, erdos_rado_family
 from sunflowers.extraction import (
     ExtractionParams,
     LinkCase,
+    SpreadCase,
     brute_force_sunflower,
     extract_sunflower,
     generalized_disjoint_search,
     r_threshold,
     _spread_case_search,
 )
-from sunflowers.families import SetFamily, Sunflower, family_from_dict, family_to_dict, find_disjoint_sets, is_sunflower
+from sunflowers.families import (
+    SetFamily,
+    Sunflower,
+    family_from_dict,
+    family_to_dict,
+    find_disjoint_sets,
+    is_sunflower,
+    link,
+)
 from sunflowers.probability import partition_experiment
 from sunflowers.rng import STREAM_GENERALIZED, STREAM_PARTITION, STREAM_SPREAD_SEARCH, uniform_block
 from sunflowers.spread import superset_count
@@ -612,3 +621,17 @@ def test_link_to_too_few_members_ends_the_recursion():
     trace = extract_sunflower(star, ExtractionParams(p=4, r_override=1.5))
     assert trace.steps == (LinkCase(t=1, count=3),)
     assert not trace.succeeded and trace.fallback_used is False
+
+
+def test_spread_step_after_two_links_reads_the_stream_of_its_depth():
+    # {0, 1} lies in all 10 members; at r = 2 element 0 (10 > 2^3), then element 1 (10 > 2^2) is
+    # stripped, leaving 10 disjoint pairs; their search reads stream STREAM_SPREAD_SEARCH + 2
+    fam = SetFamily(22, 4, [m(0, 1, 2 * i + 2, 2 * i + 3) for i in range(10)])
+    params = ExtractionParams(p=3, seed=1, r_override=2)
+    trace = extract_sunflower(fam, params)
+    assert trace.steps[:2] == (LinkCase(t=m(0), count=10), LinkCase(t=m(1), count=10))
+    twice = link(link(fam, m(0)), m(1))
+    petals, used = _spread_case_search(twice, 6, 3, params.partition_trials, 1, STREAM_SPREAD_SEARCH + 2)
+    assert trace.steps[2:] == (SpreadCase(r=2, trials_used=used, found_disjoint=True),)
+    assert trace.sunflower == Sunflower(core=m(0, 1), petals=tuple(petal | m(0, 1) for petal in petals[:3]))
+    assert _spread_case_search(twice, 6, 3, params.partition_trials, 1, STREAM_SPREAD_SEARCH) != (petals, used)

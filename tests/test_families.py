@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 import tracemalloc
 from itertools import chain, combinations
 
@@ -567,6 +568,20 @@ def test_loader_matches_per_row_oracle(tmp_path):
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
         loaded += 1
     assert loaded > 500 and refused > 500
+
+
+def test_ground_sets_up_to_two_to_the_63_are_held_as_uint64():
+    # every element below 2^63 fits int64, as the loader reads it, and the uint64 element matrix
+    n = 2**63
+    loaded = family_from_dict({"ground_set_size": n, "k": 2, "sets": [[n - 1, 0]]})
+    assert loaded.elements().dtype == np.uint64 and loaded.elements().tolist() == [[0, n - 1]]
+    built = SetFamily(n, 1, [m(1)])
+    assert built.elements().dtype == np.uint64 and built.sets == (m(1),)
+    refused = re.escape(f"ground-set size must be in [1, 2**63], got {n + 1}")
+    with pytest.raises(ValueError, match=refused):
+        family_from_dict({"ground_set_size": n + 1, "k": 1, "sets": [[n]]})
+    with pytest.raises(ValueError, match=refused):
+        SetFamily(n + 1, 1, [m(1)])
 
 
 def test_loaded_family_builds_masks_on_demand():

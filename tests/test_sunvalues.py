@@ -421,12 +421,6 @@ def test_non_int_node_budget_is_rejected(budget):
         max_sunflower_free(3, 2, max_nodes=budget)
 
 
-def test_ground_cap_disables_exactness_claim():
-    value = sun_value(3, 2, ground_cap=4)
-    assert value.exact is None
-    assert value.lower >= 4  # C4 is sunflower-free on 4 vertices
-
-
 @pytest.mark.parametrize("kwargs", [{"k": 2.0}, {"k": 2, "ground_cap": 6.5}, {"k": "2"}])
 def test_non_int_sizes_are_rejected(kwargs):
     with pytest.raises(TypeError):
