@@ -37,10 +37,11 @@ from .spread import level_counts, rank_to_elements, spread_witness
 class ExtractionParams:
     """Knobs for extract_sunflower.
 
-    The spread threshold uses the supplied C (the provable constant is not
-    numerically pinned anywhere, so 4 is a default, not a truth); r_override
-    pins the threshold directly for experiments.  The exhaustive fallback
-    runs iff fallback_bruteforce_cap, its node budget, is positive.
+    The spread threshold r_threshold(p, k, C) is recomputed from each link's k
+    (the provable constant is not numerically pinned anywhere, so 4 is a
+    default, not a truth); r_override holds one r at every level instead, the
+    form of the paper's induction on k.  The exhaustive fallback runs iff
+    fallback_bruteforce_cap, its node budget, is positive.
     """
 
     p: int

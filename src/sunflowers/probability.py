@@ -325,11 +325,11 @@ def _mc_estimate(hits: int, trials: int, interval: str = "normal") -> HitEstimat
     )
 
 
-def clopper_pearson(successes: int, trials: int, coverage: float = _THREE_SIGMA_COVERAGE) -> tuple[float, float]:
-    """Exact binomial confidence interval at the given two-sided coverage."""
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact binomial confidence interval at the two-sided 3-sigma coverage, ``_THREE_SIGMA_COVERAGE``."""
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    alpha = 1.0 - coverage
+    alpha = 1.0 - _THREE_SIGMA_COVERAGE
     lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
     hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
@@ -455,28 +455,22 @@ class SizeDecompositionReport:
     passed: bool
 
 
-def check_fixed_size_decomposition(
-    family: SetFamily, delta: float, m: Optional[int] = None
-) -> SizeDecompositionReport:
+def check_fixed_size_decomposition(family: SetFamily, delta: float) -> SizeDecompositionReport:
     """Conditioning a Bernoulli-delta subset on its size i gives the uniform
     i-subset distribution, and the fixed-size hit probability is monotone in
-    i; together these yield, for any cut size m,
+    i; together these yield, at the paper's cut m = ceil((delta/2)*n),
 
         Pr(hit at delta) >= Pr(hit | uniform m-subset) * Pr(|sample| >= m).
 
-    The default cut is m = ceil((delta/2)*n).  Every quantity is an exact
-    rational (counts from full enumeration; the hit probability and the
-    binomial tail from :func:`_exact_sum`), so the comparison itself is
-    exact.  The enumeration's table, one bit per subset (2 MiB at n = 24),
-    caps n at ``EXACT_ENUMERATION_GROUND_CAP``; m must be an int.
+    Every quantity is an exact rational (counts from full enumeration; the
+    hit probability and the binomial tail from :func:`_exact_sum`), so the
+    comparison itself is exact.  The enumeration's table, one bit per subset
+    (2 MiB at n = 24), caps n at ``EXACT_ENUMERATION_GROUND_CAP``.
     """
     n = family.ground_size
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if m is None:
-        m = math.ceil(Fraction(delta) / 2 * n)
-    elif type(m) is not int or not 0 <= m <= n:
-        raise ValueError(f"m must be an int in [0, {n}], got {m!r}")
+    m = math.ceil(Fraction(delta) / 2 * n)
     counts = hit_counts_by_size(family)
     lhs = _exact_sum(delta, ((int(c), j, n - j) for j, c in enumerate(counts)), n)
     by_size = [Fraction(int(counts[j]), math.comb(n, j)) for j in range(n + 1)]
@@ -505,22 +499,14 @@ class ChernoffTailReport:
     tail_probability: float
     bound: float
     passed: bool
-    rate_condition_applies: Optional[bool] = None
-    rate_bound_ok: Optional[bool] = None
 
 
-def check_chernoff_tail(
-    n: int, delta: float, r: Optional[float] = None, eps: Optional[float] = None
-) -> ChernoffTailReport:
+def check_chernoff_tail(n: int, delta: float) -> ChernoffTailReport:
     """Exact Pr(Bin(n, delta) <= n*delta/2) <= e^(-n*delta/8).
 
     The tail is an exact rational sum up to floor(n*delta/2) inclusive; n must
-    be an int of at most ``CHERNOFF_TAIL_N_CAP``.  When r and eps are supplied
-    (one without the other is an error, and r must be finite), additionally
-    checks e^(-r*delta/8) <= eps^2 whenever r >= 16/delta * ln(1/eps).
+    be an int of at most ``CHERNOFF_TAIL_N_CAP``.
     """
-    if (r is None) != (eps is None):
-        raise ValueError("r and eps must be given together")
     if type(n) is not int or n < 1:
         raise ValueError(f"n must be an int >= 1, got {n!r}")
     if n > CHERNOFF_TAIL_N_CAP:
@@ -530,25 +516,13 @@ def check_chernoff_tail(
     threshold = math.floor(Fraction(delta) * n / 2)
     tail = _exact_sum(delta, ((math.comb(n, j), j, n - j) for j in range(threshold + 1)), n)
     bound = math.exp(-n * delta / 8.0)
-    passed = float(tail) <= bound
-    applies = ok = None
-    if r is not None:
-        if not math.isfinite(r):
-            raise ValueError(f"r must be finite, got {r}")
-        if not 0.0 < eps < 1.0:
-            raise ValueError(f"eps must be in (0,1), got {eps}")
-        applies = r >= 16.0 / delta * math.log(1.0 / eps)
-        ok = (math.exp(-r * delta / 8.0) <= eps**2) if applies else True
-        passed = passed and ok
     return ChernoffTailReport(
         n=n,
         delta=delta,
         threshold=threshold,
         tail_probability=float(tail),
         bound=bound,
-        passed=passed,
-        rate_condition_applies=applies,
-        rate_bound_ok=ok,
+        passed=float(tail) <= bound,
     )
 
 
@@ -579,8 +553,8 @@ def mc_block_hit_probability(
 
 @dataclass(frozen=True)
 class ThresholdPoint:
-    """r_star: the first block width whose exact hit probability reaches the
-    target (None if no width up to r_max does); p_hat: the probability there, or at r_max."""
+    """r_star: the first block width whose exact hit probability reaches 1/2
+    (None if no width up to 64 does); p_hat: the probability there, or at width 64."""
 
     k: int
     r_star: Optional[int]
@@ -588,10 +562,11 @@ class ThresholdPoint:
     tightness_floor: float
 
 
-def hit_threshold_sweep(ks, delta: float, target: float = 0.5, r_max: int = 64) -> list[ThresholdPoint]:
-    """For each integer k >= 1, the first r in 1..r_max whose hit probability
-    (1-(1-delta)^r)^k, increasing in r, reaches the target, compared exactly
-    as the rational (b^r - (b-a)^r)^k / b^(rk) for the double delta = a/b.
+def hit_threshold_sweep(ks, delta: float) -> list[ThresholdPoint]:
+    """For each integer k >= 1, the first r in 1..64 whose hit probability
+    (1-(1-delta)^r)^k, increasing in r, reaches 1/2, the paper's per-class
+    target, compared exactly as the rational (b^r - (b-a)^r)^k / b^(rk) for
+    the double delta = a/b.
     The reported floor is 0.25/delta * ln(2k), the largest width that
     provably keeps the hit probability below 1/2.
     """
@@ -603,12 +578,11 @@ def hit_threshold_sweep(ks, delta: float, target: float = 0.5, r_max: int = 64) 
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         floor = 0.25 / delta * math.log(2 * k)
-        r_star = None
-        hit = Fraction(0)
-        for r in range(1, r_max + 1):
-            hit = Fraction(b**r - (b - a) ** r, b**r) ** k
-            if hit >= target:
-                r_star = r
+        for r_star in range(1, 65):
+            hit = Fraction(b**r_star - (b - a) ** r_star, b**r_star) ** k
+            if 2 * hit >= 1:
                 break
+        else:
+            r_star = None
         points.append(ThresholdPoint(k=k, r_star=r_star, p_hat=float(hit), tightness_floor=floor))
     return points

@@ -224,7 +224,7 @@ def test_criterion_9_spread_case_engine():
 def test_criterion_10_threshold_scaling_sweep():
     t0 = time.perf_counter()
     delta = 0.25
-    points = hit_threshold_sweep([2, 4, 8, 16], delta=delta, target=0.5)
+    points = hit_threshold_sweep([2, 4, 8, 16], delta=delta)
     elapsed = time.perf_counter() - t0
     ok = elapsed < 300
     fitted = 0.0

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,9 @@ import pytest
 from sunflowers.cli import main
 from sunflowers.constructions import block_product_family
 from sunflowers.families import SetFamily, load_family, save_family
+from sunflowers.probability import check_fixed_size_decomposition
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -60,10 +66,11 @@ def test_module_entry_point_runs_the_cli(capsysbinary):
     assert construct.returncode == 0 and construct.stdout == capsysbinary.readouterr().out
 
 
-def test_construct_without_its_size_option_exits_2(capsys):
+@pytest.mark.parametrize("kind,option", [("block-product", "--r"), ("erdos-rado", "--p")])
+def test_construct_without_its_size_option_exits_2(capsys, kind, option):
     with pytest.raises(SystemExit) as exc:
-        main(["construct", "block-product", "--k", "2"])
-    assert exc.value.code == 2 and "requires --r" in capsys.readouterr().err
+        main(["construct", kind, "--k", "2"])
+    assert exc.value.code == 2 and f"requires {option}" in capsys.readouterr().err
 
 
 def test_construct_over_cap_is_refused(capsys):
@@ -181,28 +188,43 @@ def test_verify_tightness_pass_and_fail(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_decomposition(block22, capsys):
-    rc = main(["verify", "decomposition", "--family", str(block22), "--delta", "0.5"])
-    assert rc == 0
+def test_verify_decomposition(block22, tmp_path, capsys):
+    out = tmp_path / "decomposition.json"
+    assert main(["verify", "decomposition", "--family", str(block22), "--delta", "0.75", "--out", str(out)]) == 0
     assert "PASS" in capsys.readouterr().out
+    report = check_fixed_size_decomposition(load_family(block22), 0.75)
+    assert json.loads(out.read_text()) == {"schema_version": 1, **asdict(report)}
 
 
-def test_verify_chernoff(capsys):
-    assert main(["verify", "chernoff", "--n", "16", "--delta", "0.5"]) == 0
-    out = capsys.readouterr().out
-    assert "0.0384063720703125" in out and "PASS" in out
+def test_verify_chernoff(tmp_path, capsys):
+    out = tmp_path / "chernoff.json"
+    assert main(["verify", "chernoff", "--n", "16", "--delta", "0.5", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "0.0384063720703125" in printed and "PASS" in printed
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"schema_version", "n", "delta", "threshold", "tail_probability", "bound", "passed"}
+    assert payload["tail_probability"] == 2517 / 65536 and payload["passed"] is True
+    with pytest.raises(SystemExit) as exc:  # the rate check and its two flags are gone
+        main(["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "100", "--eps", "0.5"])
+    assert exc.value.code == 2 and "unrecognized arguments: --r 100 --eps 0.5" in capsys.readouterr().err
 
 
-def test_verify_chernoff_reports_the_rate_condition(capsys):
-    assert main(["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "100", "--eps", "0.5"]) == 0
-    assert "rate condition applies: True, ok: True" in capsys.readouterr().out
+def _readme_commands():
+    """The ``sunflowers ...`` lines of the README's "Command line" block, continuations joined."""
+    block = re.search(r"## Command line.*?```bash\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
 
 
-@pytest.mark.parametrize("half", [["--r", "10"], ["--eps", "0.5"]])
-def test_verify_chernoff_half_rate_check_exits_2(half, capsys):
-    assert main(["verify", "chernoff", "--n", "16", "--delta", "0.5", *half]) == 2
-    captured = capsys.readouterr()
-    assert "together" in captured.err and "PASS" not in captured.out
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_exits_0(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SUNFLOWERS_OUT_DIR", raising=False)
+    assert argv[0] == "sunflowers"
+    for command in (README_COMMANDS[0], argv):  # the first line writes the fam.json the others read
+        assert main(command[1:]) == 0
 
 
 def test_find_sunflower_trace(block22, capsys):
@@ -283,8 +305,6 @@ def test_negative_budgets_exit_2(block22, capsys):
     (["partition", "FAMILY", "--classes", "2", "--trials", "10", "--seed", "-1"], "seed"),
     (["partition", "FAMILY", "--classes", "2", "--trials", "10", "--seed", str(2**64)], "seed"),
     (["verify", "partition-mean", "--family", "FAMILY", "--classes", "2", "--trials", "10", "--seed", "-1"], "seed"),
-    (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "nan", "--eps", "0.5"], "r"),
-    (["verify", "chernoff", "--n", "16", "--delta", "0.5", "--r", "inf", "--eps", "0.5"], "r"),
     (["verify", "chernoff", "--n", "100000", "--delta", "0.3"], "n"),
     # seeds that no sampler reads are refused too
     (["estimate-hit", "FAMILY", "--delta", "0.5", "--format", "csv", "--seed", "-1"], "seed"),
@@ -294,6 +314,23 @@ def test_non_finite_values_and_thread_counts_exit_2(block22, capsys, command, na
     assert main([str(block22) if arg == "FAMILY" else arg for arg in command]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {name} must be") and captured.out == ""
+
+
+@pytest.mark.parametrize("k,rows,argv", [
+    (1, [[5], [9]], ["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "inclusion-exclusion"]),
+    (1, [[5], [9]], ["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "10"]),
+    (1, [[5], [9]], ["partition", "FAMILY", "--classes", "2", "--trials", "10"]),
+    (1, [[5], [9]], ["verify", "partition-mean", "--family", "FAMILY", "--classes", "2", "--trials", "10"]),
+    (2, [[0, 1], [2, 3]], ["find-sunflower", "FAMILY", "--p", "2"]),
+])
+def test_unallocatable_arrays_exit_2(tmp_path, capsys, k, rows, argv):
+    # at n = 2^52 each of these asks numpy for at least 1 PiB, past the 128 TiB (47-bit)
+    # address space of a process, so the allocation fails at once and touches no page
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ground_set_size": 2**52, "k": k, "sets": rows}))
+    assert main([str(path) if arg == "FAMILY" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate") and captured.out == ""
 
 
 def test_threads_flag_is_rejected(block22, capsys):

@@ -460,6 +460,8 @@ def test_negative_fallback_cap_is_rejected():
     fam, _ = block_product_family(2, 4)
     with pytest.raises(ValueError):
         brute_force_sunflower(fam, 2, cap=-1)
+    with pytest.raises(ValueError, match="p must be >= 1, got 0"):
+        brute_force_sunflower(fam, 0)
     with pytest.raises(ValueError):
         ExtractionParams(p=2, fallback_bruteforce_cap=-5)
 

@@ -657,14 +657,15 @@ def test_decomposition_block_2x2_default_cut():
 
 
 def test_decomposition_block_2x2_at_m2():
-    # the informative cut: 4 of the 6 pairs are transversals, and
-    # Pr(Bin(4, 1/2) >= 2) = 11/16
+    # delta = 3/4 cuts at m = ceil(1.5) = 2, the informative cut: 4 of the 6
+    # pairs are transversals, and Pr(Bin(4, 3/4) >= 2) = 243/256
     fam, _ = block_product_family(2, 2)
-    report = check_fixed_size_decomposition(fam, 0.5, m=2)
-    assert report.hit_probability == pytest.approx(9 / 16, abs=1e-15)
+    report = check_fixed_size_decomposition(fam, 0.75)
+    assert report.m == 2
+    assert report.hit_probability == pytest.approx(225 / 256, abs=1e-15)
     assert report.fixed_size_hit_probability == pytest.approx(4 / 6, abs=1e-15)
-    assert report.size_tail_probability == pytest.approx(11 / 16, abs=1e-15)
-    assert report.lower_bound == pytest.approx((4 / 6) * (11 / 16), abs=1e-15)
+    assert report.size_tail_probability == pytest.approx(243 / 256, abs=1e-15)
+    assert report.lower_bound == 0.6328125 == (4 / 6) * (243 / 256)
     assert report.passed and report.monotone_in_size
 
 
@@ -698,18 +699,11 @@ def test_decomposition_random_families():
             assert check_fixed_size_decomposition(fam, delta).passed
 
 
-def test_decomposition_holds_at_every_cut():
-    fam, _ = block_product_family(2, 3)
-    for delta in (0.25, 0.5):
-        for m in range(fam.ground_size + 1):
-            assert check_fixed_size_decomposition(fam, delta, m=m).passed
-
-
-@pytest.mark.parametrize("cut", [-1, 5, 2.0, True])
-def test_decomposition_rejects_cuts_that_are_not_ints_in_range(cut):
-    fam, _ = block_product_family(2, 2)  # n = 4
-    with pytest.raises(ValueError, match="m must be an int"):
-        check_fixed_size_decomposition(fam, 0.5, m=cut)
+def test_decomposition_holds_at_cuts_1_to_3():
+    fam, _ = block_product_family(2, 3)  # n = 6, so m = ceil(3 * delta)
+    reports = [check_fixed_size_decomposition(fam, delta) for delta in (0.25, 0.5, 0.75)]
+    assert [report.m for report in reports] == [1, 2, 3]
+    assert all(report.passed for report in reports)
 
 
 def test_decomposition_runs_up_to_the_enumeration_cap():
@@ -739,14 +733,6 @@ def test_chernoff_single_draw():
     assert report.passed
 
 
-def test_chernoff_rate_condition():
-    # r past 16/delta * ln(1/eps) forces e^(-r delta/8) <= eps^2
-    report = check_chernoff_tail(8, 0.5, r=23.0, eps=0.5)
-    assert report.rate_condition_applies and report.rate_bound_ok and report.passed
-    report = check_chernoff_tail(8, 0.5, r=1.0, eps=0.5)
-    assert report.rate_condition_applies is False and report.passed
-
-
 def test_chernoff_tiny_delta_boundary():
     # as delta -> 0 both sides tend to 1 and the inequality survives:
     # (1-d)^n <= e^(-n d) <= e^(-n d / 8)
@@ -761,15 +747,9 @@ def test_chernoff_validates():
         check_chernoff_tail(0, 0.5)
     with pytest.raises(ValueError):
         check_chernoff_tail(4, 0.75)
-    for n in (True, 16.0):  # n must be an int, as the decomposition's m
+    for n in (True, 16.0):
         with pytest.raises(ValueError, match="int"):
             check_chernoff_tail(n, 0.5)
-    for half in ({"r": 10.0}, {"eps": 0.5}):  # the rate check needs both
-        with pytest.raises(ValueError, match="together"):
-            check_chernoff_tail(16, 0.5, **half)
-    for r in (math.nan, math.inf, -math.inf):  # NaN would skip the rate check as not applying
-        with pytest.raises(ValueError, match="finite"):
-            check_chernoff_tail(16, 0.5, r=r, eps=0.5)
     for n in (CHERNOFF_TAIL_N_CAP + 1, 100_000):  # the exact tail's cost grows like n^2.6
         with pytest.raises(ValueError, match="CHERNOFF_TAIL_N_CAP"):
             check_chernoff_tail(n, 0.3)
@@ -795,12 +775,13 @@ def test_threshold_sweep_is_exact():
     points = hit_threshold_sweep([2, 4, 8, 16], delta=0.25)
     assert [pt.r_star for pt in points] == [5, 7, 9, 11]
     # k = 16 sits 0.0014 above 1/2 at r = 11, within Monte Carlo error at 50,000 trials
-    cases = [(pt, 0.25, 0.5) for pt in points] + [(*hit_threshold_sweep([4], delta=0.1, target=0.9), 0.1, 0.9)]
-    for pt, delta, target in cases:
-        below, at = (_exact_block_hit(pt.k, r, delta) for r in (pt.r_star - 1, pt.r_star))
-        assert below < Fraction(target) <= at and pt.p_hat == float(at)
-    (short,) = hit_threshold_sweep([16], delta=0.25, r_max=10)
-    assert short.r_star is None and short.p_hat == float(_exact_block_hit(16, 10, 0.25))
+    for pt in points:
+        below, at = (_exact_block_hit(pt.k, r, 0.25) for r in (pt.r_star - 1, pt.r_star))
+        assert below < Fraction(1, 2) <= at and pt.p_hat == float(at)
+    # no width up to 64 reaches 1/2 at delta = 0.01: (1 - 0.99^64)^16 is about 6.58e-6
+    (short,) = hit_threshold_sweep([16], delta=0.01)
+    assert short.r_star is None and short.p_hat == float(_exact_block_hit(16, 64, 0.01))
+    assert short.p_hat == pytest.approx(6.58e-6, rel=1e-3)
     for delta in (0.0, 1.0, -0.5):
         with pytest.raises(ValueError, match="delta"):
             hit_threshold_sweep([2], delta=delta)
@@ -825,7 +806,6 @@ BLOCK22 = block_product_family(2, 2)[0]
         (lambda: partition_experiment(BLOCK22, 2, 0), "trials must be >= 1, got 0"),
         (lambda: check_partition_mean_identity(BLOCK22, 2, trials=1), "need trials >= 2"),
         (lambda: check_fixed_size_decomposition(BLOCK22, 1.0), "delta must be in (0,1), got 1.0"),
-        (lambda: check_chernoff_tail(16, 0.5, r=10.0, eps=1.0), "eps must be in (0,1), got 1.0"),
         (lambda: clopper_pearson(5, 4), "successes must lie in [0, trials]"),
     ],
 )

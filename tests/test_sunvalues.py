@@ -440,3 +440,5 @@ def test_validation():
         max_sunflower_free(3, 0)
     with pytest.raises(ValueError):
         max_sunflower_free(3, 2, ground_cap=1)
+    with pytest.raises(ValueError, match="p must be >= 1, got 0"):
+        contains_sunflower([0b11, 0b1100], 0)
