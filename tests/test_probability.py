@@ -778,6 +778,8 @@ def test_threshold_sweep_is_exact():
     for pt in points:
         below, at = (_exact_block_hit(pt.k, r, 0.25) for r in (pt.r_star - 1, pt.r_star))
         assert below < Fraction(1, 2) <= at and pt.p_hat == float(at)
+    (tie,) = hit_threshold_sweep([1], delta=0.5)  # width 1 hits exactly 1/2, which counts as reaching it
+    assert tie.r_star == 1 and tie.p_hat == 0.5
     # no width up to 64 reaches 1/2 at delta = 0.01: (1 - 0.99^64)^16 is about 6.58e-6
     (short,) = hit_threshold_sweep([16], delta=0.01)
     assert short.r_star is None and short.p_hat == float(_exact_block_hit(16, 64, 0.01))
