@@ -46,10 +46,10 @@ class SetFamily:
     the JSON loader, by contrast, rejects duplicate rows outright.
     Everything else is read from the matrix on first use and cached: the
     masks (:attr:`sets`), built only by iteration, ``brute_force_sunflower``
-    and ``verify_sunflower_free``, and :meth:`holders`, a packed per-element
-    member bitset for the Monte Carlo kernel.  The spread layer caches its
-    per-level superset counts in ``_levels``
-    (:func:`sunflowers.spread.level_counts`).
+    and ``verify_sunflower_free``, and :meth:`holders`, a packed member bitset
+    for each element of the support (the elements some member holds), read by
+    the hit-probability kernels.  The spread layer caches its per-level superset
+    counts in ``_levels`` (:func:`sunflowers.spread.level_counts`).
     """
 
     __slots__ = ("ground_size", "k", "_sets", "_holders", "_elements", "_levels")
@@ -95,16 +95,19 @@ class SetFamily:
             self._sets = tuple(int.from_bytes(row.tobytes(), "little") for row in words.astype("<u8", copy=False))
         return self._sets
 
-    def holders(self) -> np.ndarray:
-        """Read-only ``(n, ceil(|F|/64))`` uint64 matrix; row e is the bitset of
-        the members that contain ground element e (bit j of the row is
-        ``sets[j]``, padding bits zero).  Scattered from :meth:`elements` on
+    def holders(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only pair ``(support, bits)``: the elements that some member
+        holds, ascending, and the ``(len(support), ceil(|F|/64))`` uint64 matrix
+        whose row i is the bitset of the members containing ``support[i]`` (bit j
+        is ``sets[j]``, padding bits zero).  Scattered from :meth:`elements` on
         first call, then cached.
         """
         if self._holders is None:
-            holders = bit_matrix(self._elements, np.arange(len(self))[:, None], (self.ground_size, len(self)))
-            holders.setflags(write=False)
-            self._holders = holders
+            support = np.unique(self._elements)
+            position = np.searchsorted(support, self._elements)  # each element's index in the support
+            self._holders = support, bit_matrix(position, np.arange(len(self))[:, None], (len(support), len(self)))
+            for array in self._holders:
+                array.setflags(write=False)
         return self._holders
 
     def elements(self) -> np.ndarray:

@@ -1,26 +1,25 @@
 """Random-subset experiments over set families.
 
 The central quantity is the hit probability Pr(some member is contained in a
-random subset).  Exact values come from full subset enumeration over a table
-of one bit per subset (ground size <= 24, 2 MiB at n = 24) or from the
-inclusion-exclusion polynomial (family size <= 20), both summed exactly by
-:func:`_exact_sum` and rounded once; Monte Carlo estimates draw from the keyed
-Philox streams in :mod:`.rng`, so every estimate is a pure function of
-(seed, trials) no matter how trials are chunked.
+random subset), which only the support, the m elements some member holds, can
+decide.  Exact values enumerate the support's subsets in a table of one bit
+each (m <= 24, 2 MiB at m = 24) or sum the inclusion-exclusion polynomial
+(family size <= 20), both exactly by :func:`_exact_sum`, rounded once; Monte
+Carlo estimates draw from the keyed Philox streams in :mod:`.rng`, so every
+estimate is a pure function of (seed, trials) no matter how trials are tiled.
 
 Monte Carlo samples come packed from :func:`.rng.bernoulli_block`: one
 ``uint8`` row of ceil(n/8) bytes per trial, bit j of byte i standing for
 element 8i + j.  The partition experiment packs each class the same way,
 all t classes of a tile of trials into one matrix, from the class ids of
 :func:`_class_ids`, which the extraction's spread-case search also reads.
-Both share one containment kernel: :func:`_member_tables` builds its tables
-once per call and :func:`_contains_member` applies them to each tile of rows.
-It is bit-sliced over members: ground element e's row of
-``SetFamily.holders()`` is the bitset of the members containing e.  The
-ground set splits into groups of up to 8 consecutive elements, each with a
-lookup table indexed by the sample's bits in that group, so a trial's
-surviving members are the AND of one table row per group.  The group width
-depends only on (n, |F|, the call's row count) and never changes a result.
+Both are tiled by one byte budget and share one containment kernel, bit-sliced
+over members (``SetFamily.holders()``), whose tables :func:`_member_tables`
+builds once per call and :func:`_contains_member` applies to each tile of rows.
+Each group of up to 8 consecutive elements that meets the support has a lookup
+table indexed by the sample's bits there, so a trial's surviving members are
+the AND of one table row per such group.  The group width depends only on
+(the support, |F|, the call's row count) and never changes a result.
 
 Uncertainty is reported as a 3-sigma normal half-width, which is optimistic
 when p_hat is very close to 0 or 1; an exact Clopper-Pearson interval is
@@ -48,9 +47,7 @@ EXACT_IE_FAMILY_CAP = 20
 # the exact Chernoff tail costs about n^2.6: 1.2 s at n = 2,048
 CHERNOFF_TAIL_N_CAP = 2048
 
-_CHUNK_TRIALS = 1 << 13
-# bytes of the containment kernel's (trials, words) working matrix per tile,
-# and of its lookup tables when they are more than one element wide
+# bytes per tile of the samplers' rows and the kernel's two (trials, words) buffers, and of its wider tables
 _KERNEL_TILE_BYTES = 1 << 20
 _THREE_SIGMA_COVERAGE = 0.9973002039367398
 # positions b < 64 in a word of the enumeration table: without element e, and of size i
@@ -98,10 +95,11 @@ def hit_counts_by_size(family: SetFamily) -> np.ndarray:
     elements 6.. pick w and close by doubling over words (the first four as
     strided column ORs, the rest over blocks).  A subset's size is
     popcount(w) + popcount(b), so counts are read per in-word size class.
+    :func:`exact_hit_probability` passes the family relabelled onto its support.
     """
     n = family.ground_size
     if n > EXACT_ENUMERATION_GROUND_CAP:
-        raise ValueError(f"ground size {n} exceeds enumeration cap {EXACT_ENUMERATION_GROUND_CAP}")
+        raise ValueError(f"{n} elements exceed enumeration cap {EXACT_ENUMERATION_GROUND_CAP}")
     words = np.zeros(1 << max(n - 6, 0), dtype=np.uint64)
     masks = np.bitwise_or.reduce(np.uint64(1) << family.elements().astype(np.uint64), axis=1)
     bits = np.uint64(1) << (masks & 63)
@@ -161,108 +159,105 @@ def _exact_sum(delta: float, terms, top: int) -> Fraction:
 def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto") -> HitEstimate:
     """Exact Pr(some member is contained in a Bernoulli-delta subset).
 
-    Feasible when the ground set allows full enumeration (n <= 24) or the
-    family allows inclusion-exclusion (|F| <= 20).  Both are summed exactly
-    and rounded once, so they agree bit for bit whenever both run.
+    On the family relabelled monotonically onto its m >= 1 support elements,
+    enumeration needs m <= 24 and inclusion-exclusion |F| <= 20; both are
+    summed exactly and rounded once, so they agree bit for bit.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    n = family.ground_size
+    support = family.holders()[0]
+    m = max(len(support), 1)
+    rows = np.searchsorted(support, family.elements()).astype(np.min_scalar_type(m - 1))
+    family = SetFamily._from_elements(m, family.k, rows)
     if method == "auto":
-        if n <= EXACT_ENUMERATION_GROUND_CAP:
+        if m <= EXACT_ENUMERATION_GROUND_CAP:
             method = "enumeration"
         elif len(family) <= EXACT_IE_FAMILY_CAP:
             method = "inclusion-exclusion"
         else:
             raise ValueError(
-                f"no exact path: ground size {n} > {EXACT_ENUMERATION_GROUND_CAP} "
+                f"no exact path: support size {m} > {EXACT_ENUMERATION_GROUND_CAP} "
                 f"and family size {len(family)} > {EXACT_IE_FAMILY_CAP}"
             )
     if method == "enumeration":
-        terms = ((int(c), j, n - j) for j, c in enumerate(hit_counts_by_size(family)))
+        terms = ((int(c), j, m - j) for j, c in enumerate(hit_counts_by_size(family)))
     elif method == "inclusion-exclusion":
         terms = ((int(c), u, 0) for u, c in enumerate(_union_size_coefficients(family)))
     else:
         raise ValueError(f"unknown exact method {method!r}")
-    return HitEstimate(p_hat=float(_exact_sum(delta, terms, n)), trials=0, half_width_3sigma=0.0, method=method)
+    return HitEstimate(p_hat=float(_exact_sum(delta, terms, m)), trials=0, half_width_3sigma=0.0, method=method)
 
 
 # --- Monte Carlo hit probability ----------------------------------------------
 
 
-def _group_width(n: int, words: int, total_rows: int) -> int:
+def _group_width(support: np.ndarray, words: int, total_rows: int) -> int:
     """Elements per lookup group of tables that serve a whole call's ``total_rows``.
 
-    The w in 1..8 minimizing ceil(n/w) * (2^w + total_rows), the rows built
-    plus the rows gathered, among the widths whose tables fit in
-    ``_KERNEL_TILE_BYTES``; w = 1 always qualifies.
+    The w in 1..8 minimizing g(w) * (2^w + total_rows), the rows built plus
+    gathered, g(w) being the number of w-groups that meet the ascending
+    ``support``, among the widths (w = 1 always) whose tables fit the budget.
     """
-    def fits(w):
-        return w == 1 or -(-n // w) * (8 * words << w) <= _KERNEL_TILE_BYTES
+    keys = support // np.arange(1, 9, dtype=support.dtype)[:, None]  # row w - 1: each element's w-group
+    groups = dict(enumerate((1 + np.count_nonzero(np.diff(keys), axis=1)).tolist(), start=1))
+    fitting = [w for w in groups if w == 1 or groups[w] * (8 * words << w) <= _KERNEL_TILE_BYTES]
+    return min(fitting, key=lambda w: groups[w] * ((1 << w) + total_rows))
 
-    return min((w for w in range(1, 9) if fits(w)), key=lambda w: -(-n // w) * ((1 << w) + total_rows))
 
+def _member_tables(family: SetFamily, total_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's ``uint64 (groups, 2^w, ceil(|F|/64))`` lookup tables, and each group's first element.
 
-def _member_tables(family: SetFamily, total_rows: int) -> np.ndarray:
-    """``uint64 (groups, 2^w, ceil(|F|/64))`` lookup tables of the containment kernel.
-
-    The ground set splits into groups of w consecutive elements (the last may
-    be shorter), w from :func:`_group_width` on the call's ``total_rows``:
-    every trial of :func:`mc_hit_probability`, t per trial of
-    :func:`partition_experiment`.  Row b of a group's table is the set of
-    members that avoid every element of the group absent from b (bit j of b
-    is element j of the group), built by doubling over the group's elements.
-    The tables start from all of F with padding bits clear, so no padding bit
-    is ever alive.
+    Only the groups of w consecutive elements that meet the support get a table,
+    w from :func:`_group_width` on the call's ``total_rows`` (every trial of
+    :func:`mc_hit_probability`, t per trial of :func:`partition_experiment`).
+    Row b of a group's table is the set of members that avoid every element of
+    the group absent from b (bit j of b is element j of the group), doubled
+    from all of F with padding bits clear, so no padding bit is ever alive and
+    a bit of an element outside the support selects equal rows.
     """
-    n = family.ground_size
-    words = -(-len(family) // 64)
-    full = np.full(words, ~np.uint64(0))
-    full[-1:] >>= np.uint64(-len(family) % 64)  # every member, padding bits clear
-    w = _group_width(n, words, total_rows)
-    tables = np.empty((-(-n // w), 1 << w, words), dtype=np.uint64)
-    tables[:, :1] = full
+    support, bits = family.holders()
+    words = bits.shape[1]
+    w = _group_width(support, words, total_rows)
+    keys, group = np.unique(support // w, return_inverse=True)
+    holding = np.zeros((len(keys), w, words), dtype=np.uint64)  # [g, j]: the members holding element j of group g
+    holding[group, support % w] = bits
+    tables = np.empty((len(keys), 1 << w, words), dtype=np.uint64)
+    tables[:, :1] = np.bitwise_or.reduce(bits, axis=0)  # all of F, padding bits clear: with a group, k >= 1
     for j in range(w):
         half = 1 << j
         tables[:, half : 2 * half] = tables[:, :half]
-        absent = ~family.holders()[j::w, None]  # element j of every group; a short last group may lack it
-        tables[: len(absent), :half] &= absent
-    return tables
+        tables[:, :half] &= ~holding[:, j, None]
+    return tables, (keys * w).astype(np.intp)
 
 
-def _contains_member(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _contains_member(tables: np.ndarray, first: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Row-wise: does the sample packed in ``rows[i]`` contain a member?
 
-    ``tables`` come from :func:`_member_tables`.  ``rows`` is ``uint8
-    (trials, ceil(n/8))`` in the layout of :func:`.rng.bernoulli_block`: bit j
-    of byte i is element 8i + j, padding bits clear.
-
+    ``tables`` and the groups' ``first`` elements come from :func:`_member_tables`;
+    ``rows`` is ``uint8 (trials, ceil(n/8))``, bit j of byte i being element 8i + j.
     A trial's alive set is the AND of one table row per group, indexed by the
     trial's bits there; the trial hits iff a member survives.  Trials go in
-    tiles of ``_KERNEL_TILE_BYTES``.  A tile's hits are the OR of each alive
+    tiles of ``_KERNEL_TILE_BYTES`` (two buffers).  A tile's hits are the OR of each alive
     row: folded down the columns into the first when a row has at most 8
     words (a few long passes), and one segmented reduction over the rows
     otherwise (short passes would cost more than the per-row step).
     """
     groups, size, words = tables.shape
-    if not words:
-        return np.zeros(len(rows), dtype=bool)
-    # group g's code: w bits from bit g*w % 8 on of the sample's bytes g*w // 8 and g*w // 8 + 1
-    first = np.arange(groups) * (size.bit_length() - 1)
-    low, shift = first // 8, (first % 8).astype(np.uint16)[:, None]
-    code_mask = np.uint16(size - 1)
-    tile = max(1, _KERNEL_TILE_BYTES // (8 * words))
-    lanes = np.zeros((rows.shape[1] + 1, min(tile, len(rows))), dtype=np.uint16)  # lane i: byte i of each sample
+    if not groups:  # an empty support: no member, or only the empty set
+        return np.full(len(rows), bool(words))
+    # group g's code: w bits from bit first % 8 on of bytes first // 8 and the next (itself at the row's end)
+    low, shift, code_mask = first // 8, (first % 8).astype(np.uint16)[:, None], np.uint16(size - 1)
+    high = np.minimum(low + 1, rows.shape[1] - 1)
+    tile = max(1, _KERNEL_TILE_BYTES // (16 * words))  # the alive and gathered rows share the budget
     # one allocation for both tile buffers: freed as one block, it lifts glibc's heap-trim
     # threshold past a call's temporaries, so later calls reuse pages instead of faulting
-    alive, row = np.empty((2, lanes.shape[1], words), dtype=np.uint64)
+    alive, row = np.empty((2, min(tile, len(rows)), words), dtype=np.uint64)
     row_starts = np.arange(0, alive.size, words)
     hits = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), tile):
         count = min(tile, len(rows) - start)
-        lanes[:-1, :count] = rows[start : start + count].T
-        pairs = lanes[:-1, :count] | (lanes[1:, :count] << 8)
-        codes = (pairs[low] >> shift) & code_mask
+        lanes = rows[start : start + count].T  # lane i: byte i of each sample
+        codes = ((lanes[high].astype(np.uint16) << 8 | lanes[low]) >> shift) & code_mask
         # codes are below 2^w, so "clip" never clips; it spares the checked copy of "raise"
         np.take(tables[0], codes[0], axis=0, out=alive[:count], mode="clip")
         for g in range(1, groups):
@@ -279,9 +274,10 @@ def _contains_member(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _bernoulli_chunks(seed: int, n: int, delta: float, trials: int) -> Iterator[np.ndarray]:
-    """Packed Bernoulli rows of trials 0..trials-1, ``_CHUNK_TRIALS`` rows at a time."""
-    for start in range(0, trials, _CHUNK_TRIALS):
-        yield bernoulli_block(seed, STREAM_BERNOULLI, start, min(_CHUNK_TRIALS, trials - start), n, delta)
+    """Packed Bernoulli rows of trials 0..trials-1, in tiles of ``_KERNEL_TILE_BYTES`` of rows."""
+    tile = max(1, _KERNEL_TILE_BYTES // -(-n // 8))
+    for start in range(0, trials, tile):
+        yield bernoulli_block(seed, STREAM_BERNOULLI, start, min(tile, trials - start), n, delta)
 
 
 def mc_hit_probability(
@@ -294,7 +290,7 @@ def mc_hit_probability(
     """Monte Carlo hit probability; bit-reproducible for fixed (seed, trials).
 
     The kernel tables are built once for all trials, and the hits of each
-    chunk of the keyed stream are summed, so chunking never shows.
+    tile of the keyed stream are summed, so tiling never shows.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -302,9 +298,9 @@ def mc_hit_probability(
         raise ValueError(f"delta must be in (0,1), got {delta}")
     if interval not in ("normal", "clopper-pearson"):
         raise ValueError(f"unknown interval kind {interval!r}")
-    tables = _member_tables(family, trials)
+    kernel = _member_tables(family, trials)
     chunks = _bernoulli_chunks(seed, family.ground_size, delta, trials)
-    hits = sum(int(_contains_member(tables, rows).sum()) for rows in chunks)
+    hits = sum(int(_contains_member(*kernel, rows).sum()) for rows in chunks)
     return _mc_estimate(hits, trials, interval)
 
 
@@ -374,13 +370,13 @@ def partition_experiment(
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = family.ground_size
     nbytes = -(-n // 8)
-    tables = _member_tables(family, t * trials)
+    kernel = _member_tables(family, t * trials)
     histogram = np.zeros(t + 1, dtype=np.int64)
     for _, ids in _class_ids(seed, STREAM_PARTITION, trials, n, t, t * 8 * nbytes):
         in_class = np.zeros((t, len(ids), 8 * nbytes), dtype=bool)  # padding columns stay clear
         np.equal(ids, np.arange(t, dtype=ids.dtype)[:, None, None], out=in_class[..., :n])
         rows = np.packbits(in_class.reshape(-1), bitorder="little").reshape(-1, nbytes)
-        hit_classes = _contains_member(tables, rows).reshape(t, len(ids)).sum(axis=0)
+        hit_classes = _contains_member(*kernel, rows).reshape(t, len(ids)).sum(axis=0)
         histogram += np.bincount(hit_classes, minlength=t + 1)
     mean = float(np.dot(np.arange(t + 1), histogram)) / trials
     frac_at_least = {

@@ -55,6 +55,14 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def _check_tile(first_trial: int, trials: int, width: int) -> None:
+    """Refuse negative arguments, and a tile of more entries than numpy can index."""
+    if trials < 0 or width < 0 or first_trial < 0:
+        raise ValueError("first_trial, trials and width must be non-negative")
+    if int(trials) * int(width) > np.iinfo(np.intp).max:
+        raise ValueError(f"a tile of {trials} x {width} entries exceeds numpy's index range")
+
+
 def uniform_block(seed: int, stream: int, first_trial: int, trials: int, width: int) -> np.ndarray:
     """Uniform [0,1) draws for ``trials`` consecutive trials, one row each.
 
@@ -62,8 +70,7 @@ def uniform_block(seed: int, stream: int, first_trial: int, trials: int, width: 
     of the same (seed, stream).  The seed lies in [0, 2^64) (:func:`check_seed`).
     """
     seed = check_seed(seed)
-    if trials < 0 or width < 0 or first_trial < 0:
-        raise ValueError("first_trial, trials and width must be non-negative")
+    _check_tile(first_trial, trials, width)
     position = int(first_trial) * int(width)
     bitgen = getattr(_local, "philox", None)
     if bitgen is None:
@@ -106,8 +113,7 @@ def bernoulli_block(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if trials < 0 or width < 0 or first_trial < 0:
-        raise ValueError("first_trial, trials and width must be non-negative")
+    _check_tile(first_trial, trials, width)
     words = -(-width // _LANES)
     numerator, denominator = float(delta).as_integer_ratio()
     last = denominator.bit_length() - 1  # position of delta's last binary 1-digit

@@ -316,8 +316,30 @@ def test_non_finite_values_and_thread_counts_exit_2(block22, capsys, command, na
     assert captured.err.startswith(f"error: {name} must be") and captured.out == ""
 
 
+@pytest.mark.parametrize("n", [2**52, 2**63])
+@pytest.mark.parametrize("method", ["auto", "enumeration", "inclusion-exclusion"])
+def test_exact_estimates_on_huge_ground_sets(tmp_path, capsys, n, method):
+    # the exact paths work on the 2-element support: 1 - (1 - 1/2)^2
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ground_set_size": n, "k": 1, "sets": [[5], [9]]}))
+    assert main(["estimate-hit", str(path), "--delta", "0.5", "--method", method, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "0.75"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "10"],
+    ["partition", "FAMILY", "--classes", "2", "--trials", "10"],
+])
+def test_samples_past_numpy_index_range_exit_2(tmp_path, capsys, argv):
+    # a sample row at n = 2^63 has more entries than numpy can index: refused before any allocation
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ground_set_size": 2**63, "k": 1, "sets": [[5], [9]]}))
+    assert main([str(path) if arg == "FAMILY" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: a tile of 1 x {2**63} entries exceeds numpy's index range\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("k,rows,argv", [
-    (1, [[5], [9]], ["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "inclusion-exclusion"]),
     (1, [[5], [9]], ["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "10"]),
     (1, [[5], [9]], ["partition", "FAMILY", "--classes", "2", "--trials", "10"]),
     (1, [[5], [9]], ["verify", "partition-mean", "--family", "FAMILY", "--classes", "2", "--trials", "10"]),

@@ -200,7 +200,8 @@ def test_mask_built_and_loaded_families_are_one_form(tmp_path):
         assert built.elements().dtype == loaded.elements().dtype
         assert built.elements().tolist() == loaded.elements().tolist() == sorted(rows, key=lambda r: m(*r))
         assert not built.elements().flags.writeable and built.elements().flags.c_contiguous
-        assert built.holders().tobytes() == loaded.holders().tobytes()
+        for got, expected in zip(loaded.holders(), built.holders()):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         for j in range(1, k + 1):
             for got, expected in zip(level_counts(loaded, j), level_counts(built, j)):
                 assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
@@ -368,21 +369,23 @@ def test_identity_reads_the_element_matrix():
     assert (-1 in single) is False and single._sets is None
 
 
-@pytest.mark.parametrize("n,size", [(3, 0), (65, 70), (130, 64)])
-def test_holders_matrix_bits(n, size):
+@pytest.mark.parametrize("n,k,size", [(3, 2, 0), (3, 0, 1), (65, 2, 70), (130, 2, 64), (5000, 2, 3)])
+def test_holders_matrix_bits(n, k, size):
     rng = random.Random(n)
     sets = set()
     while len(sets) < size:
-        sets.add(m(*rng.sample(range(n), 2)))
-    fam = SetFamily(n, 2, sets)
-    holders = fam.holders()
+        sets.add(m(*rng.sample(range(n), k)))
+    fam = SetFamily(n, k, sets)
+    holders = support, bits = fam.holders()
     words = -(-len(fam) // 64)
-    assert holders.shape == (n, words) and holders.dtype == np.uint64
-    for e in range(n):
-        row = sum(int(w) << (64 * i) for i, w in enumerate(holders[e]))
-        # oracle: bit j of row e says whether member j holds element e; padding bits stay 0
+    # the support: the elements that some member holds, ascending
+    assert support.tolist() == [e for e in range(n) if any(s >> e & 1 for s in fam.sets)]
+    assert bits.shape == (len(support), words) and bits.dtype == np.uint64
+    for e, word_row in zip(support.tolist(), bits):
+        row = sum(int(w) << (64 * i) for i, w in enumerate(word_row))
+        # oracle: bit j of the row says whether member j holds element e; padding bits stay 0
         assert row == sum(1 << j for j, s in enumerate(fam.sets) if s >> e & 1)
-    assert fam.holders() is holders and not holders.flags.writeable
+    assert fam.holders() is holders and not support.flags.writeable and not bits.flags.writeable
 
 
 @pytest.mark.parametrize("n,k,size", [(3, 0, 1), (3, 2, 0), (16, 1, 9), (65, 3, 70), (256, 4, 40), (300, 2, 50)])

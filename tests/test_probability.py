@@ -186,18 +186,33 @@ def test_exact_monotone_in_delta():
 
 
 def test_exact_wide_ground_uses_inclusion_exclusion():
-    # ground too wide for enumeration: IE still works
-    fam = SetFamily(70, 2, [m(0, 1), m(68, 69)])
+    # a support of 26 elements is too wide for enumeration: IE still works
+    fam = SetFamily(70, 2, [m(5 * i, 5 * i + 4) for i in range(13)])
     est = exact_hit_probability(fam, 0.5)
     assert est.method == "inclusion-exclusion"
-    # two disjoint pairs: 2 d^2 - d^4
-    assert est.p_hat == pytest.approx(2 * 0.25 - 0.0625, abs=1e-14)
+    # 13 disjoint pairs: 1 - (1 - d^2)^13
+    assert est.p_hat == float(1 - Fraction(3, 4) ** 13)
+
+
+def test_exact_paths_work_on_the_support():
+    # block(3,8) spread over n = 40: its support of 24 elements allows enumeration
+    fam, _ = block_product_family(3, 8)
+    spread = [40 * e // 24 for e in range(24)]
+    fam = SetFamily(40, 3, [mask_from_elements(spread[e] for e in range(24) if s >> e & 1) for s in fam.sets])
+    est = exact_hit_probability(fam, 0.25)
+    assert est.method == "enumeration" and est.p_hat == 0.7287256508781148 == float(_exact_block_hit(3, 8, 0.25))
+    sub = SetFamily(40, 3, fam.sets[::26])  # 20 members: both paths run
+    for delta in (0.13, 0.25, 0.86):
+        a = exact_hit_probability(sub, delta, method="enumeration").p_hat
+        assert a == exact_hit_probability(sub, delta, method="inclusion-exclusion").p_hat
 
 
 def test_exact_caps_enforced():
     fam = SetFamily(30, 1, [m(i) for i in range(25)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no exact path: support size 25 > 24 and family size 25 > 20"):
         exact_hit_probability(fam, 0.5)
+    with pytest.raises(ValueError, match="25 elements exceed enumeration cap 24"):
+        exact_hit_probability(fam, 0.5, method="enumeration")
 
 
 # --- Monte Carlo --------------------------------------------------------------------
@@ -251,7 +266,7 @@ def _unpacked(rows, n):
 
 def _contains_member(family, rows):
     # the kernel as its callers use it: tables built for all the rows, then applied
-    return probability._contains_member(probability._member_tables(family, len(rows)), rows)
+    return probability._contains_member(*probability._member_tables(family, len(rows)), rows)
 
 
 def _oracle_contains(family, row):
@@ -269,7 +284,7 @@ def kernel_tiles(request, monkeypatch):
 
 
 def test_word_boundary_cases_reach_every_group_width():
-    widths = {probability._group_width(n, -(-size // 64), trials)
+    widths = {probability._group_width(wide_family(n, size).holders()[0], -(-size // 64), trials)
               for n, size in WORD_BOUNDARY_CASES for trials in KERNEL_TRIALS}
     assert widths == set(range(1, 9))
 
@@ -333,19 +348,23 @@ def test_kernel_or_rules_match_python_oracle(size, kernel_tiles):
 
 
 def test_group_width_rule():
-    width = probability._group_width
+    def width(n, words, trials):  # on a support of every element
+        return probability._group_width(np.arange(n), words, trials)
+
     assert width(64, 2048, 8192) == 1  # two-element tables would exceed the budget
-    assert width(24, 8, 8192) == 8  # block(3,8) at a full chunk
+    assert width(24, 8, 8192) == 8  # block(3,8) at 8,192 trials
     assert width(64, 1024, 32) == 2  # block(4,16) at 32 trials: tables cost more than trials
     for n, words, trials in product((1, 9, 30, 64, 130), (0, 1, 122, 1024, 4096), (1, 32, 8192)):
         w = width(n, words, trials)
         assert w == 1 or -(-n // w) * (words << w) * 8 <= probability._KERNEL_TILE_BYTES
+    # only the groups that meet the support count: two far-apart pairs take 2 groups at any width
+    assert probability._group_width(np.array([0, 1, 4094, 4095]), 1, 8192) == 2
 
 
 def _pinned_mc_cases():
     """(estimator, {trials: SHA-256 of the estimate as JSON}), computed while each
     8,192-trial chunk still rebuilt the kernel tables; the smaller trial count
-    is the one run under one-trial chunks."""
+    is the one run under one-trial tiles."""
     cases = [
         (lambda trials, n=n: mc_hit_probability(wide_family(n, 70), 0.3, trials, seed=5), digests)
         for n, digests in [
@@ -370,13 +389,14 @@ def _pinned_mc_cases():
     ]
 
 
-# one-trial chunks run only the smaller count; 3,000-trial chunks leave a ragged last chunk
-@pytest.mark.parametrize("chunk_trials", [None, 1, 3000])
-def test_mc_estimates_are_pinned(chunk_trials, monkeypatch):
-    if chunk_trials is not None:
-        monkeypatch.setattr(probability, "_CHUNK_TRIALS", chunk_trials)
+# a budget of 1 byte gives one-trial tiles, run only on the smaller count; 3,000 bytes give
+# sampler tiles of 176 to 1,000 trials, with a ragged last one
+@pytest.mark.parametrize("tile_bytes", [None, 1, 3000])
+def test_mc_estimates_are_pinned(tile_bytes, monkeypatch):
+    if tile_bytes is not None:
+        monkeypatch.setattr(probability, "_KERNEL_TILE_BYTES", tile_bytes)
     for estimate, digests in _pinned_mc_cases():
-        for trials, digest in digests.items() if chunk_trials != 1 else [min(digests.items())]:
+        for trials, digest in digests.items() if tile_bytes != 1 else [min(digests.items())]:
             payload = json.dumps(dataclasses.asdict(estimate(trials)))
             assert hashlib.sha256(payload.encode()).hexdigest() == digest, trials
 
@@ -393,11 +413,25 @@ def test_mc_memory_is_bounded_on_block_5_6():
     assert peak < 64 * 2**20
 
 
+def test_mc_memory_is_bounded_at_n_50000():
+    # two pairs at n = 50,000: tables for the groups the support meets, and sampler tiles
+    # of 2^20 bytes of packed rows; sizing by n took about 1 GiB here
+    fam = SetFamily(50_000, 2, [m(0, 49_999), m(7, 8)])
+    tracemalloc.start()
+    try:
+        est = mc_hit_probability(fam, 0.5, trials=8192, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert est.p_hat == 0.4410400390625  # the value that sizing by n gave
+
+
 def test_kernel_tables_stay_within_the_tile_budget_on_block_4_16():
-    # 65,536 members in 1,024 words, n = 64, a full chunk of trials
+    # 65,536 members in 1,024 words, n = 64, 8,192 trials
     fam, _ = block_product_family(4, 16)
-    words, budget = fam.holders().shape[1], probability._KERNEL_TILE_BYTES
-    w = probability._group_width(64, words, 8192)
+    words, budget = fam.holders()[1].shape[1], probability._KERNEL_TILE_BYTES
+    w = probability._group_width(np.arange(64), words, 8192)
     assert w > 1 and -(-64 // w) * (words << w) * 8 <= budget
     rows = bernoulli_block(1, STREAM_BERNOULLI, 0, 8192, 64, 0.125)
     bits = _unpacked(rows, 64)
@@ -412,8 +446,8 @@ def test_kernel_tables_stay_within_the_tile_budget_on_block_4_16():
         tracemalloc.stop()
     # a sample contains a transversal iff it meets every block
     assert hits.tolist() == bits.reshape(8192, 4, 16).any(axis=2).all(axis=1).tolist()
-    # the tables, the alive tile and the gathered rows take one budget each
-    assert kernel_peak < 4 * budget
+    # the tables take one budget, and so do their build's scratch or the alive and gathered rows
+    assert kernel_peak < 3 * budget
     assert peak < 64 * 2**20
 
 
@@ -466,16 +500,23 @@ def _count_kernel_calls(monkeypatch):
     return calls
 
 
-def test_mc_builds_the_kernel_tables_once(monkeypatch):
+@pytest.mark.parametrize("n, tiles", [(6, 1), (4800, 12), (48_000, 115)])
+def test_mc_builds_the_kernel_tables_once(n, tiles, monkeypatch):
+    # the sampler's tiles hold 2^20 bytes of packed rows: all 20,001 trials at n = 6,
+    # 1,747 trials at n = 4,800 and 174 at n = 48,000
     calls = _count_kernel_calls(monkeypatch)
-    mc_hit_probability(block_product_family(2, 3)[0], 0.3, trials=20_001, seed=5)
-    assert calls == {"_member_tables": 1, "_contains_member": 3}  # one per chunk of 8,192
+    mc_hit_probability(SetFamily(n, 2, [m(0, n - 1), m(1, 2)]), 0.3, trials=20_001, seed=5)
+    assert calls == {"_member_tables": 1, "_contains_member": tiles}
 
 
 def test_partition_builds_the_kernel_tables_once(monkeypatch):
-    # n = 4,096 gives tiles of 32 trials, so 8,192 trials take 256 tiles
+    # n = 4,096 gives tiles of 32 trials, so 8,192 trials take 256 tiles; tables are
+    # built only for the groups that meet the support {0, 3, 4, 4095}: 2 of them
+    fam = SetFamily(4096, 2, [m(0, 4095), m(3, 4)])
+    tables, first = probability._member_tables(fam, 2 * 8192)
+    assert len(tables) == len(first) == 2 and first[0] == 0 and first[1] > 4000
     calls = _count_kernel_calls(monkeypatch)
-    partition_experiment(SetFamily(4096, 2, [m(0, 4095), m(7, 8)]), 2, 8192, seed=7)
+    partition_experiment(fam, 2, 8192, seed=7)
     assert calls == {"_member_tables": 1, "_contains_member": 256}
 
 

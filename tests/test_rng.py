@@ -240,3 +240,13 @@ def test_tail_on_grid_rest_needs_no_tie():
 def test_negative_block_bounds_are_refused():
     with pytest.raises(ValueError, match="first_trial, trials and width must be non-negative"):
         uniform_block(1, 1, -1, 1, 4)
+
+
+@pytest.mark.parametrize("trials, width", [(1, 2**63), (2, 2**62), (2**40, 2**23)])
+def test_tiles_past_numpy_index_range_are_refused(trials, width):
+    # refused before any allocation, with a message that names the row width
+    message = f"a tile of {trials} x {width} entries exceeds numpy's index range"
+    with pytest.raises(ValueError, match=message):
+        uniform_block(1, 1, 0, trials, width)
+    with pytest.raises(ValueError, match=message):
+        bernoulli_block(1, 1, 0, trials, width, 0.5)
