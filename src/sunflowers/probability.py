@@ -237,10 +237,10 @@ def _contains_member(tables: np.ndarray, first: np.ndarray, rows: np.ndarray) ->
     ``rows`` is ``uint8 (trials, ceil(n/8))``, bit j of byte i being element 8i + j.
     A trial's alive set is the AND of one table row per group, indexed by the
     trial's bits there; the trial hits iff a member survives.  Trials go in
-    tiles of ``_KERNEL_TILE_BYTES`` (two buffers).  A tile's hits are the OR of each alive
-    row: folded down the columns into the first when a row has at most 8
-    words (a few long passes), and one segmented reduction over the rows
-    otherwise (short passes would cost more than the per-row step).
+    tiles whose alive and gathered rows share ``_KERNEL_TILE_BYTES``.  A tile's
+    hits are the OR of each alive row: folded down the columns into the first
+    when a row has at most 8 words (a few long passes), and one segmented
+    reduction over the rows otherwise (short passes would cost more there).
     """
     groups, size, words = tables.shape
     if not groups:  # an empty support: no member, or only the empty set
@@ -248,7 +248,7 @@ def _contains_member(tables: np.ndarray, first: np.ndarray, rows: np.ndarray) ->
     # group g's code: w bits from bit first % 8 on of bytes first // 8 and the next (itself at the row's end)
     low, shift, code_mask = first // 8, (first % 8).astype(np.uint16)[:, None], np.uint16(size - 1)
     high = np.minimum(low + 1, rows.shape[1] - 1)
-    tile = max(1, _KERNEL_TILE_BYTES // (16 * words))  # the alive and gathered rows share the budget
+    tile = max(1, _KERNEL_TILE_BYTES // (16 * words))
     # one allocation for both tile buffers: freed as one block, it lifts glibc's heap-trim
     # threshold past a call's temporaries, so later calls reuse pages instead of faulting
     alive, row = np.empty((2, min(tile, len(rows)), words), dtype=np.uint64)
