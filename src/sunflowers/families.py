@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import json
 import operator
+import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -253,19 +254,27 @@ def family_to_dict(family: SetFamily) -> dict:
     }
 
 
+def _element_matrix(ground_size: int, rows: np.ndarray) -> Optional[np.ndarray]:
+    """The family's element matrix from its int64 ``(|F|, k)`` rows in any order, or None
+    if n is outside [1, 2^63], an element outside [0, n), or a row repeats an element or row."""
+    if not (1 <= ground_size <= 2**63 and ((rows >= 0) & (rows < ground_size)).all()):
+        return None
+    elements = np.sort(rows.astype(np.min_scalar_type(ground_size - 1)), axis=1)
+    elements = elements[np.lexsort(elements.T)] if elements.shape[1] else elements  # colex: ascending masks
+    repeats = (elements[:, 1:] == elements[:, :-1]).any() or (elements[1:] == elements[:-1]).all(axis=1).any()
+    return None if repeats else elements
+
+
 def family_from_dict(data: dict) -> SetFamily:
     """Strict loader: rejects non-integer values, out-of-range elements,
     wrong-cardinality rows (a repeated element counts as one) and duplicate
     rows.
 
-    After the exact-type pass one numpy pass decides validity (every row has
-    k elements, each in [0, n), none repeated in its sorted row) and leaves
-    the rows sorted straight into the family's element matrix, so loading
-    costs |F|·k elements whatever the ground size; masks are built only on
-    demand.  An invalid file is refused with its first offending row in file
-    order; a row with both faults leaves the ground set before it has the
-    wrong cardinality.  A valid file whose n is outside [1, 2^63] is refused
-    last, as :class:`SetFamily` refuses it.
+    After the exact-type pass :func:`_element_matrix` decides validity in one
+    numpy pass; only then are the rows of an invalid file scanned, to refuse
+    it with its first offending row in file order (a row with both faults
+    leaves the ground set before it has the wrong cardinality), then an n
+    outside [1, 2^63], as :class:`SetFamily` refuses it, then duplicate rows.
     """
     try:
         ground_size = data["ground_set_size"]
@@ -276,27 +285,18 @@ def family_from_dict(data: dict) -> SetFamily:
         raise ValueError(f"malformed family data: {exc}") from exc
     if types - {int}:  # bool is a subclass of int, so test the exact type
         raise ValueError(f"family data must be integers, got {sorted(t.__name__ for t in types - {int})}")
-    width = max(k, 0)
     try:  # one numpy pass decides validity; only an invalid file is scanned row by row
-        elements = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * width).reshape(len(rows), width)
+        elements = np.fromiter(chain.from_iterable(rows), np.int64, len(rows) * max(k, 0)).reshape(len(rows), max(k, 0))
     except (OverflowError, ValueError):  # an element past int64, or fewer than |F|·k elements
         elements = None
-    valid = elements is not None and set(map(len, rows)) <= {k}
-    valid = valid and bool(((elements >= 0) & (elements < ground_size)).all())
-    if valid:
-        elements = elements.astype(np.min_scalar_type(ground_size - 1))
-        elements.sort(axis=1)
-        valid = not (elements[:, 1:] == elements[:, :-1]).any()
-    if not valid:
+    elements = _element_matrix(ground_size, elements) if elements is not None and set(map(len, rows)) <= {k} else None
+    if elements is None:
         for row in rows:
             if row and not 0 <= min(row) <= max(row) < ground_size:
                 raise ValueError(f"row {row} leaves the ground set of size {ground_size}")
             if len(row) != k or len(set(row)) != k:
                 raise ValueError(f"row {row} does not have cardinality k={k}")
-    _check_sizes(ground_size, k)
-    if width:
-        elements = elements[np.lexsort(elements.T)]  # colex order: ascending masks
-    if (elements[1:] == elements[:-1]).all(axis=1).any():
+        _check_sizes(ground_size, k)
         raise ValueError("duplicate sets in family data")
     return SetFamily._from_elements(ground_size, k, elements)
 
@@ -310,10 +310,46 @@ def save_family(family: SetFamily, path) -> None:
     Path(path).write_text(family_json(family))
 
 
+# a canonical family text, "~" standing for JSON's whitespace (\s would add \f and \v, which json refuses)
+_CANONICAL = re.compile(
+    rb'~{~"ground_set_size"~:~([1-9]\d{,18})~,~"k"~:~([1-9]\d{,18})~,~"sets"~:~\[(.*)]~}~'.replace(b"~", rb"[ \t\n\r]*"), re.S)
+
+
+def _canonical_family(text: bytes) -> Optional[SetFamily]:
+    """The family in a canonical text, else None: :func:`save_family`'s keys in order, n and k >= 1, and one
+    or more rows of k numbers of 1 to len(str(n - 1)) digits, with no leading zeros, in JSON whitespace."""
+    match = _CANONICAL.fullmatch(text)
+    if match is None:
+        return None
+    n, k, compact = int(match[1]), int(match[2]), match[3].translate(None, b" \t\n\r") + b","  # rows, each with a comma
+    structure = compact.translate(None, b"0123456789")
+    rows = len(structure) // (k + 2)
+    # positions below are int32; deleting whitespace joins "1 2", so the text must hold only n's, k's and
+    # rows·k digit runs
+    if rows < 1 or len(compact) > 2**31 or structure != (b"[" + b"," * (k - 1) + b"],") * rows or (
+            np.count_nonzero(np.diff(np.frombuffer(text, np.uint8) - 48 < 10)) != 2 * (rows * k + 2)):
+        return None
+    digits = np.frombuffer(compact, np.uint8) - 48  # a non-digit wraps past 9
+    marks = np.flatnonzero(digits > 9).astype(np.int32).reshape(rows, k + 2)  # each row's [ , .. , ] and comma
+    opens, ends = marks[:, :-2], marks[:, 1:-1] - 1  # the byte before each number, and its last digit
+    lengths = ends - opens
+    if not 1 <= lengths.min() <= lengths.max() <= len(str(n - 1)) or ((digits.take(opens + 1) == 0) & (lengths > 1)).any():
+        return None
+    # one digit column at a time, units first (a column past a number's length adds 0): below 10^19 < 2^64
+    values = sum(digits.take(ends - c, mode="clip") * (lengths > c) * np.uint64(10**c) for c in range(lengths.max()))
+    elements = _element_matrix(n, values.view(np.int64))  # a value of 2^63 or more reads negative: refused
+    return None if elements is None else SetFamily._from_elements(n, k, elements)
+
+
 def load_family(path) -> SetFamily:
+    """Load a family file as :func:`family_from_dict` loads its JSON.  A canonical ASCII text
+    (:func:`save_family`'s, or a compact ``json.dumps``) takes one numpy pass over its bytes; every
+    other text, so every refused one, goes through ``json.loads`` and :func:`family_from_dict`."""
+    text = Path(path).read_text()
+    if text.isascii() and (family := _canonical_family(text.encode())) is not None:
+        return family
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(text)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     return family_from_dict(data)
-

@@ -95,7 +95,7 @@ def hit_counts_by_size(family: SetFamily) -> np.ndarray:
     elements 6.. pick w and close by doubling over words (the first four as
     strided column ORs, the rest over blocks).  A subset's size is
     popcount(w) + popcount(b), so counts are read per in-word size class.
-    :func:`exact_hit_probability` passes the family relabelled onto its support.
+    Both exact callers pass the family relabelled onto its support, by :func:`_on_support`.
     """
     n = family.ground_size
     if n > EXACT_ENUMERATION_GROUND_CAP:
@@ -156,6 +156,14 @@ def _exact_sum(delta: float, terms, top: int) -> Fraction:
     return Fraction(sum(w * a**i * (b - a) ** j * b ** (top - i - j) for w, i, j in terms if w), b**top)
 
 
+def _on_support(family: SetFamily) -> SetFamily:
+    """The family relabelled monotonically onto its m >= 1 support elements 0..m-1."""
+    support = family.holders()[0]
+    m = max(len(support), 1)
+    rows = np.searchsorted(support, family.elements()).astype(np.min_scalar_type(m - 1))
+    return SetFamily._from_elements(m, family.k, rows)
+
+
 def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto") -> HitEstimate:
     """Exact Pr(some member is contained in a Bernoulli-delta subset).
 
@@ -165,10 +173,8 @@ def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto")
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    support = family.holders()[0]
-    m = max(len(support), 1)
-    rows = np.searchsorted(support, family.elements()).astype(np.min_scalar_type(m - 1))
-    family = SetFamily._from_elements(m, family.k, rows)
+    family = _on_support(family)
+    m = family.ground_size
     if method == "auto":
         if m <= EXACT_ENUMERATION_GROUND_CAP:
             method = "enumeration"
@@ -458,18 +464,21 @@ def check_fixed_size_decomposition(family: SetFamily, delta: float) -> SizeDecom
 
         Pr(hit at delta) >= Pr(hit | uniform m-subset) * Pr(|sample| >= m).
 
-    Every quantity is an exact rational (counts from full enumeration; the
-    hit probability and the binomial tail from :func:`_exact_sum`), so the
-    comparison itself is exact.  The enumeration's table, one bit per subset
-    (2 MiB at n = 24), caps n at ``EXACT_ENUMERATION_GROUND_CAP``.
+    Every quantity is an exact rational, so the comparison is exact: counts
+    by size on the support (at most ``EXACT_ENUMERATION_GROUND_CAP`` elements)
+    convolved with C(n - s, ·) over the n - s others, and :func:`_exact_sum`,
+    whose O(n) terms cap n at ``CHERNOFF_TAIL_N_CAP``, for the two sums.
     """
     n = family.ground_size
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
+    if n > CHERNOFF_TAIL_N_CAP:
+        raise ValueError(f"ground-set size {n} exceeds the exact-sum cap {CHERNOFF_TAIL_N_CAP}")
     m = math.ceil(Fraction(delta) / 2 * n)
-    counts = hit_counts_by_size(family)
-    lhs = _exact_sum(delta, ((int(c), j, n - j) for j, c in enumerate(counts)), n)
-    by_size = [Fraction(int(counts[j]), math.comb(n, j)) for j in range(n + 1)]
+    on_support = hit_counts_by_size(_on_support(family)).astype(object)  # sizes 0..s, s the support size
+    counts = np.convolve(on_support, [math.comb(n + 1 - len(on_support), i) for i in range(n + 2 - len(on_support))])
+    lhs = _exact_sum(delta, ((c, j, n - j) for j, c in enumerate(counts)), n)
+    by_size = [Fraction(counts[j], math.comb(n, j)) for j in range(n + 1)]
     monotone = all(by_size[j] <= by_size[j + 1] for j in range(n))
     tail = _exact_sum(delta, ((math.comb(n, j), j, n - j) for j in range(m, n + 1)), n)
     rhs = by_size[m] * tail

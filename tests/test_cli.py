@@ -196,6 +196,17 @@ def test_verify_decomposition(block22, tmp_path, capsys):
     assert json.loads(out.read_text()) == {"schema_version": 1, **asdict(report)}
 
 
+def test_verify_decomposition_beyond_24_elements(tmp_path, capsys):
+    # the counts come from the support, one element here, so n = 25 is no longer refused
+    path = tmp_path / "wide.json"
+    path.write_text('{"ground_set_size": 25, "k": 1, "sets": [[0]]}')
+    assert main(["verify", "decomposition", "--family", str(path), "--delta", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "Pr(hit at delta)        = 0.5\n" in out and "PASS" in out
+    assert main(["estimate-hit", str(path), "--delta", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["p_hat"] == 0.5
+
+
 def test_verify_chernoff(tmp_path, capsys):
     out = tmp_path / "chernoff.json"
     assert main(["verify", "chernoff", "--n", "16", "--delta", "0.5", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -7,14 +8,16 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sunflowers.bitset import mask_from_elements
 from sunflowers.constructions import block_product_family
+from sunflowers import families
 from sunflowers.families import (
     SetFamily,
     Sunflower,
     family_from_dict,
+    family_json,
     family_to_dict,
     find_disjoint_sets,
     is_sunflower,
@@ -571,6 +574,162 @@ def test_loader_matches_per_row_oracle(tmp_path):
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
         loaded += 1
     assert loaded > 500 and refused > 500
+
+
+_SPACES = st.sampled_from(["", "", "", "", " ", " ", "\n  ", "\t", "\r\n", "\r"])
+_BAD_SPACES = ["\f", "\v", " \f", "\x0c\n"]
+_BAD_NUMBERS = ["00", "01", "007", "-0", "-1", "1.0", "1e1", "1E0", "true", "null", '"3"', "1 2", "3\n 4", "1\t0",
+                "[1]", "[]", str(2**63 - 1), str(2**63), str(2**64 + 5), str(2**65 + 7), "1" + "0" * 4999]
+_BAD_SIZES = ["0", "04", "-0", "4.0", "4e0", "true", '"4"', "[4]", str(2**63), str(2**63 + 1), "1" + "0" * 4999]
+_FAULTS = ["none"] * 4 + ["space", "number", "number", "drop", "add", "empty-row", "nest", "duplicate", "outside",
+                          "header", "keys", "tail"]
+
+
+@st.composite
+def _family_texts(draw):
+    """Family texts that both loader routes must agree on: valid rows in any spacing, or
+    with one fault in the spacing, the header, a row, or the text around them."""
+    n = draw(st.sampled_from([1, 2, 3, 12, 100, 1000, 2**63 - 1, 2**63]))
+    k = draw(st.integers(1, min(n, 4)) | st.just(0))
+    element = st.integers(0, min(n, 1000) - 1) | st.sampled_from([n - 1, n // 2, n // 3])
+    row = st.lists(element, min_size=k, max_size=k, unique=True)
+    rows = draw(st.lists(row, min_size=draw(st.sampled_from([0, 1, 1])), max_size=6, unique_by=frozenset))
+    rows = [[str(e) for e in row] for row in rows]
+    fault = draw(st.sampled_from(_FAULTS))
+    bad_space = draw(st.sampled_from(_BAD_SPACES)) if fault == "space" else None
+
+    def space():  # the fault's bad space, in a random place
+        nonlocal bad_space
+        if bad_space is not None and draw(st.booleans()):
+            gap, bad_space = bad_space, None
+            return gap
+        return draw(_SPACES)
+
+    row = rows[draw(st.integers(0, len(rows) - 1))] if rows else []
+    if fault == "number" and row:
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_BAD_NUMBERS))
+    elif fault == "drop" and row:
+        row.pop()
+    elif fault == "add":
+        row.append(draw(st.sampled_from(["0", "1", str(n), str(n - 1)])))
+    elif fault in ("empty-row", "nest", "duplicate"):
+        rows.append({"empty-row": [], "nest": [f"[{','.join(row)}]"], "duplicate": row[::-1]}[fault])
+    texts = ["[" + space() + ("," + space()).join(row) + space() + "]" for row in rows]
+    if fault == "outside" and row:  # a number moved out of its row, leaving its slot empty: "[,5]3"
+        texts[rows.index(row)] = "[" + ",".join([""] + row[1:]) + "]" + row[0]
+    sets = "[" + space() + ("," + space()).join(texts) + space() + "]"
+    values = {"ground_set_size": str(n), "k": str(k), "sets": sets}
+    if fault == "header":
+        values[draw(st.sampled_from(["ground_set_size", "k"]))] = draw(st.sampled_from(_BAD_SIZES))
+    keys = ["ground_set_size", "k", "sets"]
+    if fault == "keys":
+        keys = draw(st.sampled_from([keys[::-1], ["k", "ground_set_size", "sets"], keys + ["k"], keys + ["note"],
+                                     keys[:2], ["sets"] + keys]))
+    pairs = (f'"{key}"{space()}:{space()}{values.get(key, "[]")}' for key in keys)
+    tail = draw(st.sampled_from(["x", "}", "[]", ",", "\x00", "\f"])) if fault == "tail" else space()
+    return space() + "{" + space() + ("," + space()).join(pairs) + space() + "}" + tail
+
+
+def _outcome(load):
+    try:
+        family = load()
+    except ValueError as exc:  # json.JSONDecodeError included
+        return type(exc), str(exc)
+    return family, family.elements().dtype, family_json(family)
+
+
+def _assert_routes_agree(path, text):
+    # the json route reads the file as load_family does, so "\r" reaches both as "\n"
+    path.write_bytes(text.encode())
+    assert _outcome(lambda: load_family(path)) == _outcome(lambda: family_from_dict(json.loads(path.read_text())))
+
+
+@settings(derandomize=True, deadline=None, max_examples=600, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_family_texts())
+def test_loader_routes_agree_on_any_text(tmp_path, text):
+    _assert_routes_agree(tmp_path / "family.json", text)
+
+
+_HEADER = '{"ground_set_size": %s, "k": %s, "sets": '
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_HEADER % ("100", "2") + rows + "}" for rows in [
+        "[[01, 5]]", "[[00, 5]]", "[[5, 007]]", "[[1 2, 5]]", "[[1\n2, 5]]", "[[,5]3]", "[[5,]3]", "[7[1,5]]",
+        "[[1,5]7]", "[[1,5],7[2,3]]", "[[1,5]][[2,3]]", "[[-0, 5]]", "[[1.0, 5]]", "[[1e0, 5]]", "[[true, 5]]",
+        "[[1, 5]]]", "[[[1, 5]]]", "[[1, 5], [5, 1]]", "[[1, 1]]", "[[1, 100]]", "[[1, 5, 7]]", "[[1]]", "[]", "[[]]",
+    ]] + [_HEADER % header + rows + "}" for header, rows in [
+        ((str(2**63 - 1), "2"), f"[[{2**64 + 5}, 3]]"), ((str(2**63 - 1), "1"), f"[[{2**63 - 2}]]"),
+        ((str(2**63), "1"), f"[[{2**63 - 1}]]"), ((str(2**63), "1"), f"[[{2**63}]]"), ((str(2**63 + 1), "1"), "[[0]]"),
+        (("1" + "0" * 4999, "1"), "[[0]]"), (("04", "1"), "[[0]]"), (("4", "01"), "[[0]]"), (("4", "0"), "[[]]"),
+        (("4", "9" * 19), "[[0]]"), (("0", "1"), "[[0]]"), (("1", "1"), "[[0]]"), (("4", "1"), "[[0]]}"),
+    ]] + [
+        '{"ground_set_size": 4,\f"k": 1, "sets": [[0]]}', '{"ground_set_size": 4, "k": 1, "sets": [[0]]\v}',
+        '{"ground_set_size": 4, "k": 1, "sets": [[\x0b0]]}', '{"ground_set_size": 4, "k": 1, "sets": [[0]]} x',
+        '{"ground_set_size": 4, "k": 1, "sets": [[0]], "k": 1}', '{"ground_set_size": 4, "k": 1, "sets": [[0]], "sets": []}',
+        '{"k": 1, "ground_set_size": 4, "sets": [[0]]}', '\r\n {"ground_set_size" :4 ,"k" :1 ,"sets" :[ [ 3 ] ] }\t\n',
+    ],
+)
+def test_loader_routes_agree_on_edge_texts(tmp_path, text):
+    _assert_routes_agree(tmp_path / "family.json", text)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'\xef\xbb\xbf{"ground_set_size": 4, "k": 2, "sets": [[0, 1]]}',
+        b'{"ground_set_size": 4, "k": 2, "sets": [[0, 1]], "note": "\xff"}',
+        b'{"ground_set_size": 4, "k": 1, "sets": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ],
+    ids=["utf-8-bom", "not-utf-8", "nested-1e5"],
+)
+def test_loader_refusals_are_the_json_routes(tmp_path, raw):
+    path = tmp_path / "family.json"
+    path.write_bytes(raw)
+    try:
+        expected = family_from_dict(json.loads(path.read_text()))
+    except RecursionError:
+        expected = (ValueError, f"{path}: JSON nested too deeply")
+    except ValueError as exc:
+        expected = type(exc), str(exc)
+    assert not isinstance(expected, SetFamily)
+    assert _outcome(lambda: load_family(path)) == expected
+
+
+def _count_json_loads(monkeypatch):
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(families.json, "loads", lambda *args, **kwargs: calls.append(1) or loads(*args, **kwargs))
+    return calls
+
+
+def test_canonical_texts_skip_json_loads(tmp_path, monkeypatch):
+    calls = _count_json_loads(monkeypatch)
+    family, _ = block_product_family(6, 4)
+    save_family(family, tmp_path / "saved.json")
+    (tmp_path / "compact.json").write_text(json.dumps(family_to_dict(family)))
+    assert load_family(tmp_path / "saved.json") == family
+    assert load_family(tmp_path / "compact.json") == family
+    assert calls == []
+    reordered = {"k": family.k, "ground_set_size": family.ground_size, "sets": family.elements().tolist()}
+    (tmp_path / "reordered.json").write_text(json.dumps(reordered))
+    assert load_family(tmp_path / "reordered.json") == family
+    assert calls == [1]
+
+
+def test_loading_a_saved_block_family_stays_within_memory(tmp_path):
+    family, _ = block_product_family(7, 4)
+    path = tmp_path / "block74.json"
+    save_family(family, path)
+    tracemalloc.start()
+    try:
+        loaded = load_family(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, f"peak {peak / 2**20:.1f} MiB"
+    assert loaded == family and loaded.elements().dtype == np.uint8
 
 
 def test_ground_sets_up_to_two_to_the_63_are_held_as_uint64():

@@ -756,6 +756,41 @@ def test_decomposition_runs_up_to_the_enumeration_cap():
         check_fixed_size_decomposition(block_product_family(5, 5)[0], 0.5)  # n = 25
 
 
+def _decomposition_over_all_subsets(family, delta):
+    # the report computed from counts over all 2^n subsets of the ground set, as before the support-first counts
+    n = family.ground_size
+    m_cut = math.ceil(Fraction(delta) / 2 * n)
+    counts = hit_counts_by_size(family)
+    lhs = probability._exact_sum(delta, ((int(c), j, n - j) for j, c in enumerate(counts)), n)
+    by_size = [Fraction(int(counts[j]), math.comb(n, j)) for j in range(n + 1)]
+    monotone = all(by_size[j] <= by_size[j + 1] for j in range(n))
+    tail = probability._exact_sum(delta, ((math.comb(n, j), j, n - j) for j in range(m_cut, n + 1)), n)
+    return probability.SizeDecompositionReport(
+        delta=delta, m=m_cut, hit_probability=float(lhs), fixed_size_hit_probability=float(by_size[m_cut]),
+        size_tail_probability=float(tail), lower_bound=float(by_size[m_cut] * tail), monotone_in_size=monotone,
+        passed=bool(lhs >= by_size[m_cut] * tail and monotone),
+    )
+
+
+def test_decomposition_on_the_support_equals_counts_over_all_subsets():
+    rng = random.Random(2727)
+    families = [block_product_family(5, 4)[0], SetFamily(24, 2, [m(3, 20)]), SetFamily(9, 0, [0]), SetFamily(9, 3, [])]
+    families += [random_family(rng, n_max=24, k_max=5, size_max=12) for _ in range(40)]
+    for family in families:
+        for delta in (0.25, 0.5, 0.625, 0.75, 0.9):
+            assert check_fixed_size_decomposition(family, delta) == _decomposition_over_all_subsets(family, delta)
+
+
+def test_decomposition_takes_any_n_up_to_the_exact_sum_cap():
+    report = check_fixed_size_decomposition(SetFamily(25, 1, [m(0)]), 0.5)
+    assert report.hit_probability == 0.5 and report.passed
+    wide = SetFamily(CHERNOFF_TAIL_N_CAP, 2, [m(0, 7), m(7, CHERNOFF_TAIL_N_CAP - 1)])
+    assert check_fixed_size_decomposition(wide, 0.5).hit_probability == 0.375
+    n = CHERNOFF_TAIL_N_CAP + 1
+    with pytest.raises(ValueError, match=re.escape(f"ground-set size {n} exceeds the exact-sum cap {CHERNOFF_TAIL_N_CAP}")):
+        check_fixed_size_decomposition(SetFamily(n, 1, [m(0)]), 0.5)
+
+
 # --- Chernoff tail -------------------------------------------------------------------------
 
 
