@@ -6,7 +6,10 @@ rows ascending and in colex (ascending-mask) order, whether it was built from
 Python-int bitmasks or loaded from JSON.  The matrix alone decides equality,
 hashing and membership; the masks are a view of it, built for the callers
 that work on masks.  All types here are immutable after construction (their
-caches aside) and thread-safe.
+caches aside) and thread-safe.  :func:`load_family` reads a canonical file,
+as :func:`save_family` writes it, by one numpy pass over its bytes; every
+file that pass does not accept, so every invalid one, goes through
+``json.loads``, and every refusal message is that route's.
 """
 
 from __future__ import annotations
@@ -240,10 +243,7 @@ def check_budget(name: str, budget: object) -> None:
         raise ValueError(f"{name} must be an int >= 0, got {budget!r}")
 
 
-# --- JSON family format -----------------------------------------------------
-#
-# {"ground_set_size": n, "k": k, "sets": [[e1, ..., ek], ...]}
-# with 0-based element lists; the writer emits each row sorted ascending.
+# --- JSON family format: {"ground_set_size": n, "k": k, "sets": [[e1, ..., ek], ...]}, each row ascending --
 
 
 def family_to_dict(family: SetFamily) -> dict:
@@ -296,8 +296,8 @@ def family_from_dict(data: dict) -> SetFamily:
                 raise ValueError(f"row {row} leaves the ground set of size {ground_size}")
             if len(row) != k or len(set(row)) != k:
                 raise ValueError(f"row {row} does not have cardinality k={k}")
-        _check_sizes(ground_size, k)
-        raise ValueError("duplicate sets in family data")
+        _check_sizes(ground_size, k)  # then only duplicates, or with no rows a k numpy cannot index, are left
+        raise ValueError("duplicate sets in family data" if rows else f"set size k={k} exceeds numpy's index range")
     return SetFamily._from_elements(ground_size, k, elements)
 
 

@@ -465,9 +465,9 @@ def check_fixed_size_decomposition(family: SetFamily, delta: float) -> SizeDecom
         Pr(hit at delta) >= Pr(hit | uniform m-subset) * Pr(|sample| >= m).
 
     Every quantity is an exact rational, so the comparison is exact: counts
-    by size on the support (at most ``EXACT_ENUMERATION_GROUND_CAP`` elements)
-    convolved with C(n - s, ·) over the n - s others, and :func:`_exact_sum`,
-    whose O(n) terms cap n at ``CHERNOFF_TAIL_N_CAP``, for the two sums.
+    by size on the s <= ``EXACT_ENUMERATION_GROUND_CAP`` support elements,
+    convolved with C(n - s, ·) for the others, and :func:`_exact_sum` for the
+    two sums, whose O(n) terms cap n at ``CHERNOFF_TAIL_N_CAP``.
     """
     n = family.ground_size
     if not 0.0 < delta < 1.0:

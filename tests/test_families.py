@@ -746,6 +746,13 @@ def test_ground_sets_up_to_two_to_the_63_are_held_as_uint64():
         SetFamily(n + 1, 1, [m(1)])
 
 
+def test_a_k_past_numpy_index_range_is_refused():
+    # numpy holds no (0, 2^63) element matrix, so such a k is refused by name
+    for k in (2**63, 10**30):
+        with pytest.raises(ValueError, match=re.escape(f"set size k={k} exceeds numpy's index range")):
+            family_from_dict({"ground_set_size": 1, "k": k, "sets": []})
+
+
 def test_loaded_family_builds_masks_on_demand():
     fam = family_from_dict({"ground_set_size": 6, "k": 2, "sets": [[5, 0], [3, 1], [2, 1]]})
     assert fam._sets is None and len(fam) == 3
