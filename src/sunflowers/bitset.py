@@ -4,7 +4,8 @@ Bit i set means ground element i is present.  Python ints are arbitrary
 width, so any ground-set size is representable.  The numpy kernels work on
 bit matrices packed into little-endian uint64 words, scattered from (row,
 column) pairs by :func:`bit_matrix`, so they too take any ground size and
-any number of sets.
+any number of sets.  One byte budget, ``_KERNEL_TILE_BYTES``, bounds the
+tiles of every numpy kernel in the package.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
+
+# bytes per tile of the samplers' rows, the containment kernel's two (trials, words) buffers and its wider
+# tables, and a spread level's dense histogram and the ranks of each of its tiles
+_KERNEL_TILE_BYTES = 1 << 20
 
 
 def mask_from_elements(elements: Iterable[int]) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -301,7 +302,10 @@ def cmd_exact_sun(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every :func:`main` call:
+    parsing leaves it unchanged, and each ``add_argument`` reads the terminal size."""
     parser = argparse.ArgumentParser(
         prog="sunflowers",
         description="Set-family experiments: constructions, spread certificates, "

@@ -156,6 +156,8 @@ def _check_sizes(ground_size: int, k: int) -> None:
         raise ValueError(f"ground-set size must be in [1, 2**63], got {ground_size}")
     if k < 0:
         raise ValueError(f"set size k must be >= 0, got {k}")
+    if k >= 2**60:  # a row of k int64 elements, as the loader reads it, spans 2^63 bytes or more
+        raise ValueError(f"set size k={k} exceeds numpy's index range")
 
 
 def is_sunflower(sets: Sequence[int]) -> Optional[Sunflower]:
@@ -260,7 +262,8 @@ def _element_matrix(ground_size: int, rows: np.ndarray) -> Optional[np.ndarray]:
     if not (1 <= ground_size <= 2**63 and ((rows >= 0) & (rows < ground_size)).all()):
         return None
     elements = np.sort(rows.astype(np.min_scalar_type(ground_size - 1)), axis=1)
-    elements = elements[np.lexsort(elements.T)] if elements.shape[1] else elements  # colex: ascending masks
+    if len(elements) > 1 and elements.shape[1]:  # colex: ascending masks; one row or none needs no sort
+        elements = elements[np.lexsort(elements.T)]
     repeats = (elements[:, 1:] == elements[:, :-1]).any() or (elements[1:] == elements[:-1]).all(axis=1).any()
     return None if repeats else elements
 
@@ -296,8 +299,8 @@ def family_from_dict(data: dict) -> SetFamily:
                 raise ValueError(f"row {row} leaves the ground set of size {ground_size}")
             if len(row) != k or len(set(row)) != k:
                 raise ValueError(f"row {row} does not have cardinality k={k}")
-        _check_sizes(ground_size, k)  # then only duplicates, or with no rows a k numpy cannot index, are left
-        raise ValueError("duplicate sets in family data" if rows else f"set size k={k} exceeds numpy's index range")
+        _check_sizes(ground_size, k)  # then only duplicates are left
+        raise ValueError("duplicate sets in family data")
     return SetFamily._from_elements(ground_size, k, elements)
 
 

@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 import numpy as np
 from scipy.special import betaincinv
 
-from .bitset import bit_matrix
+from .bitset import _KERNEL_TILE_BYTES, bit_matrix
 from .constructions import BlockPartition
 from .families import SetFamily
 from .rng import DEFAULT_SEED, STREAM_BERNOULLI, STREAM_PARTITION, bernoulli_block, uniform_block
@@ -47,8 +47,6 @@ EXACT_IE_FAMILY_CAP = 20
 # the exact Chernoff tail costs about n^2.6: 1.2 s at n = 2,048
 CHERNOFF_TAIL_N_CAP = 2048
 
-# bytes per tile of the samplers' rows and the kernel's two (trials, words) buffers, and of its wider tables
-_KERNEL_TILE_BYTES = 1 << 20
 _THREE_SIGMA_COVERAGE = 0.9973002039367398
 # positions b < 64 in a word of the enumeration table: without element e, and of size i
 _WITHOUT_ELEMENT = tuple(np.uint64(sum(1 << b for b in range(64) if not b >> e & 1)) for e in range(6))
@@ -141,7 +139,8 @@ def _union_size_coefficients(family: SetFamily) -> np.ndarray:
     for i in range(m):
         np.bitwise_or(unions[: 1 << i], members[i], out=unions[1 << i : 2 << i])
         np.subtract(n + 1, keys[: 1 << i], out=keys[1 << i : 2 << i])
-    keys += np.bitwise_count(unions).sum(axis=1, dtype=np.intp)
+    for column in unions.T:
+        keys += np.bitwise_count(column)
     even, odd = np.bincount(keys[1:], minlength=2 * (n + 1)).reshape(2, n + 1)
     return odd - even
 

@@ -4,7 +4,7 @@ A family is r-spread when every non-empty set T is contained in at most
 r^(k-|T|) members.  Only T that are subsets of at least one member can have a
 non-zero count, so the counts are taken one level |T| = j at a time over the
 j-subsets of members: each is named by its colex rank, sum_i C(e_i, i+1) over
-its ascending elements e_0 < e_1 < ..., and a level is the sorted distinct
+its ascending elements e_0 < e_1 < ..., and a level is the ascending distinct
 ranks with their multiplicities.  Among sets of one size, colex order is
 mask-value order, so ascending rank is ascending mask.  A level's ranks are
 gathered from the family's element matrix
@@ -13,11 +13,14 @@ elements per member), the family's stored form, so certifying never builds
 masks.  Each binomial is computed from the element values themselves, by
 C(e, i+1) = C(e, i)·(e - i) / (i + 1), and added into the ranks as soon as
 it is computed, so no table over the ground set is built and the work does
-not grow with n.  Ranks are summed and sorted in ``uint32`` when C(n, j)
-allows it, the narrowest width that keeps numpy's sort fast.  Levels are
-counted on demand and cached on the family, so a caller that stops at the
-first violating level pays only for the levels below it, and a later call
-reuses them.
+not grow with n.  Ranks are summed in ``uint32`` when C(n, j) allows it.  A
+level whose C(n, j) bins fit the byte budget ``_KERNEL_TILE_BYTES`` as an
+int64 histogram, and are no more than its ranks or 2^10, is counted by
+``np.bincount`` over tiles of members whose ranks fit the same budget, so its
+memory does not grow with |F|; the ranks of any other level are sorted, in
+one block.  Levels are counted on demand and cached on the family, so a
+caller that stops at the first violating level pays only for the levels below
+it, and a later call reuses them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bitset import mask_from_elements
+from .bitset import _KERNEL_TILE_BYTES, mask_from_elements
 from .families import SetFamily, link
 
 
@@ -75,8 +78,9 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
     reaches 2^63) and, for each, the number of members containing that set.
     Each binomial C(e, i) of a rank is computed from the element e of the
     member by the exact recurrence in i, with no binomial table.  The ranks
-    are summed and sorted in ``uint32`` when they fit it, and only the
-    distinct ones are widened.  :func:`rank_to_elements` turns a rank back
+    are summed in ``uint32`` when they fit it, counted in a dense histogram
+    over tiles of members where its C(n, j) bins fit the byte budget (see the
+    module docstring), else sorted, and only the distinct ones are widened.  :func:`rank_to_elements` turns a rank back
     into its set.  Cached on the family.
     """
     if not 1 <= j <= family.k:
@@ -90,25 +94,45 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
 def _count_level(n: int, elements: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     k = elements.shape[1]
     # Each C(e, i), e < n and i <= j, and so each colex rank of a j-set, is below
-    # C(n, min(j, n // 2)): ranks are summed and sorted in the narrowest dtype
-    # that holds this bound.  C(e, i+1) = C(e, i)·(e - i) / (i + 1) is computed
-    # from the elements, and its product (i+1)·C(e, i+1) is below j times the
-    # bound: the steps run in the narrowest dtype that holds that.  Where e < i,
-    # e - i wraps in uint32, but there C(e, i) is already 0.
+    # C(n, min(j, n // 2)): ranks are summed in the narrowest dtype that holds
+    # this bound.  C(e, i+1) = C(e, i)·(e - i) / (i + 1) is computed from the
+    # elements, and its product (i+1)·C(e, i+1) is below j times the bound: the
+    # steps run in the narrowest dtype that holds that.
     bound = math.comb(n, min(j, n // 2))
     rank_dtype, step_dtype = (np.uint32 if b <= 2**32 else np.int64 if b <= 2**63 else object for b in (bound, j * bound))
-    binomials = elements.astype(step_dtype)  # C(e, 1) = e
     positions = _position_combinations(k, j)
-    ranks = binomials[:, positions[:, 0]].astype(rank_dtype, copy=False)
-    for i in range(1, j):
-        binomials *= np.subtract(elements, i, dtype=step_dtype)
-        binomials //= i + 1
-        ranks += binomials[:, positions[:, i]].astype(rank_dtype, copy=False)
-    ranks, counts = np.unique(ranks, return_counts=True)
+    # Every rank is below C(n, j).  A dense int64 histogram of those bins costs a pass over the bins and one
+    # over the ranks, where a sort makes several over the ranks after a fixed cost of about 2^10 bins' pass:
+    # the histogram counts a level whose bins fit the budget and are no more than its ranks or 2^10.
+    bins = math.comb(n, j)
+    if 8 * bins > _KERNEL_TILE_BYTES or bins > max(len(elements) * len(positions), 1 << 10):
+        ranks, counts = np.unique(_level_ranks(elements, positions, rank_dtype, step_dtype), return_counts=True)
+    else:  # summed over tiles whose ranks, as the int64 that bincount reads, fit the budget
+        tile = max(1, _KERNEL_TILE_BYTES // (8 * len(positions)))
+        counts = np.zeros(bins, dtype=np.intp)
+        for start in range(0, len(elements), tile):
+            ranks = _level_ranks(elements[start : start + tile], positions, rank_dtype, step_dtype)
+            counts += np.bincount(ranks.ravel().astype(np.intp, copy=False), minlength=bins)
+        ranks = np.flatnonzero(counts)  # ascending
+        counts = counts[ranks]
     ranks = ranks.astype(object if math.comb(n, min(k, n // 2)) >= 2**63 else np.int64, copy=False)
     ranks.setflags(write=False)
     counts.setflags(write=False)
     return ranks, counts
+
+
+def _level_ranks(elements: np.ndarray, positions: np.ndarray, rank_dtype, step_dtype) -> np.ndarray:
+    """The ``(C(k, j), |F|)`` colex ranks of the j-subsets of the rows of ``elements``, position-major, so
+    that each gather of the binomials copies whole rows.  Where e < i, e - i wraps in ``uint32``, but there
+    C(e, i) is already 0."""
+    columns = np.ascontiguousarray(elements.T)  # row q: the q-th element of every member
+    binomials = columns.astype(step_dtype)  # C(e, 1) = e
+    ranks = binomials[positions[:, 0]].astype(rank_dtype, copy=False)
+    for i in range(1, positions.shape[1]):
+        binomials *= np.subtract(columns, i, dtype=step_dtype)
+        binomials //= i + 1
+        ranks += binomials[positions[:, i]].astype(rank_dtype, copy=False)
+    return ranks
 
 
 @lru_cache(maxsize=64)

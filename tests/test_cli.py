@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from sunflowers import cli
 from sunflowers.cli import main
 from sunflowers.constructions import block_product_family
 from sunflowers.families import SetFamily, load_family, save_family
@@ -64,6 +65,42 @@ def test_module_entry_point_runs_the_cli(capsysbinary):
     assert version.returncode == 0 and b"sunflowers" in version.stdout
     assert main(argv) == 0
     assert construct.returncode == 0 and construct.stdout == capsysbinary.readouterr().out
+
+
+def _call(argv, capsysbinary):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help, --version and parser.error leave through argparse
+        code = exc.code
+    captured = capsysbinary.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_print_what_single_calls_print(tmp_path, monkeypatch, capsysbinary):
+    # main builds its parser once per process; each call must print what a call on a fresh parser
+    # prints, options of one call (--worst, --format csv) must not leak into the next
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    path = tmp_path / "block22.json"
+    save_family(block_product_family(2, 2)[0], path)
+    runs = [
+        (["check-spread", str(path), "--r", "1", "--worst"], 1),
+        (["check-spread", str(path), "--r", "2"], 0),
+        (["estimate-hit", str(path), "--delta", "0.5", "--format", "csv"], 0),
+        (["estimate-hit", str(path), "--delta", "0.5"], 0),
+        (["--help"], 0),
+        (["check-spread", "--help"], 0),
+        (["--version"], 0),
+        (["construct", "erdos-rado", "--k", "2"], 2),
+        (["check-spread", str(path)], 2),
+    ]
+    singles = []
+    for argv, code in runs:
+        cli.build_parser.cache_clear()
+        singles.append(_call(argv, capsysbinary))
+        assert singles[-1][0] == code and singles[-1][1 if code != 2 else 2]
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        assert [_call(argv, capsysbinary) for argv, _ in runs] == singles
 
 
 @pytest.mark.parametrize("kind,option", [("block-product", "--r"), ("erdos-rado", "--p")])

@@ -747,10 +747,18 @@ def test_ground_sets_up_to_two_to_the_63_are_held_as_uint64():
 
 
 def test_a_k_past_numpy_index_range_is_refused():
-    # numpy holds no (0, 2^63) element matrix, so such a k is refused by name
-    for k in (2**63, 10**30):
-        with pytest.raises(ValueError, match=re.escape(f"set size k={k} exceeds numpy's index range")):
-            family_from_dict({"ground_set_size": 1, "k": k, "sets": []})
+    # a row of k >= 2^60 int64 elements spans 2^63 bytes or more, past numpy's index range, so such a k
+    # is refused by name, by the constructor as by the loader; one below it makes an empty family at once
+    for k in (2**60, 2**63, 10**30):
+        refused = re.escape(f"set size k={k} exceeds numpy's index range")
+        for n in (1, 2**63):
+            with pytest.raises(ValueError, match=refused):
+                family_from_dict({"ground_set_size": n, "k": k, "sets": []})
+            with pytest.raises(ValueError, match=refused):
+                SetFamily(n, k, [])
+    for n in (1, 2**63):
+        loaded = family_from_dict({"ground_set_size": n, "k": 2**60 - 1, "sets": []})
+        assert loaded == SetFamily(n, 2**60 - 1, []) and len(loaded) == 0
 
 
 def test_loaded_family_builds_masks_on_demand():

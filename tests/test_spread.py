@@ -314,6 +314,100 @@ def test_counting_block_7_4_stays_small():
     assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+# --- the dense histogram against the sort ---------------------------------------
+
+
+def _count_tiles(monkeypatch, budget=None):
+    """Record how many tiles each level is counted in, with the byte budget set to ``budget``."""
+    if budget is not None:
+        monkeypatch.setattr(spread, "_KERNEL_TILE_BYTES", budget)
+    tiles = []
+    original = spread._level_ranks
+
+    def recording(elements, *args):
+        tiles.append(len(elements))
+        return original(elements, *args)
+
+    monkeypatch.setattr(spread, "_level_ranks", recording)
+    return tiles
+
+
+def _assert_same_level(got, expected):
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape and not a.flags.writeable and not b.flags.writeable
+        assert a.tolist() == b.tolist() and (a.dtype == object or a.tobytes() == b.tobytes())
+
+
+def _crossing_n(j):
+    """The largest n whose C(n, j) int64 bins fit the byte budget."""
+    return bisect.bisect_right(range(1 << 16), spread._KERNEL_TILE_BYTES, key=lambda n: 8 * math.comb(n, j)) - 1
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_histogram_and_sort_agree_on_each_side_of_the_bin_budget(monkeypatch, j):
+    # At n = base the C(n, j) bins fit the budget, at base + 1 they do not.  Each family has more ranks
+    # than bins and more members than one tile holds, so the budget alone picks the path: the histogram
+    # (two tiles) at base, the sort (one block) at base + 1.  A budget of 0 bytes, or of just the bins of
+    # base + 1, forces the other path.
+    base, k = _crossing_n(j), j + 1
+    assert 8 * math.comb(base, j) <= spread._KERNEL_TILE_BYTES < 8 * math.comb(base + 1, j)
+    gen = np.random.default_rng(j)
+    for n, budget in ((base, 0), (base + 1, 8 * math.comb(base + 1, j))):
+        rows = np.unique(np.sort(gen.choice(n, (60_000, k)), axis=1), axis=0)
+        rows = rows[(rows[:, 1:] > rows[:, :-1]).all(axis=1)]  # distinct elements in each row
+        elements = family_from_dict({"ground_set_size": n, "k": k, "sets": rows.tolist()}).elements()
+        assert len(elements) * math.comb(k, j) > math.comb(n, j)
+        with monkeypatch.context() as patch:
+            tiles = _count_tiles(patch)
+            by_budget = spread._count_level(n, elements, j)
+            dense = len(tiles) > 1
+        with monkeypatch.context() as patch:
+            tiles = _count_tiles(patch, budget)
+            forced = spread._count_level(n, elements, j)
+            assert dense == (n == base) and (len(tiles) > 1) == (not dense)
+        _assert_same_level(by_budget, forced)
+        expected = Counter(sum(math.comb(e, i + 1) for i, e in enumerate(t)) for row in rows for t in combinations(row, j))
+        assert by_budget[0].tolist() == sorted(expected) and by_budget[1].tolist() == [expected[r] for r in sorted(expected)]
+
+
+def test_histogram_sums_several_tiles_with_a_partial_last_one(monkeypatch):
+    # 8·C(10, 2) = 360 bytes of bins; ranks of 360 // (8·3) = 15 members a tile: 100 members in 7 tiles
+    fam = SetFamily(10, 3, sorted(map(lambda t: m(*t), combinations(range(10), 3)))[:100])
+    sorted_level = spread._count_level(10, fam.elements(), 2)
+    tiles = _count_tiles(monkeypatch, 360)
+    _assert_same_level(spread._count_level(10, fam.elements(), 2), sorted_level)
+    assert tiles == [15] * 6 + [10]
+    _assert_matches_dict_count(fam)
+
+
+@pytest.mark.parametrize("n,k", [(10, 3), (600, 3), (130, 16)])
+def test_levels_of_the_empty_family(monkeypatch, n, k):
+    # empty, read-only int64 counts, and ranks in the family's rank dtype, on either path: with no ranks,
+    # a level of more than 2^10 bins is sorted as one empty block, and a smaller one counts no tile
+    fam = SetFamily(n, k, [])
+    tiles = _count_tiles(monkeypatch)
+    for j in range(1, k + 1):
+        ranks, counts = level_counts(fam, j)
+        assert ranks.dtype == (object if n == 130 else np.int64) and counts.dtype == np.int64
+        assert ranks.shape == counts.shape == (0,) and not ranks.flags.writeable and not counts.flags.writeable
+    assert tiles == [0] * sum(math.comb(n, j) > 2**10 for j in range(1, k + 1))
+
+
+def test_counting_a_dense_level_in_tiles_stays_within_the_budget(monkeypatch):
+    # block(5,10) level 2: 10^5 members, 10^6 ranks in 1,225 bins, so 8 tiles; as one block the ranks
+    # alone took 4 MB and their sort 11.4 MiB
+    fam, _ = block_product_family(5, 10)
+    tiles = _count_tiles(monkeypatch)
+    tracemalloc.start()
+    try:
+        ranks, counts = level_counts(fam, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tiles) == 8 and len(ranks) == math.comb(5, 2) * 100 and set(counts.tolist()) == {1000}
+    assert peak < 3 * spread._KERNEL_TILE_BYTES, f"peak {peak / 2**20:.2f} MiB"
+
+
 # --- spread_witness ------------------------------------------------------------
 
 
