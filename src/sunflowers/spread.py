@@ -78,10 +78,10 @@ def level_counts(family: SetFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
     reaches 2^63) and, for each, the number of members containing that set.
     Each binomial C(e, i) of a rank is computed from the element e of the
     member by the exact recurrence in i, with no binomial table.  The ranks
-    are summed in ``uint32`` when they fit it, counted in a dense histogram
-    over tiles of members where its C(n, j) bins fit the byte budget (see the
-    module docstring), else sorted, and only the distinct ones are widened.  :func:`rank_to_elements` turns a rank back
-    into its set.  Cached on the family.
+    are summed in ``uint32`` when they fit it and counted by a tiled dense
+    histogram or by a sort (see the module docstring); only the distinct ones
+    are widened.  :func:`rank_to_elements` turns a rank back into its set.
+    Cached on the family.
     """
     if not 1 <= j <= family.k:
         raise ValueError(f"level j={j} outside 1..{family.k}")

@@ -77,8 +77,8 @@ def _call(argv, capsysbinary):
 
 
 def test_repeated_main_calls_print_what_single_calls_print(tmp_path, monkeypatch, capsysbinary):
-    # main builds its parser once per process; each call must print what a call on a fresh parser
-    # prints, options of one call (--worst, --format csv) must not leak into the next
+    # main builds its parser once per process: each call must print what a call on a fresh parser
+    # prints, and the options of one call (--worst, --format csv) must not leak into the next
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
     path = tmp_path / "block22.json"
     save_family(block_product_family(2, 2)[0], path)
@@ -94,10 +94,11 @@ def test_repeated_main_calls_print_what_single_calls_print(tmp_path, monkeypatch
         (["check-spread", str(path)], 2),
     ]
     singles = []
-    for argv, code in runs:
+    for argv, expected_code in runs:
         cli.build_parser.cache_clear()
-        singles.append(_call(argv, capsysbinary))
-        assert singles[-1][0] == code and singles[-1][1 if code != 2 else 2]
+        code, out, err = _call(argv, capsysbinary)
+        assert code == expected_code and (err if code == 2 else out)
+        singles.append((code, out, err))
     assert cli.build_parser() is cli.build_parser()
     for _ in range(2):
         assert [_call(argv, capsysbinary) for argv, _ in runs] == singles
