@@ -318,7 +318,8 @@ def test_counting_block_7_4_stays_small():
 
 
 def _count_tiles(monkeypatch, budget=None):
-    """Record how many tiles each level is counted in, with the byte budget set to ``budget``."""
+    """Record the members of each block of ranks a level is counted from (every tile of the histogram,
+    or the one sorted block), with the byte budget set to ``budget``."""
     if budget is not None:
         monkeypatch.setattr(spread, "_KERNEL_TILE_BYTES", budget)
     tiles = []
@@ -372,7 +373,7 @@ def test_histogram_and_sort_agree_on_each_side_of_the_bin_budget(monkeypatch, j)
 
 def test_histogram_sums_several_tiles_with_a_partial_last_one(monkeypatch):
     # 8·C(10, 2) = 360 bytes of bins; ranks of 360 // (8·3) = 15 members a tile: 100 members in 7 tiles
-    fam = SetFamily(10, 3, sorted(map(lambda t: m(*t), combinations(range(10), 3)))[:100])
+    fam = SetFamily(10, 3, [m(*t) for t in combinations(range(10), 3)][:100])
     sorted_level = spread._count_level(10, fam.elements(), 2)
     tiles = _count_tiles(monkeypatch, 360)
     _assert_same_level(spread._count_level(10, fam.elements(), 2), sorted_level)
