@@ -132,18 +132,10 @@ def cmd_find_sunflower(args) -> int:
 
 
 def cmd_estimate_hit(args) -> int:
-    if args.clopper_pearson and args.format == "csv":
-        raise ValueError("--clopper-pearson has no column in --format csv; use --format json")
     check_seed(args.seed)  # exact paths read no seed, but echo it in the CSV
     family = load_family(args.family)
     if args.method == "monte-carlo":
-        estimate = mc_hit_probability(
-            family,
-            args.delta,
-            trials=args.trials,
-            seed=args.seed,
-            interval="clopper-pearson" if args.clopper_pearson else "normal",
-        )
+        estimate = mc_hit_probability(family, args.delta, trials=args.trials, seed=args.seed)
     else:
         estimate = exact_hit_probability(family, args.delta, method=args.method)
     out = _out_path(args.out)
@@ -362,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "enumeration", "inclusion-exclusion", "monte-carlo"],
         default="auto",
     )
-    p.add_argument("--clopper-pearson", action="store_true", help="exact interval instead of 3-sigma")
     add_common(p, trials=DEFAULT_TRIALS, fmt=True)
     p.set_defaults(func=cmd_estimate_hit)
 

@@ -33,6 +33,11 @@ from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, check_s
 from .spread import level_counts, rank_to_elements, spread_witness
 
 
+def _check_C(C: float) -> None:
+    if not (C >= 1 and math.isfinite(C)):
+        raise ValueError(f"C must be finite and >= 1, got {C}")
+
+
 @dataclass(frozen=True)
 class ExtractionParams:
     """Knobs for extract_sunflower.
@@ -55,8 +60,7 @@ class ExtractionParams:
         object.__setattr__(self, "p", operator.index(self.p))
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
-        if not (self.C >= 1 and math.isfinite(self.C)):
-            raise ValueError(f"C must be finite and >= 1, got {self.C}")
+        _check_C(self.C)
         object.__setattr__(self, "seed", check_seed(self.seed))
         check_budget("fallback_bruteforce_cap", self.fallback_bruteforce_cap)
         if self.max_partition_trials is not None:
@@ -132,14 +136,25 @@ class ExtractionTrace:
 
 
 def r_threshold(p: int, k: int, C: float = ExtractionParams.C) -> float:
-    """Spread threshold for the extraction loop: C*p*ln(k) for k >= 2, p at k = 1."""
+    """Spread threshold for the extraction loop: C*p*ln(k) for k >= 2, p at k = 1.
+
+    C*p alone can pass the float range while C*p*ln(2) does not, so an
+    infinite product is regrouped before it is refused.
+    """
+    p, k = operator.index(p), operator.index(k)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not C > 0:
-        raise ValueError(f"C must be positive, got {C}")
-    return float(p) if k == 1 else C * p * math.log(k)
+    _check_C(C)
+    if k == 1:
+        return float(p)
+    r = C * p * math.log(k)
+    if math.isinf(r):
+        r = C * (p * math.log(k))
+    if math.isinf(r):
+        raise ValueError(f"C must be small enough for a finite spread threshold C*p*ln(k), got C={C} at p={p}, k={k}")
+    return r
 
 
 def _spread_case_search(

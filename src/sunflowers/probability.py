@@ -21,9 +21,8 @@ table indexed by the sample's bits there, so a trial's surviving members are
 the AND of one table row per such group.  The group width depends only on
 (the support, |F|, the call's row count) and never changes a result.
 
-Uncertainty is reported as a 3-sigma normal half-width, which is optimistic
-when p_hat is very close to 0 or 1; an exact Clopper-Pearson interval is
-available behind the ``interval`` flag of :func:`mc_hit_probability`.
+Uncertainty is reported as one 3-sigma normal half-width, which is optimistic
+when p_hat is very close to 0 or 1 (it is 0 when no trial or every trial hits).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bitset import _KERNEL_TILE_BYTES, bit_matrix
 from .constructions import BlockPartition
@@ -47,7 +45,6 @@ EXACT_IE_FAMILY_CAP = 20
 # the exact Chernoff tail costs about n^2.6: 1.2 s at n = 2,048
 CHERNOFF_TAIL_N_CAP = 2048
 
-_THREE_SIGMA_COVERAGE = 0.9973002039367398
 # positions b < 64 in a word of the enumeration table: without element e, and of size i
 _WITHOUT_ELEMENT = tuple(np.uint64(sum(1 << b for b in range(64) if not b >> e & 1)) for e in range(6))
 _IN_WORD_SIZE = tuple(np.uint64(sum(1 << b for b in range(64) if b.bit_count() == i)) for i in range(7))
@@ -58,16 +55,13 @@ class HitEstimate:
     """Exact or sampled value of the hit probability.
 
     Exact methods carry trials == 0 and zero half-width; Monte Carlo carries
-    the 3-sigma normal half-width and, when requested, a Clopper-Pearson
-    interval.
+    the 3-sigma normal half-width, optimistic when p_hat is near 0 or 1.
     """
 
     p_hat: float
     trials: int
     half_width_3sigma: float
     method: str  # "enumeration" | "inclusion-exclusion" | "monte-carlo"
-    ci_low: Optional[float] = None
-    ci_high: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -285,55 +279,28 @@ def _bernoulli_chunks(seed: int, n: int, delta: float, trials: int) -> Iterator[
         yield bernoulli_block(seed, STREAM_BERNOULLI, start, min(tile, trials - start), n, delta)
 
 
-def mc_hit_probability(
-    family: SetFamily,
-    delta: float,
-    trials: int,
-    seed: int = DEFAULT_SEED,
-    interval: str = "normal",
-) -> HitEstimate:
+def mc_hit_probability(family: SetFamily, delta: float, trials: int, seed: int = DEFAULT_SEED) -> HitEstimate:
     """Monte Carlo hit probability; bit-reproducible for fixed (seed, trials).
 
     The kernel tables are built once for all trials, and the hits of each
     tile of the keyed stream are summed, so tiling never shows.
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0,1), got {delta}")
-    if interval not in ("normal", "clopper-pearson"):
-        raise ValueError(f"unknown interval kind {interval!r}")
     kernel = _member_tables(family, trials)
     chunks = _bernoulli_chunks(seed, family.ground_size, delta, trials)
     hits = sum(int(_contains_member(*kernel, rows).sum()) for rows in chunks)
-    return _mc_estimate(hits, trials, interval)
+    return _mc_estimate(hits, trials)
 
 
-def _mc_estimate(hits: int, trials: int, interval: str = "normal") -> HitEstimate:
-    """The Monte Carlo estimate from ``hits`` of ``trials``: the 3-sigma normal
-    half-width, plus the Clopper-Pearson interval when asked for."""
+def _mc_estimate(hits: int, trials: int) -> HitEstimate:
+    """The Monte Carlo estimate from ``hits`` of ``trials``, with its 3-sigma normal half-width."""
     p_hat = hits / trials
-    ci_low = ci_high = None
-    if interval == "clopper-pearson":
-        ci_low, ci_high = clopper_pearson(hits, trials)
-    return HitEstimate(
-        p_hat=p_hat,
-        trials=trials,
-        half_width_3sigma=3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials),
-        method="monte-carlo",
-        ci_low=ci_low,
-        ci_high=ci_high,
-    )
-
-
-def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
-    """Exact binomial confidence interval at the two-sided 3-sigma coverage, ``_THREE_SIGMA_COVERAGE``."""
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in [0, trials]")
-    alpha = 1.0 - _THREE_SIGMA_COVERAGE
-    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2))
-    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
-    return lo, hi
+    half_width = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    return HitEstimate(p_hat=p_hat, trials=trials, half_width_3sigma=half_width, method="monte-carlo")
 
 
 # --- partition experiments ------------------------------------------------------
@@ -417,6 +384,7 @@ def check_partition_mean_identity(
     of hit classes is t times the exact hit probability at 1/t.  Asserts the
     sampled mean sits within 3 sigma of that product.
     """
+    classes, trials = operator.index(classes), operator.index(trials)
     if trials < 2:
         raise ValueError("need trials >= 2 to estimate the standard error")
     if classes < 2:
@@ -542,6 +510,7 @@ def mc_block_hit_probability(
     never materializes the r^k members; with the same seed it reproduces
     :func:`mc_hit_probability` on the materialized family bit for bit.
     """
+    trials = operator.index(trials)
     partition = BlockPartition(k, r)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -127,17 +127,19 @@ def test_check_spread_exit_codes(block22, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "k, argv",
     [
-        ["check-spread", "{}", "--r", "1e300"],
-        ["check-spread", "{}", "--r", "1e300", "--worst"],
-        ["find-sunflower", "{}", "--p", "2", "--r-override", "1e300"],
-        ["find-sunflower", "{}", "--p", "2", "--C", "1e300"],
+        (3, ["check-spread", "{}", "--r", "1e300"]),
+        (3, ["check-spread", "{}", "--r", "1e300", "--worst"]),
+        (3, ["find-sunflower", "{}", "--p", "2", "--r-override", "1e300"]),
+        (3, ["find-sunflower", "{}", "--p", "2", "--C", "1e300"]),
+        # C * p passes the float range, C * p * ln(2) does not
+        (2, ["find-sunflower", "{}", "--p", "2", "--C", "1e308"]),
     ],
 )
-def test_spread_threshold_past_the_float_range_certifies(tmp_path, capsys, argv):
-    path = tmp_path / "block32.json"
-    assert main(["construct", "block-product", "--k", "3", "--r", "2", "--out", str(path)]) == 0
+def test_spread_threshold_past_the_float_range_certifies(tmp_path, capsys, k, argv):
+    path = tmp_path / "block.json"
+    assert main(["construct", "block-product", "--k", str(k), "--r", "2", "--out", str(path)]) == 0
     capsys.readouterr()
     assert main([a.format(path) for a in argv]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -347,6 +349,8 @@ def test_negative_budgets_exit_2(block22, capsys):
 @pytest.mark.parametrize("command,name", [
     (["check-spread", "FAMILY", "--r", "inf"], "r"),
     (["find-sunflower", "FAMILY", "--p", "2", "--C", "inf"], "C"),
+    # C * p * ln(2) past the float range: refused by C, not by the r it makes
+    (["find-sunflower", "FAMILY", "--p", "3", "--C", "1e308"], "C"),
     (["find-sunflower", "FAMILY", "--p", "2", "--r-override", "inf"], "r_override"),
     (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--seed", "-1"],
      "seed"),
@@ -404,10 +408,11 @@ def test_unallocatable_arrays_exit_2(tmp_path, capsys, k, rows, argv):
     assert captured.err.startswith("error: Unable to allocate") and captured.out == ""
 
 
-def test_threads_flag_is_rejected(block22, capsys):
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--clopper-pearson"]])
+def test_threads_flag_is_rejected(block22, capsys, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["estimate-hit", str(block22), "--delta", "0.5", "--method", "monte-carlo", "--threads", "2"])
-    assert exc.value.code == 2 and "unrecognized arguments: --threads" in capsys.readouterr().err
+        main(["estimate-hit", str(block22), "--delta", "0.5", "--method", "monte-carlo", *flag])
+    assert exc.value.code == 2 and f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_exact_sun_witness_out(tmp_path, capsys):
@@ -450,14 +455,6 @@ def test_deeply_nested_family_file_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "deep.json" in captured.err
-
-
-def test_clopper_pearson_with_csv_exits_2(block22, capsys):
-    args = ["estimate-hit", str(block22), "--delta", "0.5", "--method", "monte-carlo", "--trials", "1000"]
-    assert main([*args, "--clopper-pearson", "--format", "csv"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "--clopper-pearson" in captured.err and "--format csv" in captured.err
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -73,6 +74,25 @@ def test_threshold_validates():
         r_threshold(2, 0)
     with pytest.raises(ValueError):
         r_threshold(2, 2, 0.0)
+    # p and k are counts, and C is checked as ExtractionParams checks it
+    for p in (2.5, 2.0):
+        with pytest.raises(TypeError):
+            r_threshold(p, 2)
+        with pytest.raises(TypeError):
+            ExtractionParams(p=p)
+    with pytest.raises(TypeError):
+        r_threshold(2, 2.5)
+    for C in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"C must be finite and >= 1, got {C}")):
+            r_threshold(2, 2, C)
+        with pytest.raises(ValueError, match=re.escape(f"C must be finite and >= 1, got {C}")):
+            ExtractionParams(p=2, C=C)
+    assert r_threshold(np.int64(2), np.int64(4)) == r_threshold(2, 4)
+    # C * p passes the float range, C * p * ln(2) does not; C * p * ln(3) does
+    assert r_threshold(2, 2, 1e308) == 1e308 * (2 * math.log(2))
+    message = "C must be small enough for a finite spread threshold C*p*ln(k), got C=1e+308"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        r_threshold(2, 3, 1e308)
 
 
 # --- extract_sunflower -------------------------------------------------------------
