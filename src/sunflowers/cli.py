@@ -102,7 +102,7 @@ def cmd_construct(args) -> int:
 
 def cmd_check_spread(args) -> int:
     family = load_family(args.family)
-    report = spread_witness(family, args.r, worst=args.worst)
+    report = spread_witness(family, args.r)
     payload = {
         "family": _family_id(args.family),
         "r": args.r,
@@ -118,14 +118,7 @@ def cmd_check_spread(args) -> int:
 
 def cmd_find_sunflower(args) -> int:
     family = load_family(args.family)
-    params = ExtractionParams(
-        p=args.p,
-        C=args.C,
-        max_partition_trials=args.trials,
-        seed=args.seed,
-        fallback_bruteforce_cap=args.fallback_cap,
-        r_override=args.r_override,
-    )
+    params = ExtractionParams(p=args.p, C=args.C, seed=args.seed, fallback_bruteforce_cap=args.fallback_cap)
     trace = extract_sunflower(family, params)
     _emit_json(trace.to_dict(), _out_path(args.out))
     return 0 if trace.succeeded else 1
@@ -327,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-spread", help="certify r-spread or exhibit a violating set")
     p.add_argument("family")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--worst", action="store_true", help="report the maximal-ratio violation")
     add_common(p, seed=False)
     p.set_defaults(func=cmd_check_spread)
 
@@ -335,14 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--C", type=float, default=ExtractionParams.C, help="spread-threshold constant (default %(default)g)")
-    p.add_argument("--r-override", type=float, default=None, help="pin the spread threshold directly")
     p.add_argument(
         "--fallback-cap",
         type=int,
         default=ExtractionParams.fallback_bruteforce_cap,
         help="fallback node budget (default %(default)d); 0 turns it off",
     )
-    p.add_argument("--trials", type=int, default=None, help="partition trials (default 64*p)")
     add_common(p)
     p.set_defaults(func=cmd_find_sunflower)
 

@@ -44,17 +44,15 @@ class ExtractionParams:
 
     The spread threshold r_threshold(p, k, C) is recomputed from each link's k
     (the provable constant is not numerically pinned anywhere, so 4 is a
-    default, not a truth); r_override holds one r at every level instead, the
-    form of the paper's induction on k.  The exhaustive fallback runs iff
-    fallback_bruteforce_cap, its node budget, is positive.
+    default, not a truth).  The partition search gets 64*p trials.  The
+    exhaustive fallback runs iff fallback_bruteforce_cap, its node budget, is
+    positive.
     """
 
     p: int
     C: float = 4.0
-    max_partition_trials: Optional[int] = None  # defaults to 64*p
     seed: int = DEFAULT_SEED
     fallback_bruteforce_cap: int = 10**6
-    r_override: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", operator.index(self.p))
@@ -63,14 +61,10 @@ class ExtractionParams:
         _check_C(self.C)
         object.__setattr__(self, "seed", check_seed(self.seed))
         check_budget("fallback_bruteforce_cap", self.fallback_bruteforce_cap)
-        if self.max_partition_trials is not None:
-            check_budget("max_partition_trials", self.max_partition_trials)
-        if self.r_override is not None and not (self.r_override >= 1 and math.isfinite(self.r_override)):
-            raise ValueError(f"r_override must be finite and >= 1, got {self.r_override}")
 
     @property
     def partition_trials(self) -> int:
-        return 64 * self.p if self.max_partition_trials is None else self.max_partition_trials
+        return 64 * self.p
 
 
 @dataclass(frozen=True)
@@ -138,8 +132,9 @@ class ExtractionTrace:
 def r_threshold(p: int, k: int, C: float = ExtractionParams.C) -> float:
     """Spread threshold for the extraction loop: C*p*ln(k) for k >= 2, p at k = 1.
 
-    C*p alone can pass the float range while C*p*ln(2) does not, so an
-    infinite product is regrouped before it is refused.
+    A p past the float range is refused.  C*p alone can pass the float range
+    while C*p*ln(2) does not, so an infinite product is regrouped before it
+    is refused.
     """
     p, k = operator.index(p), operator.index(k)
     if p < 2:
@@ -147,8 +142,14 @@ def r_threshold(p: int, k: int, C: float = ExtractionParams.C) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_C(C)
+    try:
+        p_float = float(p)
+    except OverflowError:
+        raise ValueError(
+            f"p must be within the float range for a spread threshold C*p*ln(k), got a {p.bit_length()}-bit p"
+        ) from None
     if k == 1:
-        return float(p)
+        return p_float
     r = C * p * math.log(k)
     if math.isinf(r):
         r = C * (p * math.log(k))
@@ -179,6 +180,8 @@ def _spread_case_search(
     if positions.size == 0:  # no member, or only the empty one, which lies in every class
         petals = [0] * (len(family) * classes)
         return (petals, 1) if len(petals) >= need else (None, trials)
+    if len(family) < need:  # a non-empty member lies in one class, so a trial hits at most |F| classes
+        return None, trials
     for start, class_ids in probability._class_ids(seed, stream, trials, family.ground_size, classes, positions.size):
         ids = np.take(class_ids, positions, axis=1)  # (trials, k, |F|)
         hit_pairs = np.flatnonzero((ids[:, 1:] == ids[:, :1]).all(axis=1))  # trial * |F| + member
@@ -243,9 +246,9 @@ def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) 
         raise ValueError(f"p must be >= 1, got {p}")
     if cap is not None:
         check_budget("cap", cap)
-    sets = family.sets
-    if len(sets) < p:
+    if len(family) < p:
         return None
+    sets = family.sets
     if p == 1:
         return Sunflower(core=sets[0], petals=(sets[0],))
     budget = cap
@@ -279,14 +282,15 @@ def _candidate_cores(family: SetFamily, p: int) -> Iterator[int]:
 def extract_sunflower(family: SetFamily, params: ExtractionParams) -> ExtractionTrace:
     """Find a p-petal sunflower by the spread/link loop.
 
-    Each pass looks at the current family.  If it is not r-spread, the
-    violating set T is recorded as a :class:`LinkCase`, added to the core,
-    and the loop goes on with the link of T.  Otherwise the partition search
-    runs on stream ``STREAM_SPREAD_SEARCH + len(steps)``, the number of link
-    steps before it, then the exhaustive fallback (iff its cap is positive),
-    and the loop ends.  It also ends at an empty family, at k = 0, or at
-    k = 1, where any p members are disjoint petals.  The accumulated core is
-    added to the found core and every petal once, at the end.
+    Each pass looks at the current family, at r = r_threshold(p, k, C) for
+    its k.  If it is not r-spread, the first violating set T in (|T|, mask)
+    order is recorded as a :class:`LinkCase`, added to the core, and the loop
+    goes on with the link of T.  Otherwise the partition search runs its
+    64*p trials on stream ``STREAM_SPREAD_SEARCH + len(steps)``, the number of
+    link steps before it, then the exhaustive fallback (iff its cap is
+    positive), and the loop ends.  It also ends at an empty family, at k = 0,
+    or at k = 1, where any p members are disjoint petals.  The accumulated
+    core is added to the found core and every petal once, at the end.
 
     Every returned sunflower is verified before the trace is built: exactly
     p petals, all members of the input family, pairwise intersections equal
@@ -302,7 +306,7 @@ def extract_sunflower(family: SetFamily, params: ExtractionParams) -> Extraction
             if len(fam) >= p:
                 flower = Sunflower(core=0, petals=tuple(map(mask_from_elements, fam.elements()[:p].tolist())))
             break
-        r = params.r_override if params.r_override is not None else r_threshold(p, fam.k, params.C)
+        r = r_threshold(p, fam.k, params.C)
         violation = spread_witness(fam, r).violation
         if violation is not None:
             steps.append(LinkCase(t=violation.t, count=violation.count))

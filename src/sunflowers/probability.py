@@ -351,9 +351,8 @@ def partition_experiment(
         hit_classes = _contains_member(*kernel, rows).reshape(t, len(ids)).sum(axis=0)
         histogram += np.bincount(hit_classes, minlength=t + 1)
     mean = float(np.dot(np.arange(t + 1), histogram)) / trials
-    frac_at_least = {
-        j: float(histogram[j:].sum()) / trials for j in range(1, t + 1)
-    }
+    at_least = np.cumsum(histogram[::-1])[::-1]  # at_least[j] = histogram[j:].sum(), exact in int64
+    frac_at_least = {j: float(at_least[j]) / trials for j in range(1, t + 1)}
     return PartitionStats(
         classes=t,
         trials=trials,

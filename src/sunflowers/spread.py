@@ -161,42 +161,32 @@ def rank_to_elements(rank: int, j: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def spread_witness(family: SetFamily, r: float, worst: bool = False) -> SpreadReport:
+def spread_witness(family: SetFamily, r: float) -> SpreadReport:
     """Certify the family r-spread or exhibit a violating set.
 
-    The default violation is the first in (|T|, mask-value) order, and only
-    the levels up to it are counted; with ``worst=True`` it is the one
-    maximizing count / r^(k-|T|) instead (the first such in that order).
-    The comparison is exact integer count against float threshold, no
-    tolerance; a threshold past the float range saturates to infinity.  Sets
-    of full size k never violate: distinct members give count 1 <= r^0.
+    The violation is the first in (|T|, mask-value) order, and only the
+    levels up to it are counted.  The comparison is exact integer count
+    against float threshold, no tolerance; a threshold past the float range
+    saturates to infinity.  Sets of full size k never violate: distinct
+    members give count 1 <= r^0.
     """
     if len(family) == 0:
         raise ValueError("spread_witness requires a non-empty family")
     if not (r > 0 and math.isfinite(r)):
         raise ValueError(f"r must be positive and finite, got {r}")
     k = family.k
-    best: Optional[SpreadViolation] = None
-    best_ratio = 1.0
     for j in range(1, k):
         ranks, counts = level_counts(family, j)
         try:
             threshold = r ** (k - j)
         except OverflowError:  # past the float range: no count can exceed it
             threshold = math.inf
-        if worst:
-            i = int(np.argmax(counts))
-            count = int(counts[i])
-            if count > threshold and count / threshold > best_ratio:
-                best_ratio = count / threshold
-                best = SpreadViolation(rank_to_elements(ranks[i], j), count)
-            continue
         over = np.flatnonzero(counts > threshold)
         if over.size:
             i = int(over[0])
             violation = SpreadViolation(rank_to_elements(ranks[i], j), int(counts[i]))
             return SpreadReport(r=r, violation=violation)
-    return SpreadReport(r=r, violation=best)
+    return SpreadReport(r=r, violation=None)
 
 
 def spreadness(family: SetFamily) -> float:

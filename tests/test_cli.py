@@ -78,12 +78,12 @@ def _call(argv, capsysbinary):
 
 def test_repeated_main_calls_print_what_single_calls_print(tmp_path, monkeypatch, capsysbinary):
     # main builds its parser once per process: each call must print what a call on a fresh parser
-    # prints, and the options of one call (--worst, --format csv) must not leak into the next
+    # prints, and the options of one call (--format csv) must not leak into the next
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
     path = tmp_path / "block22.json"
     save_family(block_product_family(2, 2)[0], path)
     runs = [
-        (["check-spread", str(path), "--r", "1", "--worst"], 1),
+        (["check-spread", str(path), "--r", "1"], 1),
         (["check-spread", str(path), "--r", "2"], 0),
         (["estimate-hit", str(path), "--delta", "0.5", "--format", "csv"], 0),
         (["estimate-hit", str(path), "--delta", "0.5"], 0),
@@ -130,8 +130,6 @@ def test_check_spread_exit_codes(block22, capsys):
     "k, argv",
     [
         (3, ["check-spread", "{}", "--r", "1e300"]),
-        (3, ["check-spread", "{}", "--r", "1e300", "--worst"]),
-        (3, ["find-sunflower", "{}", "--p", "2", "--r-override", "1e300"]),
         (3, ["find-sunflower", "{}", "--p", "2", "--C", "1e300"]),
         # C * p passes the float range, C * p * ln(2) does not
         (2, ["find-sunflower", "{}", "--p", "2", "--C", "1e308"]),
@@ -340,8 +338,6 @@ def test_exact_sun_csv_is_byte_reproducible(capsys):
 def test_negative_budgets_exit_2(block22, capsys):
     assert main(["find-sunflower", str(block22), "--p", "2", "--fallback-cap", "-1"]) == 2
     assert "fallback_bruteforce_cap" in capsys.readouterr().err
-    assert main(["find-sunflower", str(block22), "--p", "2", "--trials", "-3"]) == 2
-    assert "max_partition_trials" in capsys.readouterr().err
     assert main(["exact-sun", "--p", "3", "--k", "2", "--max-nodes", "-1"]) == 2
     assert "max_nodes" in capsys.readouterr().err
 
@@ -351,7 +347,7 @@ def test_negative_budgets_exit_2(block22, capsys):
     (["find-sunflower", "FAMILY", "--p", "2", "--C", "inf"], "C"),
     # C * p * ln(2) past the float range: refused by C, not by the r it makes
     (["find-sunflower", "FAMILY", "--p", "3", "--C", "1e308"], "C"),
-    (["find-sunflower", "FAMILY", "--p", "2", "--r-override", "inf"], "r_override"),
+    (["find-sunflower", "FAMILY", "--p", str(10**400)], "p"),
     (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--trials", "100", "--seed", "-1"],
      "seed"),
     (["estimate-hit", "FAMILY", "--delta", "0.5", "--method", "monte-carlo", "--seed", str(2**64)], "seed"),
@@ -361,7 +357,7 @@ def test_negative_budgets_exit_2(block22, capsys):
     (["verify", "chernoff", "--n", "100000", "--delta", "0.3"], "n"),
     # seeds that no sampler reads are refused too
     (["estimate-hit", "FAMILY", "--delta", "0.5", "--format", "csv", "--seed", "-1"], "seed"),
-    (["find-sunflower", "FAMILY", "--p", "2", "--trials", "0", "--seed", "-5"], "seed"),
+    (["find-sunflower", "FAMILY", "--p", "2", "--seed", "-5"], "seed"),
 ])
 def test_non_finite_values_and_thread_counts_exit_2(block22, capsys, command, name):
     assert main([str(block22) if arg == "FAMILY" else arg for arg in command]) == 2
@@ -408,11 +404,25 @@ def test_unallocatable_arrays_exit_2(tmp_path, capsys, k, rows, argv):
     assert captured.err.startswith("error: Unable to allocate") and captured.out == ""
 
 
-@pytest.mark.parametrize("flag", [["--threads", "2"], ["--clopper-pearson"]])
-def test_threads_flag_is_rejected(block22, capsys, flag):
+@pytest.mark.parametrize("command, flag", [
+    (["estimate-hit", "--delta", "0.5", "--method", "monte-carlo"], ["--threads", "2"]),
+    (["estimate-hit", "--delta", "0.5", "--method", "monte-carlo"], ["--clopper-pearson"]),
+    (["check-spread", "--r", "2"], ["--worst"]),
+    (["find-sunflower", "--p", "2"], ["--r-override", "2"]),
+    (["find-sunflower", "--p", "2"], ["--trials", "5"]),
+])
+def test_threads_flag_is_rejected(block22, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        main(["estimate-hit", str(block22), "--delta", "0.5", "--method", "monte-carlo", *flag])
+        main([command[0], str(block22), *command[1:], *flag])
     assert exc.value.code == 2 and f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_petal_count_past_the_family_returns(block22, capsys):
+    # p = 2^70: the 4 members fill no 2p-class trial and no fallback core, so neither runs
+    assert main(["find-sunflower", str(block22), "--p", str(2**70)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(step["kind"], step["trials_used"]) for step in payload["steps"]] == [("spread", 64 * 2**70)]
+    assert payload["fallback_used"] is True and payload["sunflower"] is None
 
 
 def test_exact_sun_witness_out(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -93,6 +94,11 @@ def test_threshold_validates():
     message = "C must be small enough for a finite spread threshold C*p*ln(k), got C=1e+308"
     with pytest.raises(ValueError, match=re.escape(message)):
         r_threshold(2, 3, 1e308)
+    # a p past the float range is refused by name at every k; one inside it is not
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="p must be within the float range .* got a 1329-bit p"):
+            r_threshold(10**400, k)
+    assert r_threshold(2**70, 2) == 4.0 * 2**70 * math.log(2)
 
 
 # --- extract_sunflower -------------------------------------------------------------
@@ -152,9 +158,9 @@ def test_link_case_fires_and_reattaches():
     assert all(petal in fam.sets for petal in trace.sunflower.petals)
 
 
-def test_extract_respects_r_override():
-    # pinning r low forces the link case even on a small star
-    trace = extract_sunflower(star(3), ExtractionParams(p=2, r_override=1.5))
+def test_small_C_forces_the_link_case():
+    # at C = 1, r = 2*ln(2) < 3: element 0 of a 3-star is stripped
+    trace = extract_sunflower(star(3), ExtractionParams(p=2, C=1))
     kinds = [type(s) for s in trace.steps]
     assert LinkCase in kinds
     assert trace.succeeded
@@ -188,16 +194,19 @@ def test_params_validate():
         ExtractionParams(p=1)
     with pytest.raises(ValueError):
         ExtractionParams(p=2, C=0.5)
-    with pytest.raises(ValueError):
-        ExtractionParams(p=2, r_override=0.5)
-    for knob in ("C", "r_override"):
-        for value in (math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"{knob} must be finite"):
-                ExtractionParams(p=2, **{knob: value})
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="C must be finite"):
+            ExtractionParams(p=2, C=value)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed must be in"):
             ExtractionParams(p=2, seed=seed)
     assert ExtractionParams(p=3).partition_trials == 192
+
+
+@pytest.mark.parametrize("knob", [{"r_override": 2}, {"max_partition_trials": 5}])
+def test_removed_params_are_refused(knob):
+    with pytest.raises(TypeError):
+        ExtractionParams(p=2, **knob)
 
 
 def test_trace_json_roundtrip():
@@ -486,12 +495,6 @@ def test_negative_fallback_cap_is_rejected():
         ExtractionParams(p=2, fallback_bruteforce_cap=-5)
 
 
-@pytest.mark.parametrize("trials", [-3, 2.5, True])
-def test_bad_partition_trials_are_rejected(trials):
-    with pytest.raises(ValueError, match="max_partition_trials"):
-        ExtractionParams(p=2, max_partition_trials=trials)
-
-
 @pytest.mark.parametrize("cap", [0.5, 1.0, True, "3"])
 def test_non_int_fallback_cap_is_rejected(cap):
     fam, _ = block_product_family(2, 4)
@@ -638,22 +641,38 @@ def test_empty_and_zero_uniform_families_take_no_steps(fam):
 
 
 def test_link_to_too_few_members_ends_the_recursion():
-    # element 0 lies in all 3 members (> r = 1.5); its link holds 3 singletons, fewer than p = 4
+    # element 0 lies in all 3 members (> r = 4*ln(2) at C = 1); its link holds 3 singletons, fewer than p = 4
     star = SetFamily(4, 2, [0b11, 0b101, 0b1001])
-    trace = extract_sunflower(star, ExtractionParams(p=4, r_override=1.5))
+    trace = extract_sunflower(star, ExtractionParams(p=4, C=1))
     assert trace.steps == (LinkCase(t=1, count=3),)
     assert not trace.succeeded and trace.fallback_used is False
 
 
+def test_more_petals_than_members_skip_the_search_and_the_fallback():
+    # 4 members hit at most 4 of the 2p classes: the 64p trials are counted, not drawn, and the
+    # fallback returns before it builds the masks
+    fam = family_from_dict(family_to_dict(block_product_family(2, 2)[0]))
+    params = ExtractionParams(p=100000)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        trace = extract_sunflower(fam, params)
+        elapsed.append(time.perf_counter() - start)
+    assert trace.steps == (SpreadCase(r=r_threshold(100000, 2), trials_used=6_400_000, found_disjoint=False),)
+    assert trace.fallback_used and not trace.succeeded
+    assert fam._sets is None
+    assert min(elapsed) < 0.01, elapsed
+
+
 def test_spread_step_after_two_links_reads_the_stream_of_its_depth():
-    # {0, 1} lies in all 10 members; at r = 2 element 0 (10 > 2^3), then element 1 (10 > 2^2) is
-    # stripped, leaving 10 disjoint pairs; their search reads stream STREAM_SPREAD_SEARCH + 2
-    fam = SetFamily(22, 4, [m(0, 1, 2 * i + 2, 2 * i + 3) for i in range(10)])
-    params = ExtractionParams(p=3, seed=1, r_override=2)
+    # {0, 1} lies in all 30 members; at C = 1 and p = 2 element 0 (30 > (2*ln(4))^3), then element 1
+    # (30 > (2*ln(3))^2) is stripped, leaving 30 disjoint pairs; their search reads stream STREAM_SPREAD_SEARCH + 2
+    fam = SetFamily(62, 4, [m(0, 1, 2 * i + 2, 2 * i + 3) for i in range(30)])
+    params = ExtractionParams(p=2, C=1, seed=1)
     trace = extract_sunflower(fam, params)
-    assert trace.steps[:2] == (LinkCase(t=m(0), count=10), LinkCase(t=m(1), count=10))
+    assert trace.steps[:2] == (LinkCase(t=m(0), count=30), LinkCase(t=m(1), count=30))
     twice = link(link(fam, m(0)), m(1))
-    petals, used = _spread_case_search(twice, 6, 3, params.partition_trials, 1, STREAM_SPREAD_SEARCH + 2)
-    assert trace.steps[2:] == (SpreadCase(r=2, trials_used=used, found_disjoint=True),)
-    assert trace.sunflower == Sunflower(core=m(0, 1), petals=tuple(petal | m(0, 1) for petal in petals[:3]))
-    assert _spread_case_search(twice, 6, 3, params.partition_trials, 1, STREAM_SPREAD_SEARCH) != (petals, used)
+    petals, used = _spread_case_search(twice, 4, 2, params.partition_trials, 1, STREAM_SPREAD_SEARCH + 2)
+    assert trace.steps[2:] == (SpreadCase(r=r_threshold(2, 2, 1), trials_used=used, found_disjoint=True),)
+    assert trace.sunflower == Sunflower(core=m(0, 1), petals=tuple(petal | m(0, 1) for petal in petals[:2]))
+    assert _spread_case_search(twice, 4, 2, params.partition_trials, 1, STREAM_SPREAD_SEARCH) != (petals, used)

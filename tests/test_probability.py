@@ -544,12 +544,14 @@ def test_partition_single_set_mean():
 
 
 def test_partition_threshold_fractions_are_consistent():
+    # each fraction is, by definition, its histogram tail over the trials; t = 7 and 40 exceed |F| = 4
     fam, _ = block_product_family(2, 2)
-    stats = partition_experiment(fam, 4, trials=5_000, seed=2)
-    fracs = stats.frac_trials_with_at_least
-    assert fracs[1] >= fracs[2] >= fracs[3] >= fracs[4]
-    hist = stats.hit_class_histogram
-    assert fracs[1] == pytest.approx(sum(hist[1:]) / stats.trials)
+    for t in (2, 4, 7, 40):
+        stats = partition_experiment(fam, t, trials=5_000, seed=2)
+        hist = stats.hit_class_histogram
+        fracs = stats.frac_trials_with_at_least
+        assert fracs == {j: sum(hist[j:]) / stats.trials for j in range(1, t + 1)}, t
+        assert list(fracs.values()) == sorted(fracs.values(), reverse=True)
 
 
 def test_partition_mean_identity_block_family():

@@ -182,17 +182,11 @@ def _dict_counts(family):
     return dict(sorted(counts.items(), key=lambda item: (item[0].bit_count(), item[0])))
 
 
-def _dict_witness(counts, k, r, worst):
-    best, best_ratio = None, 1.0
+def _dict_witness(counts, k, r):
     for t, count in counts.items():
-        threshold = r ** (k - t.bit_count())
-        if count > threshold:
-            if not worst:
-                return SpreadViolation(elements_of(t), count)
-            if count / threshold > best_ratio:
-                best_ratio = count / threshold
-                best = SpreadViolation(elements_of(t), count)
-    return best
+        if count > r ** (k - t.bit_count()):
+            return SpreadViolation(elements_of(t), count)
+    return None
 
 
 def _dict_spreadness(counts, k):
@@ -214,9 +208,7 @@ def _assert_matches_dict_count(fam):
     value = spreadness(fam)
     assert value == _dict_spreadness(counts, fam.k)
     for r in (0.5, 1.0, 1.5, 2.0, 3.0, value, value * (1 - 1e-9)):
-        for worst in (False, True):
-            expected = _dict_witness(counts, fam.k, r, worst)
-            assert spread_witness(fam, r, worst=worst).violation == expected, (r, worst)
+        assert spread_witness(fam, r).violation == _dict_witness(counts, fam.k, r), r
 
 
 @pytest.mark.parametrize("n", [5, 12, 63, 64, 65, 130])
@@ -284,7 +276,7 @@ def _record_levels(monkeypatch):
     return counted
 
 
-@pytest.mark.parametrize("extra", [["--r", "3"], ["--r", "2"], ["--r", "2", "--worst"]])
+@pytest.mark.parametrize("extra", [["--r", "3"], ["--r", "2"]])
 def test_check_spread_counts_each_level_once(monkeypatch, tmp_path, capsys, extra):
     fam, _ = block_product_family(4, 3)
     path = tmp_path / "block43.json"
@@ -432,9 +424,8 @@ def test_huge_r_always_certifies():
 def test_threshold_past_the_float_range_saturates():
     # 1e300 ** 2 overflows a float; no count can exceed the threshold
     fam, _ = block_product_family(3, 2)
-    for worst in (False, True):
-        report = spread_witness(fam, 1e300, worst=worst)
-        assert report.certified and report.r == 1e300
+    report = spread_witness(fam, 1e300)
+    assert report.certified and report.r == 1e300
 
 
 def test_violation_tie_break_prefers_small_then_lexicographic():
@@ -445,12 +436,9 @@ def test_violation_tie_break_prefers_small_then_lexicographic():
     assert report.violation == SpreadViolation((0,), 2)
 
 
-def test_worst_flag_returns_maximal_ratio():
-    # {0} sits in 3 members, {5} in 2: both violate r=1.2 but {0} is worse
-    fam = SetFamily(7, 2, [m(0, 1), m(0, 2), m(0, 3), m(5, 4), m(5, 6)])
-    report = spread_witness(fam, 1.2, worst=True)
-    assert report.violation is not None and report.violation.t == m(0)
-    assert report.violation.count == 3
+def test_removed_worst_order_is_refused():
+    with pytest.raises(TypeError):
+        spread_witness(star(4), 2, worst=True)
 
 
 def test_monotone_in_r():

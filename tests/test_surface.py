@@ -1,6 +1,8 @@
-"""Every public name the package exports is reached from outside the tests, and
-the declared runtime dependencies are exactly the third-party modules it imports."""
+"""Every public name the package exports is reached from outside the tests,
+every command-line option is named in the README, and the declared runtime
+dependencies are exactly the third-party modules it imports."""
 
+import argparse
 import ast
 import os
 import re
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import sunflowers
+from sunflowers.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PUBLIC = sorted(
@@ -35,6 +38,21 @@ def test_public_name_is_used_outside_its_definition(name):
     word = re.compile(rf"\b{name}\b")
     uses = [line for line in _reference_lines() if word.search(line) and not definition.search(line)]
     assert uses, f"{name} is exported but only tests reach it"
+
+
+def _long_options(parser):
+    """The long options of the parser and of each of its subcommands, recursively."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                yield from _long_options(subparser)
+        yield from (option for option in action.option_strings if option.startswith("--"))
+
+
+@pytest.mark.parametrize("option", sorted(set(_long_options(build_parser())) - {"--help"}))
+def test_cli_option_is_named_in_the_readme(option):
+    readme = (ROOT / "README.md").read_text()
+    assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme), f"{option} is not named in README.md"
 
 
 def test_importing_the_package_loads_no_scipy():
