@@ -134,7 +134,7 @@ def r_threshold(p: int, k: int, C: float = ExtractionParams.C) -> float:
 
     A p past the float range is refused.  C*p alone can pass the float range
     while C*p*ln(2) does not, so an infinite product is regrouped before it
-    is refused.
+    is refused, by p if p*ln(k) alone is infinite and else by C.
     """
     p, k = operator.index(p), operator.index(k)
     if p < 2:
@@ -152,9 +152,14 @@ def r_threshold(p: int, k: int, C: float = ExtractionParams.C) -> float:
         return p_float
     r = C * p * math.log(k)
     if math.isinf(r):
-        r = C * (p * math.log(k))
-    if math.isinf(r):
-        raise ValueError(f"C must be small enough for a finite spread threshold C*p*ln(k), got C={C} at p={p}, k={k}")
+        p_ln_k = p * math.log(k)
+        if math.isinf(p_ln_k):
+            raise ValueError(f"p must be small enough for a finite p*ln(k), got a {p.bit_length()}-bit p at k={k}")
+        r = C * p_ln_k
+        if math.isinf(r):
+            raise ValueError(
+                f"C must be small enough for a finite spread threshold C*p*ln(k), got C={C} at p*ln(k)={p_ln_k:g}"
+            )
     return r
 
 

@@ -10,9 +10,11 @@ element's eventual label is never smaller than the next-consecutive label it
 would get on introduction), so the pruned tree still sees a representative
 of every isomorphism class and the maximum found is the true maximum.
 
-A node's candidates are the masks of one table per number of elements used,
-above the node's last member; each table is built once per search.  A node
-whose members F span [0, u) hands its children its verdicts on table(u),
+Candidate sets are Python-int bitsets: bit r is the k-set of colex rank r,
+the r-th in ascending mask order.  A node's candidates are the bits of one
+table per number of elements used, above the node's last member; each
+table, and the ranks up to the span it needs, is built once per search.  A
+node whose members F span [0, u) hands its children its verdicts on table(u),
 and every child candidate c gets the same rule.  Its twin keeps c's
 elements below u and moves the rest down to u, u+1, ...  The child keeps c
 exactly when F + twin(c) is sunflower-free (the node accepted the twin) and
@@ -41,6 +43,8 @@ the witness (the first family of that size found) and exhaustiveness stay
 what the full canonical tree gives; only the node count drops.  The slack
 room comes first and needs no pair test; a node's candidates are tested
 only if it passes, and the candidate cap then applies to the ones kept.
+Siblings ascend, so their slack room never grows: once one fails the
+slack test, it and every later sibling are counted in one step.
 
 The same bound one level up, _size_bound(p, k, n), holds every
 sunflower-free family within the cap, so once the best family reaches it
@@ -55,12 +59,11 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
-from .bitset import mask_from_elements
+from .bitset import elements_of
 from .families import SetFamily, check_budget, find_disjoint_sets, is_sunflower
 
 
@@ -109,6 +112,19 @@ def _twin(candidate: int, used: int, k: int) -> int:
     used, used+1, ..."""
     old = candidate & ((1 << used) - 1)
     return old | ((1 << (k - old.bit_count())) - 1) << used
+
+
+def _colex_masks(k: int, start: int, stop: int) -> list[int]:
+    """The masks of the k-sets with top element in [start, stop), ascending:
+    from start 0, the k-sets in colex rank order."""
+    out = []
+    mask = 1 << max(start, k - 1) | (1 << (k - 1)) - 1  # the least of them
+    while not mask >> stop:
+        out.append(mask)
+        # the next k-set: the lowest run of ones carries into the bit above it, its other ones move to bit 0
+        low = mask & -mask
+        mask = (mask + low) | ((mask + low ^ mask) >> 2) // low
+    return out
 
 
 def _closes_sunflower(members: list[int], newest: int, candidate: int, p: int) -> bool:
@@ -206,40 +222,38 @@ def max_sunflower_free(
     # no sunflower-free family within the cap is larger
     ceiling = math.inf if ground_cap is None else _size_bound(p, k, ground_cap)
 
-    tables: dict[int, list[int]] = {}
-    fresh_tables: dict[tuple[int, int], list[int]] = {}
+    masks: list[int] = []  # masks[r]: the k-set of colex rank r, so bit order is mask order
+    tables: dict[int, int] = {}
+    fresh_tables: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
-    def table(used: int) -> list[int]:
-        """Every candidate of a node whose members span ``used`` elements,
-        ascending; a node's own candidates are the ones above its last mask."""
+    def table(used: int) -> int:
+        """The bitset of every candidate of a node whose members span ``used``
+        elements; a node's own candidates are the bits above its last member."""
         if used not in tables:
             limit = used + k if ground_cap is None else min(ground_cap, used + k)
-            out = []
-            for fresh in range(0, k + 1):
-                if used + fresh > limit:
-                    break
-                fresh_mask = ((1 << fresh) - 1) << used
-                for old in combinations(range(used), k - fresh):
-                    out.append(fresh_mask | mask_from_elements(old))
-            tables[used] = sorted(out)
+            masks.extend(_colex_masks(k, masks[-1].bit_length() if masks else 0, limit))
+            # a candidate is its own twin; the masks below limit are the first C(limit, k)
+            tables[used] = sum(1 << r for r, c in enumerate(masks[: math.comb(limit, k)]) if _twin(c, used, k) == c)
         return tables[used]
 
-    def fresh_table(used: int, child_used: int) -> list[int]:
-        """Candidates at ``child_used`` elements that are not candidates at
-        ``used``: those through an element the newest member introduced."""
-        key = (used, child_used)
-        if key not in fresh_tables:
-            before = set(table(used))
-            fresh_tables[key] = [c for c in table(child_used) if c not in before]
-        return fresh_tables[key]
+    def fresh_table(used: int, child_used: int) -> list[tuple[int, int]]:
+        """(twin bit, candidate bit) per candidate at ``child_used`` elements but
+        not at ``used``, ascending: those through an element newly introduced."""
+        if (used, child_used) not in fresh_tables:
+            fresh = elements_of(table(child_used) & ~table(used))
+            fresh_tables[used, child_used] = [(1 << masks.index(_twin(masks[r], used, k)), 1 << r) for r in fresh]
+        return fresh_tables[used, child_used]
 
-    def extend(members: list[int], used: int, accepted: list[int]) -> None:
+    def extend(members: list[int], used: int, accepted: int) -> None:
         """Count and visit the children of a counted node; ``accepted``: the
-        node's candidates c with members + c sunflower-free, ascending."""
+        bitset of the node's candidates c with members + c sunflower-free."""
         nonlocal nodes, exhaustive, best_members, best_ground
         size = len(members) + 1
-        free = None
-        for i, mask in enumerate(accepted):
+        room_from = list(accumulate(reversed(slack)))[::-1]  # room_from[e] = sum(slack[e:])
+        rest = accepted
+        while rest:
+            low = rest & -rest
+            rest ^= low
             if nodes >= budget:
                 exhaustive = False
                 return
@@ -247,7 +261,9 @@ def max_sunflower_free(
             if size == len(by_depth):
                 by_depth.append(0)
             by_depth[size] += 1
-            child_used = max(used, mask.bit_length())
+            mask = masks[low.bit_length() - 1]
+            top = mask.bit_length()
+            child_used = top if top > used else used
             if size > len(best_members):
                 best_members = (*members, mask)
                 best_ground = max(child_used, k)
@@ -258,20 +274,29 @@ def max_sunflower_free(
             else:
                 # every later member holds its top element at or above mask's,
                 # which mask itself spends one unit of
-                room = sum(slack[mask.bit_length() - 1 :]) - 1
+                room = room_from[top - 1] - 1
                 if size + room <= len(best_members):
-                    continue
-            later = accepted[i + 1 :]
+                    # so does every later sibling: count them all, within the budget
+                    counted = min(rest.bit_count(), budget - nodes)
+                    nodes += counted
+                    by_depth[size] += counted
+                    exhaustive = exhaustive and counted == rest.bit_count()
+                    return
+            later = rest
             if child_used > used:
-                if free is None:
-                    free = set(accepted)
-                fresh = fresh_table(used, child_used)
-                later = sorted(later + [c for c in fresh[bisect_right(fresh, mask) :] if _twin(c, used, k) in free])
-            kept = [c for c in later if not _closes_sunflower(members, mask, c, p)]
+                for twin, candidate in fresh_table(used, child_used):
+                    if candidate > low and twin & accepted:
+                        later |= candidate
+            kept = 0
+            while later:
+                bit = later & -later
+                later ^= bit
+                if not _closes_sunflower(members, mask, masks[bit.bit_length() - 1], p):
+                    kept |= bit
             if not kept:
                 continue  # a leaf
             if child_used == ground_cap:  # no element left to introduce
-                room = min(room, len(kept))
+                room = min(room, kept.bit_count())
             if size + room <= len(best_members):
                 continue
             members.append(mask)

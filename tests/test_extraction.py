@@ -101,6 +101,18 @@ def test_threshold_validates():
     assert r_threshold(2**70, 2) == 4.0 * 2**70 * math.log(2)
 
 
+def test_threshold_overflow_names_its_cause_by_size():
+    # p*ln(8) alone passes the float range: p is refused, named by its bit length
+    with pytest.raises(ValueError, match=re.escape("p must be small enough for a finite p*ln(k), got a 1024-bit p at k=8")):
+        r_threshold(2**1023, 8)
+    # p*ln(2) is finite, so C = 4 is refused; p's 308 digits are not printed
+    message = "C must be small enough for a finite spread threshold C*p*ln(k), got C=4.0 at p*ln(k)=6.23033e+307"
+    with pytest.raises(ValueError) as refusal:
+        r_threshold(2**1023, 2)
+    assert str(refusal.value) == message
+    assert r_threshold(2**1023, 2, 1.0) == 2**1023 * math.log(2)
+
+
 # --- extract_sunflower -------------------------------------------------------------
 
 

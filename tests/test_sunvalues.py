@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, zip_longest
 
 import numpy as np
 import pytest
@@ -8,8 +8,10 @@ import pytest
 from sunflowers.bitset import mask_from_elements
 from sunflowers.constructions import erdos_rado_family
 from sunflowers.families import SetFamily, find_disjoint_sets, is_sunflower
+from sunflowers.spread import rank_to_elements
 from sunflowers.sunvalues import (
     _closes_sunflower,
+    _colex_masks,
     _size_bound,
     _twin,
     contains_sunflower,
@@ -177,6 +179,67 @@ def test_larger_grid_points_keep_their_node_counts():
         assert (search.max_size, search.nodes, search.exhaustive, search.witness.sets) == (size, nodes, True, sets)
         assert search.witness.ground_size == cap and sum(search.nodes_by_depth) == nodes
         assert len(search.nodes_by_depth) == size + 1 and search.nodes_by_depth[:2] == (1, 1)
+        assert verify_sunflower_free(search.witness, p)
+
+
+@pytest.mark.parametrize("p,k,cap,by_depth", [
+    (4, 2, 6, (1, 1, 1, 1, 1, 3, 9, 15, 4, 1)),
+    (4, 2, 7, (1, 1, 1, 1, 1, 1, 2, 3, 5, 3, 1)),
+    (3, 3, 6, (1, 1, 1, 3, 18, 63, 121, 91, 25, 1, 1)),
+    (4, 3, 6, (1, 1, 1, 1, 2, 11, 72, 160, 188, 215, 137, 78, 52, 32, 1)),
+])
+def test_every_budget_stops_at_exactly_its_node_count(p, k, cap, by_depth):
+    # siblings that fail the slack test are counted together; a budget that
+    # ends among them must still count exactly as many nodes as it allows
+    full = max_sunflower_free(p, k, ground_cap=cap)
+    assert full.nodes_by_depth == by_depth
+    previous = max_sunflower_free(p, k, max_nodes=0, ground_cap=cap).nodes_by_depth
+    assert previous == ()
+    for budget in range(1, full.nodes + 1):
+        search = max_sunflower_free(p, k, max_nodes=budget, ground_cap=cap)
+        assert search.nodes == sum(search.nodes_by_depth) == budget, budget
+        assert search.exhaustive == (budget == full.nodes), budget
+        # one more node of budget is one more node at exactly one depth
+        steps = [b - a for a, b in zip_longest(previous, search.nodes_by_depth, fillvalue=0)]
+        assert sorted(steps) == [0] * (len(steps) - 1) + [1], budget
+        previous = search.nodes_by_depth
+    assert _outcome(search) == _outcome(full) and search.nodes_by_depth == full.nodes_by_depth
+
+
+def test_largest_grid_point_keeps_its_nodes_by_depth():
+    full = max_sunflower_free(4, 2, ground_cap=8)
+    assert full.nodes_by_depth == (1, 1, 3, 14, 86, 525, 1792, 9226, 17887, 12148, 1944)
+    # the tree ends in siblings counted together: a budget that cuts them
+    # leaves the search unfinished
+    for budget in range(full.nodes - 6, full.nodes):
+        search = max_sunflower_free(4, 2, max_nodes=budget, ground_cap=8)
+        assert search.nodes == budget and not search.exhaustive, budget
+
+
+def test_colex_masks_follow_the_colex_ranks():
+    # bit r of a candidate bitset is the k-set of colex rank r
+    for k in range(1, 5):
+        expected = [mask_from_elements(rank_to_elements(r, k)) for r in range(math.comb(12, k))]
+        assert expected == sorted(expected)
+        # the search extends its rank table span by span
+        for split in range(13):
+            assert _colex_masks(k, 0, split) + _colex_masks(k, split, 12) == expected, (k, split)
+
+
+def test_budgeted_unbounded_searches_keep_their_outcomes():
+    # too large for the rebuilding search; recorded from the list-based
+    # candidate search that the bitset tables replaced
+    pinned = {
+        (3, 3): (16, (1, 1, 1, 1, 1, 1, 4, 40, 521, 4412, 19262, 36668, 33426, 4596, 963, 93, 9),
+                 (7, 11, 13, 14, 49, 50, 81, 82, 97, 98, 388, 392, 644, 648, 772, 776)),
+        (5, 2): (20, (1, 1, 1, 1, 1, 1, 1, 1, 3, 12, 57, 313, 1708, 7162, 19876, 32954, 27348, 9714, 832, 12, 1),
+                 (3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 96, 160, 192, 288, 320, 384, 544, 576, 640, 768)),
+    }
+    for (p, k), (size, by_depth, sets) in pinned.items():
+        search = max_sunflower_free(p, k, max_nodes=100_000)
+        assert (search.max_size, search.nodes, search.exhaustive) == (size, 100_000, False)
+        assert search.nodes_by_depth == by_depth
+        assert search.witness.sets == sets and search.witness.ground_size == 10
         assert verify_sunflower_free(search.witness, p)
 
 
