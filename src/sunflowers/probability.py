@@ -2,9 +2,10 @@
 
 The central quantity is the hit probability Pr(some member is contained in a
 random subset), which only the support, the m elements some member holds, can
-decide.  Exact values enumerate the support's subsets in a table of one bit
-each (m <= 24, 2 MiB at m = 24) or sum the inclusion-exclusion polynomial
-(family size <= 20), both exactly by :func:`_exact_sum`, rounded once; Monte
+decide.  Exact values count the support's subsets by size in a table of one
+bit each (m <= 24, 2 MiB at m = 24), or pair the subfamilies of the family's
+two halves for the inclusion-exclusion polynomial (family size <= 20), both
+summed exactly by :func:`_exact_sum`, rounded once; Monte
 Carlo estimates draw from the keyed Philox streams in :mod:`.rng`, so every
 estimate is a pure function of (seed, trials) no matter how trials are tiled.
 
@@ -86,7 +87,9 @@ def hit_counts_by_size(family: SetFamily) -> np.ndarray:
     under elements 0..5 (which pick b) by masked shift-ORs before one scatter;
     elements 6.. pick w and close by doubling over words (the first four as
     strided column ORs, the rest over blocks).  A subset's size is
-    popcount(w) + popcount(b), so counts are read per in-word size class.
+    popcount(w) + popcount(b): row i of a ``uint8`` block counts in-word size
+    i per word, and each fold of the top bit of w adds the upper half one row
+    down, until row s counts size s (entries <= 20 * 2^f after f folds).
     Both exact callers pass the family relabelled onto its support, by :func:`_on_support`.
     """
     n = family.ground_size
@@ -107,12 +110,15 @@ def hit_counts_by_size(family: SetFamily) -> np.ndarray:
         else:
             view = words.reshape(-1, 2, half)
             view[:, 1, :] |= view[:, 0, :]
-    word_sizes = np.bitwise_count(np.arange(len(words))).astype(np.intp)
-    counts = np.zeros(n + 7, dtype=np.int64)  # in-word sizes above n < 6 stay empty
+    block = np.empty((len(_IN_WORD_SIZE), len(words)), dtype=np.uint8)  # row i: in-word size i, at most 20
     for i, size_class in enumerate(_IN_WORD_SIZE):
-        by_word_size = np.bincount(word_sizes, weights=np.bitwise_count(words & size_class))
-        counts[i : i + len(by_word_size)] += by_word_size.astype(np.int64)
-    return counts[: n + 1]
+        np.bitwise_count(words & size_class, out=block[i])
+    for f in range(1, n - 5):  # fold the top word bit: its upper half has one more element
+        folded = np.zeros((len(block) + 1, len(words) >> f), dtype=np.min_scalar_type(20 << f))
+        folded[:-1] = block[:, : folded.shape[1]]
+        folded[1:] += block[:, folded.shape[1] :]
+        block = folded
+    return block[: n + 1, 0].astype(np.int64)  # in-word sizes above n < 6 stay empty
 
 
 def _union_size_coefficients(family: SetFamily) -> np.ndarray:
@@ -120,22 +126,29 @@ def _union_size_coefficients(family: SetFamily) -> np.ndarray:
 
     c_u = (#odd subfamilies with |union| = u) - (#even subfamilies with
     |union| = u), empty subfamily excluded; their terms cancel, so they go
-    through the exact sum.  Rows 0..2^i - 1 are the subfamilies of members
-    0..i-1, so member i fills rows 2^i..2^(i+1) - 1 in one slice, and odd
-    parity rides along as an offset n + 1 that splits one ``bincount``.
+    through the exact sum.  In each half's table of unions rows 0..2^i - 1 are
+    the subfamilies of its members 0..i-1, so member i fills rows 2^i..2^(i+1) - 1
+    in one slice.  A subfamily pairs two rows, its union size summed over one OR
+    per word column, and odd parity rides along as an offset n + 1 that splits one ``bincount``.
     """
     m, n = len(family), family.ground_size
     if m > EXACT_IE_FAMILY_CAP:
         raise ValueError(f"family size {m} exceeds inclusion-exclusion cap {EXACT_IE_FAMILY_CAP}")
     members = bit_matrix(np.arange(m)[:, None], family.elements(), (m, n))
-    unions = np.zeros((1 << m, members.shape[1]), dtype=np.uint64)
-    keys = np.zeros(1 << m, dtype=np.intp)  # n + 1 on odd subfamilies
-    for i in range(m):
-        np.bitwise_or(unions[: 1 << i], members[i], out=unions[1 << i : 2 << i])
-        np.subtract(n + 1, keys[: 1 << i], out=keys[1 << i : 2 << i])
-    for column in unions.T:
-        keys += np.bitwise_count(column)
-    even, odd = np.bincount(keys[1:], minlength=2 * (n + 1)).reshape(2, n + 1)
+    halves = []
+    for part in (members[: m // 2], members[m // 2 :]):
+        unions = np.zeros((1 << len(part), members.shape[1]), dtype=np.uint64)
+        keys = np.zeros(1 << len(part), dtype=np.min_scalar_type(2 * n + 1))  # n + 1 on odd subfamilies
+        for i, member in enumerate(part):
+            np.bitwise_or(unions[: 1 << i], member, out=unions[1 << i : 2 << i])
+            np.subtract(n + 1, keys[: 1 << i], out=keys[1 << i : 2 << i])
+        halves.append((unions, keys))
+    (low, low_keys), (high, high_keys) = halves
+    keys = np.bitwise_xor.outer(low_keys, high_keys)  # odd iff exactly one half is
+    for c in range(members.shape[1]):
+        keys += np.bitwise_count(np.bitwise_or.outer(low[:, c], high[:, c]))
+    even, odd = np.bincount(keys.reshape(-1), minlength=2 * (n + 1)).reshape(2, n + 1)
+    even[0] -= 1  # the empty subfamily
     return odd - even
 
 

@@ -127,6 +127,19 @@ def test_packed_counts_stay_within_8_mib_on_block_3_8():
     assert counts[3] == 8**3 and counts[24] == 1
 
 
+@pytest.mark.parametrize("n", [16, 17, 18, 24])
+def test_packed_counts_at_the_extremes_of_the_size_fold(n):
+    # {empty set} hits every subset, so size j counts C(n, j): 2,704,156 at n = 24, past uint16;
+    # the fold widens its counts between n = 17 and n = 18
+    assert hit_counts_by_size(SetFamily(n, 0, [0])).tolist() == [math.comb(n, j) for j in range(n + 1)]
+    assert hit_counts_by_size(SetFamily(n, n, [(1 << n) - 1])).tolist() == [0] * n + [1]
+    if n < 24:
+        rng = random.Random(n)
+        for k, size in [(1, n), (2, 40), (5, 300)]:
+            fam = SetFamily(n, k, {mask_from_elements(rng.sample(range(n), k)) for _ in range(size)})
+            assert hit_counts_by_size(fam).tolist() == oracle_counts_by_size(fam).tolist()
+
+
 def test_exact_block_2x2_is_9_16():
     fam, _ = block_product_family(2, 2)
     by_enum = exact_hit_probability(fam, 0.5, method="enumeration")
@@ -459,6 +472,62 @@ def test_union_size_coefficients_match_brute_force_at_n70():
                 union |= s
             expected[union.bit_count()] += 1 if r % 2 else -1
     assert probability._union_size_coefficients(fam).tolist() == expected
+
+
+def union_coefficients_of_prefixes(masks, n):
+    """Oracle: entry s is the c_u list of the first s masks, from one Python-int union per subfamily."""
+    unions, signs = [0], [-1]  # the empty subfamily, even
+    coefficients = [0] * (n + 1)
+    prefixes = [list(coefficients)]
+    for mask in masks:
+        grown = [union | mask for union in unions]
+        flipped = [-sign for sign in signs]
+        for union, sign in zip(grown, flipped):
+            coefficients[union.bit_count()] += sign
+        unions += grown
+        signs += flipped
+        prefixes.append(list(coefficients))
+    return prefixes
+
+
+@pytest.mark.parametrize("n", [40, 100, 170])
+def test_union_size_coefficients_match_brute_force_up_to_the_cap(n):
+    # supports of 1, 2 and 3 words, not relabelled; odd |F| splits into unequal halves
+    rng = random.Random(n)
+    masks = []
+    while len(masks) < probability.EXACT_IE_FAMILY_CAP:
+        mask = mask_from_elements(rng.sample(range(n), 3))
+        if mask not in masks:
+            masks.append(mask)
+    expected = union_coefficients_of_prefixes(masks, n)
+    for size in range(len(masks) + 1):
+        fam = SetFamily(n, 3, masks[:size])
+        assert probability._union_size_coefficients(fam).tolist() == expected[size], size
+
+
+def test_exact_paths_agree_bit_for_bit_at_the_family_cap():
+    # 20 members of a relabelled block(3,8): 24 support elements, both caps reached
+    rng = random.Random(20)
+    for _ in range(3):
+        fam = SetFamily(24, 3, rng.sample(relabelled_block_3_8().sets, probability.EXACT_IE_FAMILY_CAP))
+        for delta in (0.05, 0.13, 0.3, 0.45, 0.86):
+            a = exact_hit_probability(fam, delta, method="enumeration").p_hat
+            b = exact_hit_probability(fam, delta, method="inclusion-exclusion").p_hat
+            assert a == b, delta
+
+
+def test_union_size_coefficients_stay_below_16_mib_at_the_family_cap():
+    # a 2^20-row table of unions with its intp keys takes 16 MiB alone
+    fam = SetFamily(24, 3, random.Random(20).sample(relabelled_block_3_8().sets, probability.EXACT_IE_FAMILY_CAP))
+    probability._union_size_coefficients(fam)  # warm numpy's own first-call allocations
+    tracemalloc.start()
+    try:
+        coefficients = probability._union_size_coefficients(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert coefficients[3] == probability.EXACT_IE_FAMILY_CAP and coefficients.sum() == 1
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
