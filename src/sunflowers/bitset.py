@@ -14,7 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
-# bytes per tile of the samplers' rows, the containment kernel's two (trials, words) buffers and its wider
+# bytes per tile of the samplers' packed rows (not of the Bernoulli sampler's working set, about 45 bytes
+# per trial and 48-element word), the containment kernel's two (trials, words) buffers and its wider
 # tables, and a spread level's dense histogram and the ranks of each of its tiles
 _KERNEL_TILE_BYTES = 1 << 20
 

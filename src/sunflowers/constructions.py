@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import SetFamily
+from .families import SetFamily, check_count, check_fraction, check_half_fraction
 
 # refuse to materialize more than this many sets
 FAMILY_SIZE_CAP = 1 << 24
@@ -70,16 +70,14 @@ def block_product_family(k: int, r: int) -> tuple[SetFamily, BlockPartition]:
 
 def erdos_rado_family(p: int, k: int) -> SetFamily:
     """The (p-1)^k-member family with no p-petal sunflower (width p-1 transversals)."""
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    p = check_count("p", p, 2)
     return block_product_family(k, p - 1)[0]
 
 
 def exact_block_hit_probability(k: int, r: int, delta: float) -> float:
     """(1 - (1-delta)^r)^k: the chance a Bernoulli-delta subset meets every block."""
     BlockPartition(k, r)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    check_fraction("delta", delta)
     return (1.0 - (1.0 - delta) ** r) ** k
 
 
@@ -90,11 +88,7 @@ def in_tightness_regime(k: int, r: int, delta: float, eps: float) -> bool:
     below 1 - eps even though it is exactly r-spread with r^k members.
     Natural logarithm throughout.
     """
-    k, r = operator.index(k), operator.index(r)
-    if k < 1 or r < 1:
-        raise ValueError(f"need k >= 1 and r >= 1, got k={k}, r={r}")
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-    if not 0.0 < eps <= 0.5:
-        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
-    return r <= 0.25 * math.log(k / eps) / delta
+    partition = BlockPartition(k, r)
+    check_half_fraction("delta", delta)
+    check_half_fraction("eps", eps)
+    return partition.r <= 0.25 * math.log(partition.k / eps) / delta

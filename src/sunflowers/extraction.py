@@ -28,7 +28,8 @@ import numpy as np
 
 from .bitset import elements_of, mask_from_elements
 from . import probability
-from .families import SetFamily, Sunflower, check_budget, find_disjoint_sets, is_sunflower, link
+from .families import SetFamily, Sunflower, check_budget, check_count, check_fraction, check_half_fraction
+from .families import find_disjoint_sets, is_sunflower, link
 from .rng import DEFAULT_SEED, STREAM_GENERALIZED, STREAM_SPREAD_SEARCH, check_seed
 from .spread import level_counts, rank_to_elements, spread_witness
 
@@ -55,9 +56,7 @@ class ExtractionParams:
     fallback_bruteforce_cap: int = 10**6
 
     def __post_init__(self):
-        object.__setattr__(self, "p", operator.index(self.p))
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+        object.__setattr__(self, "p", check_count("p", self.p, 2))
         _check_C(self.C)
         object.__setattr__(self, "seed", check_seed(self.seed))
         check_budget("fallback_bruteforce_cap", self.fallback_bruteforce_cap)
@@ -137,10 +136,8 @@ def r_threshold(p: int, k: int, C: float = ExtractionParams.C) -> float:
     is refused, by p if p*ln(k) alone is infinite and else by C.
     """
     p, k = operator.index(p), operator.index(k)
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count("p", p, 2)
+    check_count("k", k, 1)
     _check_C(C)
     try:
         p_float = float(p)
@@ -220,10 +217,8 @@ def generalized_disjoint_search(
     """One trial of the spread-case search with t = floor(1/delta) classes
     and no success bar: the smallest member of every hit class, and whether
     more than t*(1-eps) classes were hit."""
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
+    check_half_fraction("delta", delta)
+    check_fraction("eps", eps)
     classes = math.floor(1.0 / delta)
     required = classes * (1.0 - eps)
     petals, _ = _spread_case_search(family, classes, 0, 1, seed, STREAM_GENERALIZED)
@@ -247,8 +242,7 @@ def brute_force_sunflower(family: SetFamily, p: int, cap: Optional[int] = None) 
     ``cap`` bounds the search nodes (None: no bound); every candidate spends at
     least one, so the work grows with the cap, not with |F|^2.  When spent: None.
     """
-    if operator.index(p) < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = check_count("p", p, 1)
     if cap is not None:
         check_budget("cap", cap)
     if len(family) < p:

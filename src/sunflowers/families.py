@@ -9,7 +9,10 @@ that work on masks.  All types here are immutable after construction (their
 caches aside) and thread-safe.  :func:`load_family` reads a canonical file,
 as :func:`save_family` writes it, by one numpy pass over its bytes; every
 file that pass does not accept, so every invalid one, goes through
-``json.loads``, and every refusal message is that route's.
+``json.loads``, and every refusal message is that route's.  The argument
+rules of every module are written once here: :func:`check_budget` (search
+budgets), :func:`check_count` (counts with a minimum), :func:`check_fraction`
+(in (0, 1)) and :func:`check_half_fraction` (in (0, 1/2]).
 """
 
 from __future__ import annotations
@@ -154,8 +157,7 @@ class SetFamily:
 def _check_sizes(ground_size: int, k: int) -> None:
     if not 1 <= ground_size <= 2**63:  # every element fits int64, as the loader reads it
         raise ValueError(f"ground-set size must be in [1, 2**63], got {ground_size}")
-    if k < 0:
-        raise ValueError(f"set size k must be >= 0, got {k}")
+    check_count("set size k", k, 0)
     if k >= 2**60:  # a row of k int64 elements, as the loader reads it, spans 2^63 bytes or more
         raise ValueError(f"set size k={k} exceeds numpy's index range")
 
@@ -215,8 +217,7 @@ def find_disjoint_sets(
     return gives up the current branch, so a budget that stays spent ends
     the whole search (with None).
     """
-    if operator.index(p) < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = check_count("p", p, 1)
 
     def search(start: int, used: int, need: int) -> Optional[list[int]]:
         for j in range(start, len(sets)):
@@ -243,6 +244,26 @@ def check_budget(name: str, budget: object) -> None:
     """
     if type(budget) is not int or budget < 0:
         raise ValueError(f"{name} must be an int >= 0, got {budget!r}")
+
+
+def check_count(name: str, value: object, minimum: int) -> int:
+    """``value`` as an int, by ``operator.index``, refused below ``minimum``."""
+    count = operator.index(value)
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
+def check_fraction(name: str, value: float) -> None:
+    """Refuse a ``value`` outside (0, 1); NaN is outside."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0,1), got {value}")
+
+
+def check_half_fraction(name: str, value: float) -> None:
+    """Refuse a ``value`` outside (0, 1/2]; NaN is outside."""
+    if not 0.0 < value <= 0.5:
+        raise ValueError(f"{name} must be in (0, 1/2], got {value}")
 
 
 # --- JSON family format: {"ground_set_size": n, "k": k, "sets": [[e1, ..., ek], ...]}, each row ascending --

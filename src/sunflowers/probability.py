@@ -38,7 +38,7 @@ import numpy as np
 
 from .bitset import _KERNEL_TILE_BYTES, bit_matrix
 from .constructions import BlockPartition
-from .families import SetFamily
+from .families import SetFamily, check_count, check_fraction, check_half_fraction
 from .rng import DEFAULT_SEED, STREAM_BERNOULLI, STREAM_PARTITION, bernoulli_block, uniform_block
 
 EXACT_ENUMERATION_GROUND_CAP = 24
@@ -177,8 +177,7 @@ def exact_hit_probability(family: SetFamily, delta: float, method: str = "auto")
     enumeration needs m <= 24 and inclusion-exclusion |F| <= 20; both are
     summed exactly and rounded once, so they agree bit for bit.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    check_fraction("delta", delta)
     family = _on_support(family)
     m = family.ground_size
     if method == "auto":
@@ -298,11 +297,8 @@ def mc_hit_probability(family: SetFamily, delta: float, trials: int, seed: int =
     The kernel tables are built once for all trials, and the hits of each
     tile of the keyed stream are summed, so tiling never shows.
     """
-    trials = operator.index(trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    trials = check_count("trials", trials, 1)
+    check_fraction("delta", delta)
     kernel = _member_tables(family, trials)
     chunks = _bernoulli_chunks(seed, family.ground_size, delta, trials)
     hits = sum(int(_contains_member(*kernel, rows).sum()) for rows in chunks)
@@ -349,10 +345,8 @@ def partition_experiment(
     :func:`_contains_member` call, so the histogram does not depend on the tiling.
     """
     t, trials = operator.index(classes), operator.index(trials)
-    if t < 2:
-        raise ValueError(f"classes must be >= 2, got {t}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_count("classes", t, 2)
+    check_count("trials", trials, 1)
     n = family.ground_size
     nbytes = -(-n // 8)
     kernel = _member_tables(family, t * trials)
@@ -399,8 +393,7 @@ def check_partition_mean_identity(
     classes, trials = operator.index(classes), operator.index(trials)
     if trials < 2:
         raise ValueError("need trials >= 2 to estimate the standard error")
-    if classes < 2:
-        raise ValueError(f"classes must be >= 2, got {classes}")
+    check_count("classes", classes, 2)
     expected = classes * exact_hit_probability(family, 1.0 / classes).p_hat  # before any trial
     stats = partition_experiment(family, classes, trials, seed=seed)
     hist = np.asarray(stats.hit_class_histogram, dtype=np.float64)
@@ -449,8 +442,7 @@ def check_fixed_size_decomposition(family: SetFamily, delta: float) -> SizeDecom
     two sums, whose O(n) terms cap n at ``CHERNOFF_TAIL_N_CAP``.
     """
     n = family.ground_size
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    check_fraction("delta", delta)
     if n > CHERNOFF_TAIL_N_CAP:
         raise ValueError(f"ground-set size {n} exceeds the exact-sum cap {CHERNOFF_TAIL_N_CAP}")
     m = math.ceil(Fraction(delta) / 2 * n)
@@ -495,8 +487,7 @@ def check_chernoff_tail(n: int, delta: float) -> ChernoffTailReport:
         raise ValueError(f"n must be an int >= 1, got {n!r}")
     if n > CHERNOFF_TAIL_N_CAP:
         raise ValueError(f"n must be <= CHERNOFF_TAIL_N_CAP = {CHERNOFF_TAIL_N_CAP}, got {n}")
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must be in (0, 1/2], got {delta}")
+    check_half_fraction("delta", delta)
     threshold = math.floor(Fraction(delta) * n / 2)
     tail = _exact_sum(delta, ((math.comb(n, j), j, n - j) for j in range(threshold + 1)), n)
     bound = math.exp(-n * delta / 8.0)
@@ -524,10 +515,8 @@ def mc_block_hit_probability(
     """
     trials = operator.index(trials)
     partition = BlockPartition(k, r)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    check_count("trials", trials, 1)
+    check_fraction("delta", delta)
     n = partition.ground_size
     hits = 0
     for rows in _bernoulli_chunks(seed, n, delta, trials):
@@ -555,13 +544,11 @@ def hit_threshold_sweep(ks, delta: float) -> list[ThresholdPoint]:
     The reported floor is 0.25/delta * ln(2k), the largest width that
     provably keeps the hit probability below 1/2.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    check_fraction("delta", delta)
     a, b = Fraction(delta).as_integer_ratio()
     points = []
     for k in map(operator.index, ks):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        check_count("k", k, 1)
         floor = 0.25 / delta * math.log(2 * k)
         for r_star in range(1, 65):
             hit = Fraction(b**r_star - (b - a) ** r_star, b**r_star) ** k

@@ -20,6 +20,8 @@ import threading
 
 import numpy as np
 
+from .families import check_fraction
+
 DEFAULT_SEED = 1729
 
 # The version of the Bernoulli sampling stream: bumped whenever a seeded
@@ -111,8 +113,7 @@ def bernoulli_block(
     Row i depends only on (seed, stream, first_trial + i, width, delta), so
     chunking is invisible as in :func:`uniform_block`.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0,1), got {delta}")
+    check_fraction("delta", delta)
     _check_tile(first_trial, trials, width)
     words = -(-width // _LANES)
     numerator, denominator = float(delta).as_integer_ratio()

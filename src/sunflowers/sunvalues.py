@@ -64,7 +64,7 @@ from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
 from .bitset import elements_of
-from .families import SetFamily, check_budget, find_disjoint_sets, is_sunflower
+from .families import SetFamily, check_budget, check_count, find_disjoint_sets, is_sunflower
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,7 @@ def erdos_rado_upper_bound(p: int, k: int) -> int:
 
 def contains_sunflower(sets: Sequence[int], p: int) -> bool:
     """Exhaustive scan over all p-subsets; independent of the search pruning."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    p = check_count("p", p, 1)
     return any(is_sunflower(combo) is not None for combo in combinations(sets, p))
 
 
@@ -198,12 +197,9 @@ def max_sunflower_free(
     and returns its best-so-far with exhaustive=False, the same on every
     machine.
     """
-    p = operator.index(p)
-    k = operator.index(k)
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    p, k = operator.index(p), operator.index(k)
+    check_count("p", p, 2)
+    check_count("k", k, 1)
     if ground_cap is not None:
         ground_cap = operator.index(ground_cap)
         if ground_cap < k:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from itertools import combinations, product
 
@@ -203,6 +204,12 @@ def test_regime_validates_ranges():
     [
         (lambda: BlockPartition(0, 2), "need k >= 1 and r >= 1, got k=0, r=2"),
         (lambda: erdos_rado_family(1, 2), "p must be >= 2, got 1"),
+        # in_tightness_regime checks k and r through BlockPartition
+        (lambda: in_tightness_regime(2, 0, 0.5, 0.5), "need k >= 1 and r >= 1, got k=2, r=0"),
+        (lambda: in_tightness_regime(2, 1, math.nan, 0.5), re.escape("delta must be in (0, 1/2], got nan")),
+        (lambda: in_tightness_regime(2, 1, 0.5, 0.0), re.escape("eps must be in (0, 1/2], got 0.0")),
+        (lambda: in_tightness_regime(2, 1, 0.5, math.nan), re.escape("eps must be in (0, 1/2], got nan")),
+        (lambda: exact_block_hit_probability(2, 2, math.nan), re.escape("delta must be in (0,1), got nan")),
     ],
 )
 def test_invalid_sizes_are_refused(call, message):

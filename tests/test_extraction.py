@@ -186,6 +186,8 @@ def test_non_integer_petal_counts_raise_type_error(p):
         lambda: brute_force_sunflower(fam, p),
         lambda: max_sunflower_free(p, 2),
         lambda: ExtractionParams(p=p),
+        lambda: contains_sunflower([1, 2, 4], p),
+        lambda: erdos_rado_family(p, 2),
     ):
         with pytest.raises(TypeError):
             call()
@@ -213,6 +215,22 @@ def test_params_validate():
         with pytest.raises(ValueError, match="seed must be in"):
             ExtractionParams(p=2, seed=seed)
     assert ExtractionParams(p=3).partition_trials == 192
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ExtractionParams(p=1), "p must be >= 2, got 1"),
+        (lambda: r_threshold(1, 2), "p must be >= 2, got 1"),
+        (lambda: r_threshold(2, 0), "k must be >= 1, got 0"),
+        (lambda: generalized_disjoint_search(SetFamily(4, 2, [3]), math.nan, 0.5), "delta must be in (0, 1/2], got nan"),
+        (lambda: generalized_disjoint_search(SetFamily(4, 2, [3]), 0.5, 1.0), "eps must be in (0,1), got 1.0"),
+        (lambda: generalized_disjoint_search(SetFamily(4, 2, [3]), 0.5, math.nan), "eps must be in (0,1), got nan"),
+    ],
+)
+def test_invalid_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("knob", [{"r_override": 2}, {"max_partition_trials": 5}])

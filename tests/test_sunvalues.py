@@ -505,3 +505,16 @@ def test_validation():
         max_sunflower_free(3, 2, ground_cap=1)
     with pytest.raises(ValueError, match="p must be >= 1, got 0"):
         contains_sunflower([0b11, 0b1100], 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: max_sunflower_free(1, 2), "p must be >= 2, got 1"),
+        (lambda: max_sunflower_free(3, 0), "k must be >= 1, got 0"),
+        (lambda: contains_sunflower([0b11, 0b1100], -1), "p must be >= 1, got -1"),
+    ],
+)
+def test_invalid_counts_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,6 +1,7 @@
 """Every public name the package exports is reached from outside the tests,
-every command-line option is named in the README, and the declared runtime
-dependencies are exactly the third-party modules it imports."""
+every command-line option is named in the README, the declared runtime
+dependencies are exactly the third-party modules it imports, and each
+argument rule is written once."""
 
 import argparse
 import ast
@@ -8,7 +9,6 @@ import os
 import re
 import subprocess
 import sys
-import tomllib
 import types
 from pathlib import Path
 
@@ -63,6 +63,8 @@ def test_importing_the_package_loads_no_scipy():
 
 
 def test_runtime_dependencies_are_the_third_party_imports():
+    import tomllib  # Python 3.11+; the rest of this module runs on 3.10 too
+
     imported = set()
     for path in Path(sunflowers.__file__).resolve().parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -73,6 +75,16 @@ def test_runtime_dependencies_are_the_third_party_imports():
     third_party = imported - set(sys.stdlib_module_names)
     declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
     assert {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in declared} == third_party
+
+
+def test_each_argument_rule_is_written_once():
+    """The count and interval refusals come from the checkers in
+    ``sunflowers.families``; an entry point that wrote one out again could drift."""
+    package = Path(sunflowers.__file__).resolve().parent
+    source = "\n".join(path.read_text() for path in sorted(package.glob("*.py")))
+    for template in ("must be >= {minimum}, got", "must be in (0,1), got", "must be in (0, 1/2], got"):
+        assert source.count(template) == 1, template
+    assert not re.findall(r"\b(?:p|k|trials|classes) must be >= \d, got", source)
 
 
 def test_readme_quick_tour_states_what_it_computes():
