@@ -934,14 +934,14 @@ BLOCK22 = block_product_family(2, 2)[0]
         (lambda: partition_experiment(BLOCK22, 2, 0), "trials must be >= 1, got 0"),
         (lambda: check_partition_mean_identity(BLOCK22, 2, trials=1), "need trials >= 2"),
         (lambda: check_fixed_size_decomposition(BLOCK22, 1.0), "delta must be in (0,1), got 1.0"),
-        # NaN lies outside every interval, and a count is checked the same way in each entry point
+        (lambda: check_partition_mean_identity(BLOCK22, 1, 100), "classes must be >= 2, got 1"),
+        # NaN lies outside (0,1) and (0, 1/2]
         (lambda: exact_hit_probability(BLOCK22, math.nan), "delta must be in (0,1), got nan"),
         (lambda: mc_hit_probability(BLOCK22, math.nan, trials=10), "delta must be in (0,1), got nan"),
         (lambda: mc_block_hit_probability(2, 2, math.nan, trials=10), "delta must be in (0,1), got nan"),
         (lambda: check_fixed_size_decomposition(BLOCK22, math.nan), "delta must be in (0,1), got nan"),
         (lambda: hit_threshold_sweep([2], math.nan), "delta must be in (0,1), got nan"),
         (lambda: check_chernoff_tail(4, math.nan), "delta must be in (0, 1/2], got nan"),
-        (lambda: check_partition_mean_identity(BLOCK22, 1, 100), "classes must be >= 2, got 1"),
     ],
 )
 def test_invalid_arguments_are_refused(call, message):
