@@ -2,18 +2,16 @@
 
 Every command that consumes randomness takes an explicit --seed (default a
 fixed constant, never the clock), and identical invocations produce
-identical output bytes.  JSON is the default format; CSV is available for
-the tabular outputs.  Exit status is 0 iff the command's verification (when
-it has one) passed, and 2 on invalid input, a file that cannot be read or
-written, or an input too large to allocate.
+identical output bytes.  JSON is the only payload format; ``verify`` also
+prints its inequalities as text.  Exit status is 0 iff the command's
+verification (when it has one) passed, and 2 on invalid input, a file that
+cannot be read or written, or an input too large to allocate.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -72,15 +70,6 @@ def _emit_json(payload: dict, out: Path | None) -> None:
     _write(json.dumps(payload, sort_keys=True, indent=2), out)
 
 
-def _emit_csv(header: list[str], rows: list[list], out: Path | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["schema_version"] + header)
-    for row in rows:
-        writer.writerow([SCHEMA_VERSION] + row)
-    _write(buf.getvalue(), out)
-
-
 def _family_id(path: str) -> str:
     return Path(path).stem
 
@@ -125,33 +114,15 @@ def cmd_find_sunflower(args) -> int:
 
 
 def cmd_estimate_hit(args) -> int:
-    check_seed(args.seed)  # exact paths read no seed, but echo it in the CSV
+    check_seed(args.seed)  # exact paths read no seed, but an invalid one is refused on every path
     family = load_family(args.family)
     if args.method == "monte-carlo":
         estimate = mc_hit_probability(family, args.delta, trials=args.trials, seed=args.seed)
     else:
         estimate = exact_hit_probability(family, args.delta, method=args.method)
-    out = _out_path(args.out)
-    if args.format == "csv":
-        _emit_csv(
-            ["family_id", "delta", "method", "p_hat", "ci", "trials", "seed"],
-            [
-                [
-                    _family_id(args.family),
-                    args.delta,
-                    estimate.method,
-                    repr(estimate.p_hat),
-                    repr(estimate.half_width_3sigma),
-                    estimate.trials,
-                    args.seed,
-                ]
-            ],
-            out,
-        )
-    else:
-        payload = {"family_id": _family_id(args.family), "delta": args.delta, **asdict(estimate)}
-        payload["seed"] = args.seed if estimate.method == "monte-carlo" else None
-        _emit_json(payload, out)
+    payload = {"family_id": _family_id(args.family), "delta": args.delta, **asdict(estimate)}
+    payload["seed"] = args.seed if estimate.method == "monte-carlo" else None
+    _emit_json(payload, _out_path(args.out))
     return 0
 
 
@@ -238,13 +209,7 @@ def _verify_chernoff(args) -> tuple[bool, dict, list[str]]:
 
 
 def cmd_verify(args) -> int:
-    runner = {
-        "partition-mean": _verify_partition_mean,
-        "tightness": _verify_tightness,
-        "decomposition": _verify_decomposition,
-        "chernoff": _verify_chernoff,
-    }[args.check]
-    passed, payload, lines = runner(args)
+    passed, payload, lines = args.runner(args)
     for line in lines:
         print(line)
     print("PASS" if passed else "FAIL")
@@ -256,29 +221,18 @@ def cmd_verify(args) -> int:
 
 def cmd_exact_sun(args) -> int:
     result = sun_value(args.p, args.k, max_nodes=args.max_nodes)
-    out = _out_path(args.out)
-    if args.format == "csv":
-        value_or_bracket = (
-            str(result.exact) if result.exact is not None else f"[{result.lower},{result.upper}]"
-        )
-        _emit_csv(
-            ["p", "k", "value_or_bracket", "exhaustive", "nodes"],
-            [[result.p, result.k, value_or_bracket, result.search.exhaustive, result.search.nodes]],
-            out,
-        )
-    else:
-        payload = {
-            "p": result.p,
-            "k": result.k,
-            "exact": result.exact,
-            "lower": result.lower,
-            "upper": result.upper,
-            "exhaustive": result.search.exhaustive,
-            "nodes": result.search.nodes,
-            "nodes_by_depth": list(result.search.nodes_by_depth),
-            "witness": family_to_dict(result.search.witness),
-        }
-        _emit_json(payload, out)
+    payload = {
+        "p": result.p,
+        "k": result.k,
+        "exact": result.exact,
+        "lower": result.lower,
+        "upper": result.upper,
+        "exhaustive": result.search.exhaustive,
+        "nodes": result.search.nodes,
+        "nodes_by_depth": list(result.search.nodes_by_depth),
+        "witness": family_to_dict(result.search.witness),
+    }
+    _emit_json(payload, _out_path(args.out))
     if args.witness_out:
         _write(family_json(result.search.witness), _out_path(args.witness_out))
     return 0
@@ -299,15 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, seed=True, trials=None, out=True, fmt=False):
+    def add_common(p, seed=True, trials=None):
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
         if trials is not None:
             p.add_argument("--trials", type=int, default=trials, help=f"number of trials (default {trials})")
-        if out:
-            p.add_argument("--out", help=f"output path (relative paths honor ${OUT_DIR_ENV})")
-        if fmt:
-            p.add_argument("--format", choices=["json", "csv"], default="json")
+        p.add_argument("--out", help=f"output path (relative paths honor ${OUT_DIR_ENV})")
 
     p = sub.add_parser("construct", help="materialize a family and write it as JSON")
     p.add_argument("kind", choices=["block-product", "erdos-rado"])
@@ -344,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "enumeration", "inclusion-exclusion", "monte-carlo"],
         default="auto",
     )
-    add_common(p, trials=DEFAULT_TRIALS, fmt=True)
+    add_common(p, trials=DEFAULT_TRIALS)
     p.set_defaults(func=cmd_estimate_hit)
 
     p = sub.add_parser("partition", help="random t-way partition experiment")
@@ -360,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--family", required=True)
     v.add_argument("--classes", type=int, required=True)
     add_common(v, trials=DEFAULT_TRIALS)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, runner=_verify_partition_mean)
 
     v = vsub.add_parser("tightness", help="hit probability stays below 1-eps in the sharp regime")
     v.add_argument("--k", type=int, required=True)
@@ -368,26 +319,26 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--delta", type=float, required=True)
     v.add_argument("--eps", type=float, required=True)
     add_common(v, seed=False)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, runner=_verify_tightness)
 
     v = vsub.add_parser("decomposition", help="fixed-size decomposition lower bound, exactly")
     v.add_argument("--family", required=True)
     v.add_argument("--delta", type=float, required=True)
     add_common(v, seed=False)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, runner=_verify_decomposition)
 
     v = vsub.add_parser("chernoff", help="exact binomial lower tail vs e^(-n delta/8)")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--delta", type=float, required=True)
     add_common(v, seed=False)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, runner=_verify_chernoff)
 
     p = sub.add_parser("exact-sun", help="exhaustive small sunflower numbers")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-nodes", type=int, default=None, help="search node budget (default: none)")
     p.add_argument("--witness-out", help="also write the witness family JSON here")
-    add_common(p, seed=False, fmt=True)
+    add_common(p, seed=False)
     p.set_defaults(func=cmd_exact_sun)
 
     return parser

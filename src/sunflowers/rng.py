@@ -4,8 +4,8 @@ Every sampler in the package reads uniforms through :func:`uniform_block`,
 which gives trial t the stream positions [t*width, (t+1)*width).  A trial's
 randomness is therefore a pure function of (seed, stream, trial index,
 element index): results are bit-identical for a fixed seed regardless of
-chunking, thread count, or evaluation order, and any single trial can be
-reproduced in O(1) via the Philox skip-ahead.
+chunking or evaluation order, and any single trial can be reproduced in
+O(1) via the Philox skip-ahead.
 
 Bernoulli(delta) samples come from :func:`bernoulli_block` (sampling-stream
 version 2), which compares 48 lanes of one uniform word at a time against

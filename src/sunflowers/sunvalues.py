@@ -173,7 +173,7 @@ def _size_bound(p: int, k: int, n: int) -> int:
     """
     if k == 0:
         return 1
-    return min(math.comb(n, k), (p - 1) ** k * math.factorial(k), n * _size_bound(p, k - 1, n - 1) // k)
+    return min(math.comb(n, k), erdos_rado_upper_bound(p, k) - 1, n * _size_bound(p, k - 1, n - 1) // k)
 
 
 def max_sunflower_free(

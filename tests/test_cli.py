@@ -1,5 +1,3 @@
-import csv
-import io
 import json
 import os
 import re
@@ -78,14 +76,14 @@ def _call(argv, capsysbinary):
 
 def test_repeated_main_calls_print_what_single_calls_print(tmp_path, monkeypatch, capsysbinary):
     # main builds its parser once per process: each call must print what a call on a fresh parser
-    # prints, and the options of one call (--format csv) must not leak into the next
+    # prints, and the options of one call (--method monte-carlo --trials 100) must not leak into the next
     monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
     path = tmp_path / "block22.json"
     save_family(block_product_family(2, 2)[0], path)
     runs = [
         (["check-spread", str(path), "--r", "1"], 1),
         (["check-spread", str(path), "--r", "2"], 0),
-        (["estimate-hit", str(path), "--delta", "0.5", "--format", "csv"], 0),
+        (["estimate-hit", str(path), "--delta", "0.5", "--method", "monte-carlo", "--trials", "100"], 0),
         (["estimate-hit", str(path), "--delta", "0.5"], 0),
         (["--help"], 0),
         (["check-spread", "--help"], 0),
@@ -158,28 +156,12 @@ def test_estimate_hit_json_and_determinism(block22, capsys):
     assert payload["p_hat"] == 0.5625 and payload["method"] == "enumeration"
 
 
-def test_estimate_hit_csv_row(block22, capsys):
-    rc = main(
-        [
-            "estimate-hit",
-            str(block22),
-            "--delta",
-            "0.5",
-            "--method",
-            "monte-carlo",
-            "--trials",
-            "2000",
-            "--seed",
-            "9",
-            "--format",
-            "csv",
-        ]
-    )
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "schema_version,family_id,delta,method,p_hat,ci,trials,seed"
-    fields = lines[1].split(",")
-    assert fields[0] == "1" and fields[1] == "block22" and fields[6] == "2000"
+def test_estimate_hit_monte_carlo_json(block22, capsys):
+    argv = ["estimate-hit", str(block22), "--delta", "0.5", "--method", "monte-carlo", "--trials", "2000", "--seed", "9"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema_version"] == 1 and payload["family_id"] == "block22"
+    assert payload["method"] == "monte-carlo" and payload["trials"] == 2000 and payload["seed"] == 9
 
 
 def test_partition_command(block22, capsys):
@@ -272,8 +254,12 @@ def test_readme_command_exits_0(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SUNFLOWERS_OUT_DIR", raising=False)
     assert argv[0] == "sunflowers"
-    for command in (README_COMMANDS[0], argv):  # the first line writes the fam.json the others read
-        assert main(command[1:]) == 0
+    assert main(README_COMMANDS[0][1:]) == 0  # the first line writes the fam.json the others read
+    capsys.readouterr()
+    assert main(argv[1:]) == 0
+    if argv[1] not in ("construct", "verify"):  # every other command prints exactly one JSON object
+        payload = json.loads(capsys.readouterr().out)
+        assert isinstance(payload, dict) and payload["schema_version"] == 1
 
 
 def test_find_sunflower_trace(block22, capsys):
@@ -306,15 +292,6 @@ def test_find_sunflower_fallback_cap_zero_turns_the_fallback_off(tmp_path, capsy
     assert exc.value.code == 2 and "--no-fallback" in capsys.readouterr().err
 
 
-def test_exact_sun_csv(capsys):
-    rc = main(["exact-sun", "--p", "3", "--k", "2", "--format", "csv"])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "schema_version,p,k,value_or_bracket,exhaustive,nodes"
-    fields = lines[1].split(",")
-    assert fields[1:4] == ["3", "2", "7"] and fields[4] == "True"
-
-
 def test_exact_sun_json_reports_nodes_by_depth(capsys):
     assert main(["exact-sun", "--p", "3", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -322,17 +299,16 @@ def test_exact_sun_json_reports_nodes_by_depth(capsys):
     assert payload["nodes_by_depth"] == [1, 1, 3, 11, 29, 16, 3]
 
 
-def test_exact_sun_csv_is_byte_reproducible(capsys):
-    argv = ["exact-sun", "--p", "3", "--k", "3", "--max-nodes", "2000", "--format", "csv"]
+def test_exact_sun_bracket_is_byte_reproducible(capsysbinary):
+    argv = ["exact-sun", "--p", "3", "--k", "3", "--max-nodes", "2000"]
     outputs = []
     for _ in range(2):
         assert main(argv) == 0
-        outputs.append(capsys.readouterr().out.encode())
+        outputs.append(capsysbinary.readouterr().out)
     assert outputs[0] == outputs[1]
-    header, row = csv.reader(io.StringIO(outputs[0].decode()))
-    assert header == ["schema_version", "p", "k", "value_or_bracket", "exhaustive", "nodes"]
-    assert row[1:3] == ["3", "3"] and row[4:] == ["False", "2000"]
-    assert row[3].startswith("[") and row[3].endswith("]")
+    payload = json.loads(outputs[0])
+    assert payload["p"] == 3 and payload["k"] == 3 and payload["exact"] is None
+    assert payload["lower"] < payload["upper"] and payload["exhaustive"] is False and payload["nodes"] == 2000
 
 
 def test_negative_budgets_exit_2(block22, capsys):
@@ -356,7 +332,7 @@ def test_negative_budgets_exit_2(block22, capsys):
     (["verify", "partition-mean", "--family", "FAMILY", "--classes", "2", "--trials", "10", "--seed", "-1"], "seed"),
     (["verify", "chernoff", "--n", "100000", "--delta", "0.3"], "n"),
     # seeds that no sampler reads are refused too
-    (["estimate-hit", "FAMILY", "--delta", "0.5", "--format", "csv", "--seed", "-1"], "seed"),
+    (["estimate-hit", "FAMILY", "--delta", "0.5", "--seed", "-1"], "seed"),
     (["find-sunflower", "FAMILY", "--p", "2", "--seed", "-5"], "seed"),
 ])
 def test_non_finite_values_and_thread_counts_exit_2(block22, capsys, command, name):
@@ -371,8 +347,8 @@ def test_exact_estimates_on_huge_ground_sets(tmp_path, capsys, n, method):
     # the exact paths work on the 2-element support: 1 - (1 - 1/2)^2
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"ground_set_size": n, "k": 1, "sets": [[5], [9]]}))
-    assert main(["estimate-hit", str(path), "--delta", "0.5", "--method", method, "--format", "csv"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "0.75"
+    assert main(["estimate-hit", str(path), "--delta", "0.5", "--method", method]) == 0
+    assert json.loads(capsys.readouterr().out)["p_hat"] == 0.75
 
 
 @pytest.mark.parametrize("argv", [
@@ -415,6 +391,14 @@ def test_threads_flag_is_rejected(block22, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command[0], str(block22), *command[1:], *flag])
     assert exc.value.code == 2 and f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["estimate-hit", "FAMILY", "--delta", "0.5"], ["exact-sun", "--p", "3", "--k", "2"]])
+def test_format_option_is_gone(block22, capsys, argv):
+    # JSON is the only payload format: the commands that took --format csv now refuse it
+    with pytest.raises(SystemExit) as exc:
+        main([str(block22) if arg == "FAMILY" else arg for arg in argv] + ["--format", "csv"])
+    assert exc.value.code == 2 and "unrecognized arguments: --format csv" in capsys.readouterr().err
 
 
 def test_petal_count_past_the_family_returns(block22, capsys):
