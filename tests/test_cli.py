@@ -395,7 +395,7 @@ def test_threads_flag_is_rejected(block22, capsys, command, flag):
 
 @pytest.mark.parametrize("argv", [["estimate-hit", "FAMILY", "--delta", "0.5"], ["exact-sun", "--p", "3", "--k", "2"]])
 def test_format_option_is_gone(block22, capsys, argv):
-    # JSON is the only payload format: the commands that took --format csv now refuse it
+    # JSON is the only payload format, so no command takes --format
     with pytest.raises(SystemExit) as exc:
         main([str(block22) if arg == "FAMILY" else arg for arg in argv] + ["--format", "csv"])
     assert exc.value.code == 2 and "unrecognized arguments: --format csv" in capsys.readouterr().err
