@@ -25,6 +25,7 @@ from .constructions import (
     erdos_rado_family,
     exact_block_hit_probability,
     in_tightness_regime,
+    tightness_regime_bound,
 )
 from .extraction import ExtractionParams, extract_sunflower
 from .families import family_json, family_to_dict, load_family
@@ -153,7 +154,7 @@ def _verify_partition_mean(args) -> tuple[bool, dict, list[str]]:
 def _verify_tightness(args) -> tuple[bool, dict, list[str]]:
     k, r, delta, eps = args.k, args.r, args.delta, args.eps
     in_regime = in_tightness_regime(k, r, delta, eps)
-    bound = 0.25 * math.log(k / eps) / delta
+    bound = tightness_regime_bound(k, delta, eps)
     lines = [f"regime: r = {r} <= 0.25/delta * ln(k/eps) = {bound}  -> {in_regime}"]
     payload: dict = {"k": k, "r": r, "delta": delta, "eps": eps, "regime_bound": bound, "in_regime": in_regime}
     if not in_regime:

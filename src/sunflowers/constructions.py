@@ -81,14 +81,19 @@ def exact_block_hit_probability(k: int, r: int, delta: float) -> float:
     return (1.0 - (1.0 - delta) ** r) ** k
 
 
+def tightness_regime_bound(k: int, delta: float, eps: float) -> float:
+    """0.25 * (1/delta) * ln(k/eps), natural logarithm: the widest r of the
+    tightness regime.  ``in_tightness_regime`` checks the arguments."""
+    return 0.25 * math.log(k / eps) / delta
+
+
 def in_tightness_regime(k: int, r: int, delta: float, eps: float) -> bool:
-    """True iff r <= 0.25 * (1/delta) * ln(k/eps).
+    """True iff r <= tightness_regime_bound(k, delta, eps).
 
     In this range the width-r transversal family keeps the hit probability
     below 1 - eps even though it is exactly r-spread with r^k members.
-    Natural logarithm throughout.
     """
     partition = BlockPartition(k, r)
     check_half_fraction("delta", delta)
     check_half_fraction("eps", eps)
-    return partition.r <= 0.25 * math.log(partition.k / eps) / delta
+    return partition.r <= tightness_regime_bound(partition.k, delta, eps)

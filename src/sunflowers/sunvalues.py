@@ -51,8 +51,35 @@ sunflower-free family within the cap, so once the best family reaches it
 no larger one exists and the search returns at once: the maximum is proven,
 and the witness is still the first family of that size.  Without a cap,
 elements beyond the span are unlimited, room is unbounded, and the search
-enters every node.  There is no graph-canonization style isomorph
-rejection.
+enters every node.
+
+Twin elements, two used elements held by exactly the same members (unlike a
+candidate's twin above, a k-set), give the one isomorph rejection.  A node tracks its adjacent twins: bit e of
+``twins`` says that e and e+1 are twins.  A child that holds e+1 but not e
+is counted but gets no pair test and no subtree.  Adjacent pairs suffice:
+the elements a member introduces are a run of consecutive twins, and a
+child that passes the check holds an initial segment of each run, so every
+twin class stays a run.  The skip loses nothing:
+
+1. Swapping the twins e, e+1 fixes every member of the node's family F,
+   and maps every other k-set above F's members to one above them.  So it
+   maps each family below a skipped child, F + c + ..., onto a family of
+   the same size that is also sunflower-free, stays within the cap, and
+   whose ascending mask sequence is lexicographically smaller: it starts
+   with F and then with a mask below c.
+2. The lexicographically least labelling of any family introduces its
+   elements consecutively, so it lies in the canonical tree, and by 1 the
+   rule never skips it or any of its prefixes.
+3. Depth-first order is lexicographic order, so the first family of each
+   size that the search finds is the least canonical family of that size,
+   hence the least labelling of its class, which by 2 the rule keeps.  The
+   best size at every point of the walk is therefore the same with and
+   without the rule, and so are the slack verdicts, the witness (the first
+   family of the maximum size), its ground size and ``exhaustive``, with a
+   cap or without one.  Only the node count drops.
+
+Full canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998) would reject every other isomorph as well.
 """
 
 from __future__ import annotations
@@ -190,9 +217,12 @@ def max_sunflower_free(
     families spanning at most that many elements, and then skips the
     subtree of every node that the degree bound shows cannot beat the best
     family found so far, and stops once the best family reaches the size
-    bound for the cap.  ``exhaustive`` means the maximum is proven.
-    ``nodes`` counts the families visited, skipped subtrees' roots
-    included, and ``nodes_by_depth`` splits them by family size.
+    bound for the cap.  Every search skips the subtree of a child that
+    holds the upper of two twin elements without the lower, as the module
+    docstring proves.  ``exhaustive`` means the maximum is proven.
+    ``nodes`` counts the families visited, skipped subtrees' roots and
+    skipped twin children included, and ``nodes_by_depth`` splits them by
+    family size.
     ``max_nodes`` bounds that count; a search that needs more stops there
     and returns its best-so-far with exhaustive=False, the same on every
     machine.
@@ -240,9 +270,11 @@ def max_sunflower_free(
             fresh_tables[used, child_used] = [(1 << masks.index(_twin(masks[r], used, k)), 1 << r) for r in fresh]
         return fresh_tables[used, child_used]
 
-    def extend(members: list[int], used: int, accepted: int) -> None:
+    def extend(members: list[int], used: int, accepted: int, twins: int) -> None:
         """Count and visit the children of a counted node; ``accepted``: the
-        bitset of the node's candidates c with members + c sunflower-free."""
+        bitset of the node's candidates c with members + c sunflower-free;
+        bit e of ``twins``: elements e and e+1 are used and held by exactly
+        the same members."""
         nonlocal nodes, exhaustive, best_members, best_ground
         size = len(members) + 1
         room_from = list(accumulate(reversed(slack)))[::-1]  # room_from[e] = sum(slack[e:])
@@ -258,6 +290,8 @@ def max_sunflower_free(
                 by_depth.append(0)
             by_depth[size] += 1
             mask = masks[low.bit_length() - 1]
+            if mask >> 1 & ~mask & twins:
+                continue  # holds e+1 but not its twin e: swapping them gives an earlier sibling
             top = mask.bit_length()
             child_used = top if top > used else used
             if size > len(best_members):
@@ -296,11 +330,13 @@ def max_sunflower_free(
             if size + room <= len(best_members):
                 continue
             members.append(mask)
+            fresh = mask >> used << used  # the elements mask introduces
+            child_twins = twins & ~(mask ^ mask >> 1) | fresh & fresh >> 1
             if ground_cap is None:
-                extend(members, child_used, kept)
+                extend(members, child_used, kept, child_twins)
             else:
                 _add_at_elements(slack, mask, -1)
-                extend(members, child_used, kept)
+                extend(members, child_used, kept, child_twins)
                 _add_at_elements(slack, mask, 1)
             members.pop()
             if len(best_members) == ceiling:
@@ -309,7 +345,7 @@ def max_sunflower_free(
     if budget > 0:
         nodes += 1  # the empty family
         by_depth.append(1)
-        extend([], 0, table(0))  # a single set is sunflower-free
+        extend([], 0, table(0), 0)  # a single set is sunflower-free
     else:
         exhaustive = False
     witness = SetFamily(best_ground, k, best_members)

@@ -295,8 +295,8 @@ def test_find_sunflower_fallback_cap_zero_turns_the_fallback_off(tmp_path, capsy
 def test_exact_sun_json_reports_nodes_by_depth(capsys):
     assert main(["exact-sun", "--p", "3", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["exact"] == 7 and payload["nodes"] == 64
-    assert payload["nodes_by_depth"] == [1, 1, 3, 11, 29, 16, 3]
+    assert payload["exact"] == 7 and payload["nodes"] == 43
+    assert payload["nodes_by_depth"] == [1, 1, 3, 8, 16, 11, 3]
 
 
 def test_exact_sun_bracket_is_byte_reproducible(capsysbinary):

@@ -67,10 +67,15 @@ def _naive_max_sunflower_free(p, k, ground):
     return best
 
 
-def _rebuilding_search(p, k, max_nodes=None, ground_cap=None):
+def _rebuilding_search(p, k, max_nodes=None, ground_cap=None, twins=False):
     """Oracle: the canonical search with its candidate list rebuilt at every
-    node and the full extension test on every candidate."""
-    best, best_ground, nodes, exhaustive = (), k, 0, True
+    node and the full extension test on every candidate.
+
+    With ``twins``, every node also recomputes which adjacent used elements
+    e, e+1 lie in exactly the same members, and a sunflower-free candidate
+    that holds e+1 without e is counted as a node but not entered.
+    """
+    best, best_ground, nodes, exhaustive, by_depth = (), k, 0, True, []
 
     def candidates(last_mask, used):
         limit = used + k if ground_cap is None else min(ground_cap, used + k)
@@ -85,34 +90,52 @@ def _rebuilding_search(p, k, max_nodes=None, ground_cap=None):
                     out.append(mask)
         return sorted(out)
 
-    def extend(members, last_mask, used):
+    def count(members, used):
+        """Count the node members spanning ``used`` elements; False once the budget is spent."""
         nonlocal best, best_ground, nodes, exhaustive
         if max_nodes is not None and nodes >= max_nodes:
             exhaustive = False
-            return
+            return False
         nodes += 1
+        if len(members) == len(by_depth):
+            by_depth.append(0)
+        by_depth[len(members)] += 1
         if len(members) > len(best):
             best, best_ground = tuple(members), max(used, k)
+        return True
+
+    def twin_pairs(members, used):
+        return [e for e in range(used - 1) if all((f >> e & 1) == (f >> e + 1 & 1) for f in members)]
+
+    def extend(members, last_mask, used):
+        if not count(members, used):
+            return
+        pairs = twin_pairs(members, used) if twins else []
         for mask in candidates(last_mask, used):
             if not exhaustive:
                 return
             if _extends_sunflower_free(members, mask, p):
                 members.append(mask)
-                extend(members, mask, max(used, mask.bit_length()))
+                if any(mask >> e + 1 & 1 and not mask >> e & 1 for e in pairs):
+                    count(members, max(used, mask.bit_length()))
+                else:
+                    extend(members, mask, max(used, mask.bit_length()))
                 members.pop()
 
     extend([], 0, 0)
-    return len(best), nodes, exhaustive, best, best_ground
+    return len(best), nodes, exhaustive, best, best_ground, tuple(by_depth)
 
 
 def _outcome(search):
-    return search.max_size, search.nodes, search.exhaustive, search.witness.sets, search.witness.ground_size
+    return (search.max_size, search.nodes, search.exhaustive, search.witness.sets, search.witness.ground_size,
+            search.nodes_by_depth)
 
 
 def _assert_matches_oracle(search, oracle):
-    """A capped search skips subtrees the degree bound rules out, so it may
-    visit fewer nodes than the oracle; everything else is identical."""
-    size, nodes, exhaustive, sets, ground = oracle
+    """A capped search skips subtrees the degree bound rules out, and every
+    search skips the subtrees of twin mirror images, so it may visit fewer
+    nodes than the oracle; everything else is identical."""
+    size, nodes, exhaustive, sets, ground, _ = oracle
     assert (search.max_size, search.exhaustive, search.witness.sets, search.witness.ground_size) == (
         size, exhaustive, sets, ground)
     assert search.nodes <= nodes
@@ -127,7 +150,7 @@ GRID_DEGREE_BOUNDS = {(2, 2, 4): 1, (3, 1, 3): 1, (3, 2, 6): 2, (3, 2, 7): 2, (3
                       (3, 3, 5): 4, (4, 2, 5): 3, (4, 3, 5): 6, (4, 2, 6): 3, (3, 3, 6): 5,
                       (4, 2, 7): 3, (4, 2, 8): 3, (4, 3, 6): 7}
 # small caps on which the oracle takes milliseconds
-SWEEP_CAPS = {1: range(1, 7), 2: range(2, 7), 3: range(3, 6)}
+SWEEP_CAPS = {1: range(1, 7), 2: range(2, 7), 3: range(3, 6), 4: range(4, 7)}
 
 
 @pytest.mark.parametrize("p,k,cap", SMALL_GRID)
@@ -135,7 +158,7 @@ def test_search_matches_rebuilding_search(p, k, cap):
     _assert_matches_oracle(max_sunflower_free(p, k, ground_cap=cap), _rebuilding_search(p, k, ground_cap=cap))
 
 
-@pytest.mark.parametrize("p,k", [(p, k) for p in range(2, 6) for k in range(1, 4)])
+@pytest.mark.parametrize("p,k", [(p, k) for p in range(2, 7) for k in range(1, 5)])
 def test_capped_sweep_matches_rebuilding_search(p, k):
     for cap in SWEEP_CAPS[k]:
         oracle = _rebuilding_search(p, k, ground_cap=cap)
@@ -149,11 +172,20 @@ def test_capped_sweep_matches_rebuilding_search(p, k):
     (5, 2, None, (3000,)),
 ])
 def test_budgeted_search_matches_rebuilding_search(p, k, cap, budgets):
-    # the unbounded search skips no subtree, so it matches the oracle node for node
+    # the unbounded search skips no subtree but twin mirror images, so it
+    # matches the oracle with the twin check node for node
     for budget in budgets:
-        expected = _rebuilding_search(p, k, max_nodes=budget, ground_cap=cap)
+        expected = _rebuilding_search(p, k, max_nodes=budget, ground_cap=cap, twins=True)
         assert not expected[2]  # stops mid-tree
         assert _outcome(max_sunflower_free(p, k, max_nodes=budget, ground_cap=cap)) == expected, budget
+
+
+def test_unbounded_search_matches_the_twin_oracle_node_for_node():
+    search = max_sunflower_free(3, 2)
+    assert search.exhaustive
+    assert _outcome(search) == _rebuilding_search(3, 2, twins=True)
+    # the plain canonical tree holds the same maximum and witness in more nodes
+    _assert_matches_oracle(search, _rebuilding_search(3, 2))
 
 
 def test_capped_node_budget_is_deterministic():
@@ -171,7 +203,7 @@ def test_larger_grid_points_keep_their_node_counts():
     # points in several seconds; the witnesses are its witnesses
     pinned = {
         (4, 2, 7): (10, 20, (3, 5, 6, 9, 10, 20, 40, 48, 80, 96)),
-        (4, 2, 8): (10, 43_627, (3, 5, 6, 9, 10, 20, 24, 48, 96, 160)),
+        (4, 2, 8): (10, 21_048, (3, 5, 6, 9, 10, 20, 24, 48, 96, 160)),
         (4, 3, 6): (14, 952, (7, 11, 13, 19, 21, 26, 28, 38, 41, 42, 44, 49, 50, 52)),
     }
     for (p, k, cap), (size, nodes, sets) in pinned.items():
@@ -185,7 +217,7 @@ def test_larger_grid_points_keep_their_node_counts():
 @pytest.mark.parametrize("p,k,cap,by_depth", [
     (4, 2, 6, (1, 1, 1, 1, 1, 3, 9, 15, 4, 1)),
     (4, 2, 7, (1, 1, 1, 1, 1, 1, 2, 3, 5, 3, 1)),
-    (3, 3, 6, (1, 1, 1, 3, 18, 63, 121, 91, 25, 1, 1)),
+    (3, 3, 6, (1, 1, 1, 3, 11, 42, 81, 54, 13, 1, 1)),
     (4, 3, 6, (1, 1, 1, 1, 2, 11, 72, 160, 188, 215, 137, 78, 52, 32, 1)),
 ])
 def test_every_budget_stops_at_exactly_its_node_count(p, k, cap, by_depth):
@@ -208,7 +240,7 @@ def test_every_budget_stops_at_exactly_its_node_count(p, k, cap, by_depth):
 
 def test_largest_grid_point_keeps_its_nodes_by_depth():
     full = max_sunflower_free(4, 2, ground_cap=8)
-    assert full.nodes_by_depth == (1, 1, 3, 14, 86, 525, 1792, 9226, 17887, 12148, 1944)
+    assert full.nodes_by_depth == (1, 1, 3, 10, 49, 249, 868, 4246, 8493, 6086, 1042)
     # the tree ends in siblings counted together: a budget that cuts them
     # leaves the search unfinished
     for budget in range(full.nodes - 6, full.nodes):
@@ -227,12 +259,13 @@ def test_colex_masks_follow_the_colex_ranks():
 
 
 def test_budgeted_unbounded_searches_keep_their_outcomes():
-    # too large for the rebuilding search; recorded from the list-based
-    # candidate search that the bitset tables replaced
+    # too large for the rebuilding search; the sizes and witnesses were
+    # recorded from the list-based candidate search that the bitset tables
+    # replaced, the nodes by depth from the search that skips twin mirror images
     pinned = {
-        (3, 3): (16, (1, 1, 1, 1, 1, 1, 4, 40, 521, 4412, 19262, 36668, 33426, 4596, 963, 93, 9),
+        (3, 3): (16, (1, 1, 1, 1, 1, 1, 5, 71, 786, 5904, 22816, 37139, 28780, 3624, 767, 93, 9),
                  (7, 11, 13, 14, 49, 50, 81, 82, 97, 98, 388, 392, 644, 648, 772, 776)),
-        (5, 2): (20, (1, 1, 1, 1, 1, 1, 1, 1, 3, 12, 57, 313, 1708, 7162, 19876, 32954, 27348, 9714, 832, 12, 1),
+        (5, 2): (20, (1, 1, 1, 1, 1, 1, 1, 1, 4, 16, 82, 444, 2237, 8694, 22681, 34707, 24576, 6169, 370, 11, 1),
                  (3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 96, 160, 192, 288, 320, 384, 544, 576, 640, 768)),
     }
     for (p, k), (size, by_depth, sets) in pinned.items():
@@ -270,8 +303,8 @@ def test_degree_bound_on_the_grid():
 
 def test_nodes_by_depth_splits_the_unbounded_search():
     search = max_sunflower_free(3, 2)
-    assert search.nodes_by_depth == (1, 1, 3, 11, 29, 16, 3)
-    assert sum(search.nodes_by_depth) == search.nodes == 64
+    assert search.nodes_by_depth == (1, 1, 3, 8, 16, 11, 3)
+    assert sum(search.nodes_by_depth) == search.nodes == 43
     assert max_sunflower_free(3, 2, max_nodes=0).nodes_by_depth == ()
 
 
@@ -398,7 +431,7 @@ def test_sun_3_2_is_7():
     assert verify_sunflower_free(witness, 3)
 
 
-@pytest.mark.parametrize("p,nodes", [(3, 64), (4, 163_500)])
+@pytest.mark.parametrize("p,nodes", [(3, 43), (4, 57_511)])
 def test_sun_p_2_matches_chvatal_hanson(p, nodes):
     # a 2-set family is p-sunflower-free exactly when its maximum degree and
     # matching number are <= p - 1; Chvatal and Hanson ("Degrees and
